@@ -9,6 +9,7 @@ window is an artifact of the graph parametrization and carries Dirichlet
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     PastSingularityError,
     ReflectionConditionError,
 )
-from .geometry import GraphSurface, _grad_hess, integrate, perimeter
+from .geometry import GraphSurface, _grad_hess, grid_nodes, integrate, perimeter
 
 
 def shrinking_radius(R0, t):
@@ -94,14 +95,24 @@ def _spectral_bound(a, active):
 
 
 def _active_mask(surface):
-    Y1, Y2 = np.meshgrid(surface.y1, surface.y2, indexing="ij")
-    return np.hypot(Y1, Y2) < surface.r_dom - 1e-12 * surface.r_dom
+    return _static_grid(surface.h, surface.r_dom, surface.half)[0]
+
+
+@functools.lru_cache(maxsize=32)
+def _static_grid(h, r_dom, half):
+    """Read-only active-node mask and squared chart radius Y1^2 + Y2^2 of one grid."""
+    Y1, Y2 = grid_nodes(h, r_dom, half)
+    act = np.hypot(Y1, Y2) < r_dom - 1e-12 * r_dom
+    rsq = Y1**2 + Y2**2
+    for a in (act, rsq):
+        a.setflags(write=False)
+    return act, rsq
 
 
 def _apply_rim(u_new, surface, config, t_new):
     act = _active_mask(surface)
     if config.outer_bc == "dirichlet-exact":
-        Y1, Y2 = np.meshgrid(surface.y1, surface.y2, indexing="ij")
+        Y1, Y2 = grid_nodes(surface.h, surface.r_dom, surface.half)
         rim = np.asarray(config.rim_values(Y1, Y2, t_new), dtype=float)
         u_new = np.where(act, u_new, rim)
     else:
@@ -132,8 +143,8 @@ def step(surface, dt, config):
 
     if not np.all(np.isfinite(u_new)):
         raise NonFiniteError("non-finite height after step")
-    Y1, Y2 = np.meshgrid(surface.y1, surface.y2, indexing="ij")
-    if np.max(Y1**2 + Y2**2 + u_new**2) >= surface.patch.chart_radius**2:
+    rsq = _static_grid(surface.h, surface.r_dom, surface.half)[1]
+    if np.max(rsq + u_new**2) >= surface.patch.chart_radius**2:
         raise ChartExitError("surface left the chart validity ball")
     return surface.with_height(u_new, t=surface.t + dt)
 

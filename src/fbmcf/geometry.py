@@ -10,6 +10,7 @@ condition holds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,10 @@ from .support import (
     SupportPatch,
     chart_coords,
     chart_frames,
+    components,
     in_complementary_ball,
+    metric_connection,
+    trailing,
     tubular_map,
 )
 
@@ -56,20 +60,44 @@ def circle_box_area(R, x0, x1, y0, y1):
 
 
 def disk_cell_weights(y1, y2, h, R, half):
-    """Per-node overlap areas of the dual cells with the footprint disk."""
+    """Per-node overlap areas of the dual cells with the footprint disk.
+
+    Memoised per (grid, h, R, half); the returned array is read-only.
+    """
+    y1 = np.asarray(y1, dtype=float)
+    y2 = np.asarray(y2, dtype=float)
+    return _cell_weights(y1.tobytes(), y2.tobytes(), float(h), float(R), bool(half))
+
+
+@functools.lru_cache(maxsize=32)
+def _cell_weights(y1, y2, h, R, half):
+    y1, y2 = np.frombuffer(y1), np.frombuffer(y2)
     X0, Y0 = np.meshgrid(y1 - 0.5 * h, y2 - 0.5 * h, indexing="ij")
     X1, Y1 = np.meshgrid(y1 + 0.5 * h, y2 + 0.5 * h, indexing="ij")
     if half:
         Y0 = np.maximum(Y0, 0.0)  # clip at the free-boundary edge
-    return circle_box_area(R, X0, X1, Y0, Y1)
+    w = circle_box_area(R, X0, X1, Y0, Y1)
+    w.setflags(write=False)
+    return w
+
+
+@functools.lru_cache(maxsize=32)
+def grid_nodes(h, r_dom, half):
+    """Read-only node coordinates (Y1, Y2) of the grid of spacing h over r_dom."""
+    m = int(round(r_dom / h))
+    lo = 0 if half else -m
+    nodes = np.meshgrid(h * np.arange(-m, m + 1), h * np.arange(lo, m + 1), indexing="ij")
+    for a in nodes:
+        a.setflags(write=False)
+    return tuple(nodes)
 
 
 # ---------------------------------------------------------------------------
 # Finite differences (second order, ghost-row even reflection at y2 = 0)
 # ---------------------------------------------------------------------------
 
-def _grad_hess(U, h, half):
-    n1, n2 = U.shape
+def _derivative_planes(U, h, half):
+    """Difference quotients (d1, d2, d11, d12, d22), one array each."""
     d1 = np.empty_like(U)
     d1[1:-1] = (U[2:] - U[:-2]) / (2 * h)
     d1[0] = (-3 * U[0] + 4 * U[1] - U[2]) / (2 * h)
@@ -101,13 +129,20 @@ def _grad_hess(U, h, half):
     else:
         d12[:, 0] = (-3 * d1[:, 0] + 4 * d1[:, 1] - d1[:, 2]) / (2 * h)
     d12[:, -1] = (3 * d1[:, -1] - 4 * d1[:, -2] + d1[:, -3]) / (2 * h)
+    return d1, d2, d11, d12, d22
 
+
+def _stack_derivatives(d1, d2, d11, d12, d22):
     du = np.stack([d1, d2], axis=-1)
-    d2u = np.empty(U.shape + (2, 2))
+    d2u = np.empty(d1.shape + (2, 2))
     d2u[..., 0, 0] = d11
     d2u[..., 0, 1] = d2u[..., 1, 0] = d12
     d2u[..., 1, 1] = d22
     return du, d2u
+
+
+def _grad_hess(U, h, half):
+    return _stack_derivatives(*_derivative_planes(U, h, half))
 
 
 # ---------------------------------------------------------------------------
@@ -241,55 +276,34 @@ def _inv2x2(g):
 
 def fundamental_forms(surface):
     """Induced metric, second fundamental form, curvature, and quadrature data."""
-    U, h = surface.u, surface.h
-    du, d2u = _grad_hess(U, h, surface.half)
-    Y1, Y2 = np.meshgrid(surface.y1, surface.y2, indexing="ij")
-
+    planes = _derivative_planes(surface.u, surface.h, surface.half)
+    du, d2u = _stack_derivatives(*planes)
+    Y1, Y2 = grid_nodes(surface.h, surface.r_dom, surface.half)
     if surface.patch.is_flat:
-        X = np.stack([Y1, Y2, U], axis=-1)
-        g = np.empty(U.shape + (2, 2))
-        for i in range(2):
-            for j in range(2):
-                g[..., i, j] = (1.0 if i == j else 0.0) + du[..., i] * du[..., j]
-        S = d2u  # Gamma = 0, Q = 0
-        Tan = np.zeros(U.shape + (3, 2))
-        Tan[..., 0, 0] = 1.0
-        Tan[..., 1, 1] = 1.0
-        Tan[..., 2, :] = du
-        phi3 = np.zeros(U.shape + (3,))
-        phi3[..., 2] = 1.0
-        low = np.zeros(U.shape + (2, 2))
+        X, N, g, ginv, det, A, Hcur, A2, coeff_f = _flat_forms(surface.u, Y1, Y2, du, d2u)
     else:
-        Y = np.stack([Y1, Y2, U], axis=-1)
-        fr = chart_frames(surface.patch, Y, order=2)
-        X, dPhi, d2Phi = fr["X"], fr["dPhi"], fr["d2Phi"]
-        hm = np.einsum("...ci,...cj->...ij", dPhi, dPhi)
-        hinv = np.linalg.inv(hm)
-        Gam = np.einsum("...kl,...cij,...cl->...kij", hinv, d2Phi, dPhi)
+        X, N, g, ginv, det, A, Hcur, A2, coeff_f = _curved_forms(
+            surface.patch, surface.u, Y1, Y2, planes)
+    wcell = disk_cell_weights(surface.y1, surface.y2, surface.h, surface.r_dom,
+                              surface.half)
+    sqrtg = np.sqrt(det)
+    return SurfaceGeometry(X, N, du, d2u, g, ginv, A, Hcur, A2, sqrtg, wcell,
+                           sqrtg * wcell, coeff_f, wcell > 0)
 
-        g = np.empty(U.shape + (2, 2))
-        for i in range(2):
-            for j in range(2):
-                g[..., i, j] = (hm[..., i, j]
-                                + hm[..., i, 2] * du[..., j]
-                                + hm[..., j, 2] * du[..., i]
-                                + hm[..., 2, 2] * du[..., i] * du[..., j])
-        Q = np.empty(U.shape + (2, 2))
-        for i in range(2):
-            for j in range(2):
-                q = (Gam[..., 2, i, 2] * du[..., j]
-                     + Gam[..., 2, j, 2] * du[..., i]
-                     + Gam[..., 2, 2, 2] * du[..., i] * du[..., j])
-                for k in range(2):
-                    q = q - (Gam[..., k, i, j] * du[..., k]
-                             + Gam[..., k, i, 2] * du[..., j] * du[..., k]
-                             + Gam[..., k, j, 2] * du[..., i] * du[..., k]
-                             + Gam[..., k, 2, 2] * du[..., i] * du[..., j] * du[..., k])
-                Q[..., i, j] = q
-        low = Gam[..., 2, :2, :2] + Q
-        S = low + d2u
-        Tan = dPhi[..., :, :2] + dPhi[..., :, 2:3] * du[..., None, :]
-        phi3 = dPhi[..., :, 2]
+
+def _flat_forms(U, Y1, Y2, du, d2u):
+    X = np.stack([Y1, Y2, U], axis=-1)
+    g = np.empty(U.shape + (2, 2))
+    for i in range(2):
+        for j in range(2):
+            g[..., i, j] = (1.0 if i == j else 0.0) + du[..., i] * du[..., j]
+    S = d2u  # Gamma = 0, Q = 0
+    Tan = np.zeros(U.shape + (3, 2))
+    Tan[..., 0, 0] = 1.0
+    Tan[..., 1, 1] = 1.0
+    Tan[..., 2, :] = du
+    phi3 = np.zeros(U.shape + (3,))
+    phi3[..., 2] = 1.0
 
     cross = np.cross(Tan[..., :, 0], Tan[..., :, 1])
     N = -cross / np.linalg.norm(cross, axis=-1, keepdims=True)
@@ -300,13 +314,62 @@ def fundamental_forms(surface):
     Hcur = np.einsum("...ij,...ij->...", ginv, A)
     GA = np.einsum("...ik,...kj->...ij", ginv, A)
     A2 = np.einsum("...ij,...ji->...", GA, GA)
-    coeff_f = np.einsum("...ij,...ij->...", ginv, low) if not surface.patch.is_flat \
-        else np.zeros_like(U)
+    return X, N, g, ginv, det, A, Hcur, A2, np.zeros_like(U)
 
-    wcell = disk_cell_weights(surface.y1, surface.y2, h, surface.r_dom, surface.half)
-    sqrtg = np.sqrt(det)
-    return SurfaceGeometry(X, N, du, d2u, g, ginv, A, Hcur, A2, sqrtg, wcell,
-                           sqrtg * wcell, coeff_f, wcell > 0)
+
+_PAIRS = ((0, 0), (0, 1), (1, 1))
+
+
+def _curved_forms(patch, U, Y1, Y2, planes):
+    """Graph geometry over a curved support, one contiguous plane per component.
+
+    Chart index 2 carries the height, so the graph tangents are
+    T_i = dPhi_i + u_i dPhi_2 for i = 0, 1.
+    """
+    u, d2 = planes[:2], dict(zip(_PAIRS, planes[2:]))
+    Y = np.empty((3,) + U.shape)
+    Y[0], Y[1], Y[2] = Y1, Y2, U
+    fr = chart_frames(patch, trailing(Y, 1), order=2)
+    hm, Gam = metric_connection(fr)
+    dPhi = components(fr["dPhi"], 2)
+
+    # g_ij = h(T_i, T_j); low_ij = Gamma^2_ij + Q_ij = P^2_ij - u_k P^k_ij, where
+    # P^k_ij = Gamma^k(T_i, T_j) and the sum runs over k = 0, 1
+    g = np.empty((2, 2) + U.shape)
+    A = np.empty_like(g)
+    low = {}
+    for i, j in _PAIRS:
+        uij = u[i] * u[j]
+        g[i, j] = g[j, i] = (hm[i, j] + hm[i, 2] * u[j] + hm[j, 2] * u[i]
+                             + hm[2, 2] * uij)
+        P = [Gam[k, i, j] + Gam[k, i, 2] * u[j] + Gam[k, j, 2] * u[i] + Gam[k, 2, 2] * uij
+             for k in range(3)]
+        low[i, j] = P[2] - u[0] * P[0] - u[1] * P[1]
+
+    # inward unit normal N = -(T_0 x T_1) / |T_0 x T_1|; A_ij = (dPhi_2 . N) (low_ij + D2_ij u)
+    T0 = [dPhi[c, 0] + dPhi[c, 2] * u[0] for c in range(3)]
+    T1 = [dPhi[c, 1] + dPhi[c, 2] * u[1] for c in range(3)]
+    cross = (T0[1] * T1[2] - T0[2] * T1[1],
+             T0[2] * T1[0] - T0[0] * T1[2],
+             T0[0] * T1[1] - T0[1] * T1[0])
+    norm = np.sqrt(cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2])
+    N = np.empty((3,) + U.shape)
+    for c in range(3):
+        N[c] = -cross[c] / norm
+    phi3N = dPhi[0, 2] * N[0] + dPhi[1, 2] * N[1] + dPhi[2, 2] * N[2]
+    for i, j in _PAIRS:
+        A[i, j] = A[j, i] = phi3N * (low[i, j] + d2[i, j])
+
+    ginv, det = _inv2x2(trailing(g, 2))
+    ginv = components(ginv, 2)
+    # H = g^ij A_ij, |A|^2 = tr((g^-1 A)^2) and f = g^ij low_ij for symmetric g^-1, A, low
+    Hcur = ginv[0, 0] * A[0, 0] + 2.0 * ginv[0, 1] * A[0, 1] + ginv[1, 1] * A[1, 1]
+    GA = [[ginv[i, 0] * A[0, j] + ginv[i, 1] * A[1, j] for j in range(2)] for i in range(2)]
+    A2 = GA[0][0] * GA[0][0] + 2.0 * GA[0][1] * GA[1][0] + GA[1][1] * GA[1][1]
+    coeff_f = (ginv[0, 0] * low[0, 0] + 2.0 * ginv[0, 1] * low[0, 1]
+               + ginv[1, 1] * low[1, 1])
+    return (fr["X"], trailing(N, 1), trailing(g, 2), trailing(ginv, 2), det,
+            trailing(A, 2), Hcur, A2, coeff_f)
 
 
 # ---------------------------------------------------------------------------

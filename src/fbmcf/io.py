@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -16,28 +17,30 @@ from .support import SupportPatch
 MONITOR_COLUMNS = ("t", "area", "perimeter", "energy", "max_H", "max_A")
 
 
+def _vertex_lines(X):
+    X = np.asarray(X, dtype=float).reshape(-1, 3)
+    return ("v %.17g %.17g %.17g\n" * len(X)) % tuple(X.ravel().tolist())
+
+
+@functools.lru_cache(maxsize=8)
+def _face_lines(n1, n2):
+    """Two triangles per cell of an n1 x n2 node grid; node (i, j) is i * n2 + j + 1."""
+    a = (np.arange(n1 - 1)[:, None] * n2 + np.arange(n2 - 1)[None, :] + 1).ravel()
+    b = a + n2
+    faces = np.stack([a, b, a + 1, b, b + 1, a + 1], axis=-1)
+    return ("f %d %d %d\n" * (2 * len(a))) % tuple(faces.ravel().tolist())
+
+
 def write_obj(path, surface):
     """ASCII mesh dump: `v x y z` per node, `f i j k` per triangle (1-based)."""
-    lines = []
     if isinstance(surface, GraphSurface):
         X = surface.geometry().X
-        n1, n2 = X.shape[:2]
-        for i in range(n1):
-            for j in range(n2):
-                x = X[i, j]
-                lines.append(f"v {x[0]:.17g} {x[1]:.17g} {x[2]:.17g}")
-        for i in range(n1 - 1):
-            for j in range(n2 - 1):
-                a = i * n2 + j + 1
-                b = a + n2
-                lines.append(f"f {a} {b} {a + 1}")
-                lines.append(f"f {b} {b + 1} {a + 1}")
+        text = _vertex_lines(X) + _face_lines(*X.shape[:2])
     else:
         pts = surface.samples().X if hasattr(surface, "samples") else surface
-        for x in np.asarray(pts).reshape(-1, 3):
-            lines.append(f"v {x[0]:.17g} {x[1]:.17g} {x[2]:.17g}")
+        text = _vertex_lines(pts)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def _patch_meta(patch):

@@ -19,6 +19,21 @@ from .errors import ChartRangeError, NewtonConvergenceError, SingularMetricError
 _TANGENT_IDX = (0, 2)
 
 
+# Arrays of chart data keep the public shape (..., 3, 3), with component axes
+# last, but are stored component-first: each component is a contiguous plane
+# over the sample points, so the per-component arithmetic below never strides.
+
+def trailing(a, k):
+    """View of a component-first array with its k leading axes moved last."""
+    return a.transpose(tuple(range(k, a.ndim)) + tuple(range(k)))
+
+
+def components(a, k):
+    """View of an array with its k trailing component axes moved first."""
+    n = a.ndim
+    return a.transpose(tuple(range(n - k, n)) + tuple(range(n - k)))
+
+
 # ---------------------------------------------------------------------------
 # Height profiles phi(y1, y3) with derivatives up to third order
 # ---------------------------------------------------------------------------
@@ -52,12 +67,12 @@ class ParaboloidProfile:
         shape = p.shape
         a = self.a
         phi = 0.5 * a * p**2
-        d1 = np.zeros(shape + (2,))
-        d1[..., 0] = a * p
-        d2 = np.zeros(shape + (2, 2))
-        d2[..., 0, 0] = a
-        d3 = np.zeros(shape + (2, 2, 2))
-        return phi, d1, d2, d3
+        d1 = np.zeros((2,) + shape)
+        d1[0] = a * p
+        d2 = np.zeros((2, 2) + shape)
+        d2[0, 0] = a
+        d3 = np.zeros((2, 2, 2) + shape)
+        return phi, trailing(d1, 1), trailing(d2, 2), trailing(d3, 3)
 
 
 class SphereCapProfile:
@@ -75,22 +90,23 @@ class SphereCapProfile:
         if np.any(w2 <= 0.0):
             raise ChartRangeError("sphere-cap profile evaluated outside its disk")
         w = np.sqrt(w2)
-        y = np.stack([p, q], axis=-1)
+        w3, w5 = w**3, w**5
+        shape = np.shape(w)
         phi = R - w
-        d1 = y / w[..., None]
-        eye = np.eye(2)
-        d2 = eye / w[..., None, None] + (
-            y[..., :, None] * y[..., None, :] / (w**3)[..., None, None]
-        )
+        d1 = np.empty((2,) + shape)
+        d1[0] = p / w
+        d1[1] = q / w
+        d2 = np.empty((2, 2) + shape)
+        d2[0, 0] = 1.0 / w + p * p / w3
+        d2[0, 1] = d2[1, 0] = p * q / w3
+        d2[1, 1] = 1.0 / w + q * q / w3
         # d3_{abc} = (delta_ab y_c + delta_ac y_b + delta_bc y_a)/w^3 + 3 y_a y_b y_c / w^5
-        d3 = (
-            eye[None, ...][..., :, :, None] * y[..., None, None, :]
-            + eye[..., :, None, :] * y[..., None, :, None]
-            + eye[..., None, :, :] * y[..., :, None, None]
-        ) / (w**3)[..., None, None, None] + 3.0 * (
-            y[..., :, None, None] * y[..., None, :, None] * y[..., None, None, :]
-        ) / (w**5)[..., None, None, None]
-        return phi, d1, d2, d3
+        d3 = np.empty((2, 2, 2) + shape)
+        d3[0, 0, 0] = (p + p + p) / w3 + 3.0 * (p * p * p) / w5
+        d3[0, 0, 1] = d3[0, 1, 0] = d3[1, 0, 0] = q / w3 + 3.0 * (p * p * q) / w5
+        d3[0, 1, 1] = d3[1, 0, 1] = d3[1, 1, 0] = p / w3 + 3.0 * (p * q * q) / w5
+        d3[1, 1, 1] = (q + q + q) / w3 + 3.0 * (q * q * q) / w5
+        return phi, trailing(d1, 1), trailing(d2, 2), trailing(d3, 3)
 
 
 class SampledProfile:
@@ -239,70 +255,75 @@ def chart_frames(patch, Y, order=2, check=True):
 
     Returns a dict with keys 'X' (..., 3), 'dPhi' (..., 3, i) and, for
     order >= 2, 'd2Phi' (..., 3, i, j), where the last axes index chart
-    directions.
+    directions.  The arrays are component-first views (see `trailing`).
     """
     Y = np.asarray(Y, dtype=float)
     if check:
         _check_range(patch, Y)
     p, d, q = Y[..., 0], Y[..., 1], Y[..., 2]
     phi, g1, g2, g3 = patch.profile.derivs(p, q)
+    g1, g2 = components(g1, 1), components(g2, 2)
     shape = p.shape
 
-    n = np.zeros(shape + (3,))
-    n[..., 0] = -g1[..., 0]
-    n[..., 1] = 1.0
-    n[..., 2] = -g1[..., 1]
-    W = np.linalg.norm(n, axis=-1)
-    nu = n / W[..., None]
+    # Unnormalised inward normal n = (-g1_0, 1, -g1_1) and nu = n / |n|.  Ambient
+    # components c = 0, 2 carry profile slot k (c = _TANGENT_IDX[k]); n_1 is constant.
+    n = (-g1[0], 1.0, -g1[1])
+    W = np.sqrt(g1[0] * g1[0] + 1.0 + g1[1] * g1[1])
+    nu = np.empty((3,) + shape)
+    for c in range(3):
+        nu[c] = n[c] / W
 
-    # dn[..., comp, a], tangent slot a in {0,1} ~ chart (y1, y3)
-    dn = np.zeros(shape + (3, 2))
-    dn[..., 0, :] = -g2[..., 0, :]
-    dn[..., 2, :] = -g2[..., 1, :]
-    n_dn = np.einsum("...c,...ca->...a", n, dn)
-    dW = n_dn / W[..., None]
-    dnu = dn / W[..., None, None] - n[..., :, None] * (dW / W[..., None] ** 2)[..., None, :]
+    # derivatives along tangent slot a: d n_c = -g2[k, a] and dW = (n . dn) / W
+    n_dn = [g1[0] * g2[0, a] + g1[1] * g2[1, a] for a in range(2)]
+    dW = [n_dn[a] / W for a in range(2)]
+    W2 = W**2
+    s = [dW[a] / W2 for a in range(2)]
+    dnu = [[-s[a] for a in range(2)] for _ in range(3)]
+    for k, c in enumerate(_TANGENT_IDX):
+        dnu[c] = [-g2[k, a] / W - n[c] * s[a] for a in range(2)]
 
-    c = np.stack([p, phi, q], axis=-1)
-    dc = np.zeros(shape + (3, 2))
-    dc[..., 0, 0] = 1.0
-    dc[..., 2, 1] = 1.0
-    dc[..., 1, :] = g1
+    X = np.empty((3,) + shape)
+    X[0] = p + d * nu[0]
+    X[1] = phi + d * nu[1]
+    X[2] = q + d * nu[2]
+    # d Phi / d y_a = dc_a + d * dnu_a with c = (y1, phi, y3); d Phi / d y2 = nu
+    dPhi = np.empty((3, 3) + shape)
+    dPhi[0, 0] = 1.0 + d * dnu[0][0]
+    dPhi[1, 0] = g1[0] + d * dnu[1][0]
+    dPhi[2, 0] = d * dnu[2][0]
+    dPhi[0, 2] = d * dnu[0][1]
+    dPhi[1, 2] = g1[1] + d * dnu[1][1]
+    dPhi[2, 2] = 1.0 + d * dnu[2][1]
+    dPhi[:, 1] = nu
 
-    X = c + d[..., None] * nu
-    dPhi = np.zeros(shape + (3, 3))
-    for a, ia in enumerate(_TANGENT_IDX):
-        dPhi[..., :, ia] = dc[..., :, a] + d[..., None] * dnu[..., :, a]
-    dPhi[..., :, 1] = nu
-
-    out = {"X": X, "dPhi": dPhi, "nu": nu, "phi": phi}
+    out = {"X": trailing(X, 1), "dPhi": trailing(dPhi, 2), "nu": trailing(nu, 1),
+           "phi": phi}
     if order < 2:
         return out
 
-    ddn = np.zeros(shape + (3, 2, 2))
-    ddn[..., 0, :, :] = -g3[..., 0, :, :]
-    ddn[..., 2, :, :] = -g3[..., 1, :, :]
-    ddW = (
-        np.einsum("...ca,...cb->...ab", dn, dn) + np.einsum("...c,...cab->...ab", n, ddn)
-    ) / W[..., None, None] - n_dn[..., :, None] * n_dn[..., None, :] / (W**3)[..., None, None]
-    ddnu = (
-        ddn / W[..., None, None, None]
-        - dn[..., :, None, :] * (dW / W[..., None] ** 2)[..., None, :, None]
-        - dn[..., :, :, None] * (dW / W[..., None] ** 2)[..., None, None, :]
-        - n[..., :, None, None] * (ddW / W[..., None, None] ** 2)[..., None, :, :]
-        + 2.0
-        * n[..., :, None, None]
-        * (dW[..., :, None] * dW[..., None, :] / (W**3)[..., None, None])[..., None, :, :]
-    )
-
-    d2Phi = np.zeros(shape + (3, 3, 3))
+    g3 = components(g3, 3)
+    W3 = W**3
+    d2Phi = np.empty((3, 3, 3) + shape)
+    for a, b in ((0, 0), (0, 1), (1, 1)):
+        ia, ib = _TANGENT_IDX[a], _TANGENT_IDX[b]
+        ddW = ((g2[0, a] * g2[0, b] + g2[1, a] * g2[1, b]
+                + g1[0] * g3[0, a, b] + g1[1] * g3[1, a, b]) / W
+               - n_dn[a] * n_dn[b] / W3)
+        tail = ddW / W2 - 2.0 * (dW[a] * dW[b] / W3)
+        # second derivatives of nu; d2 n_c = -g3[k, a, b] and d2 n_1 = 0
+        ddnu = [-tail] * 3
+        for k, c in enumerate(_TANGENT_IDX):
+            ddnu[c] = (-n[c] * tail - g3[k, a, b] / W
+                       + g2[k, b] * s[a] + g2[k, a] * s[b])
+        for c in range(3):
+            d2Phi[c, ia, ib] = d2Phi[c, ib, ia] = d * ddnu[c]
+        d2Phi[1, ia, ib] += g2[a, b]
+        d2Phi[1, ib, ia] = d2Phi[1, ia, ib]
     for a, ia in enumerate(_TANGENT_IDX):
-        for b, ib in enumerate(_TANGENT_IDX):
-            d2Phi[..., :, ia, ib] = d[..., None] * ddnu[..., :, a, b]
-            d2Phi[..., 1, ia, ib] += g2[..., a, b]
-        d2Phi[..., :, ia, 1] = dnu[..., :, a]
-        d2Phi[..., :, 1, ia] = dnu[..., :, a]
-    out["d2Phi"] = d2Phi
+        for c in range(3):
+            d2Phi[c, ia, 1] = d2Phi[c, 1, ia] = dnu[c][a]
+    d2Phi[:, 1, 1] = 0.0
+    out["d2Phi"] = trailing(d2Phi, 3)
     return out
 
 
@@ -368,6 +389,45 @@ def in_complementary_ball(patch, P, r, X):
     return inside & in_ball
 
 
+def _inverse_sym3(h):
+    """Closed-form (adjugate) inverse of symmetric 3x3 matrices h[i, j] (component-first)."""
+    a, b, c, d, e, f = h[0, 0], h[0, 1], h[0, 2], h[1, 1], h[1, 2], h[2, 2]
+    cof = {(0, 0): d * f - e * e, (0, 1): c * e - b * f, (0, 2): b * e - c * d,
+           (1, 1): a * f - c * c, (1, 2): b * c - a * e, (2, 2): a * d - b * b}
+    det = a * cof[0, 0] + b * cof[0, 1] + c * cof[0, 2]
+    if np.any(det <= 0.0):
+        raise SingularMetricError("pull-back metric is degenerate (chart overreach)")
+    inv = np.empty_like(h)
+    for (i, j), v in cof.items():
+        inv[i, j] = inv[j, i] = v / det
+    return inv
+
+
+def metric_connection(frames):
+    """Pull-back metric h_ij and Gamma[k, i, j] from `chart_frames` output.
+
+    Both are component-first arrays: h[i, j] and Gamma[k, i, j] are planes over
+    the sample points.  Raises SingularMetricError where det h <= 0.
+    """
+    dPhi, d2Phi = components(frames["dPhi"], 2), components(frames["d2Phi"], 3)
+    h = np.empty((3,) + dPhi.shape[1:])
+    for i in range(3):
+        for j in range(i, 3):
+            h[i, j] = h[j, i] = (dPhi[0, i] * dPhi[0, j] + dPhi[1, i] * dPhi[1, j]
+                                 + dPhi[2, i] * dPhi[2, j])
+    hinv = _inverse_sym3(h)
+    # flat ambient: d2Phi_ij lies in span(dPhi), so Gamma^k_ij = h^{kl} d2Phi_ij . dPhi_l
+    Gamma = np.empty((3,) + h.shape)
+    for i in range(3):
+        for j in range(i, 3):
+            first = [d2Phi[0, i, j] * dPhi[0, l] + d2Phi[1, i, j] * dPhi[1, l]
+                     + d2Phi[2, i, j] * dPhi[2, l] for l in range(3)]
+            for k in range(3):
+                Gamma[k, i, j] = Gamma[k, j, i] = (hinv[k, 0] * first[0] + hinv[k, 1] * first[1]
+                                                   + hinv[k, 2] * first[2])
+    return h, Gamma
+
+
 def pullback_metric_connection(patch, Y):
     """Pull-back metric h_ij and Levi-Civita coefficients Gamma[k, i, j]."""
     Y = np.asarray(Y, dtype=float)
@@ -375,16 +435,8 @@ def pullback_metric_connection(patch, Y):
         shape = Y.shape[:-1]
         h = np.broadcast_to(np.eye(3), shape + (3, 3)).copy()
         return h, np.zeros(shape + (3, 3, 3))
-    fr = chart_frames(patch, Y, order=2)
-    dPhi, d2Phi = fr["dPhi"], fr["d2Phi"]
-    h = np.einsum("...ci,...cj->...ij", dPhi, dPhi)
-    det = np.linalg.det(h)
-    if np.any(det <= 0.0):
-        raise SingularMetricError("pull-back metric is degenerate (chart overreach)")
-    hinv = np.linalg.inv(h)
-    # flat ambient: d2Phi_ij lies in span(dPhi), so Gamma^k_ij = h^{kl} d2Phi_ij . dPhi_l
-    Gamma = np.einsum("...kl,...cij,...cl->...kij", hinv, d2Phi, dPhi)
-    return h, Gamma
+    h, Gamma = metric_connection(chart_frames(patch, Y, order=2))
+    return trailing(h, 2), trailing(Gamma, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,39 @@ def test_obj_format(tmp_path):
     assert min(idx) >= 1 and max(idx) <= len(vs)
 
 
+def per_node_obj(X, faces=True):
+    """OBJ text written one node and one triangle at a time."""
+    lines = []
+    n1, n2 = X.shape[:2]
+    for i in range(n1):
+        for j in range(n2):
+            x = X[i, j]
+            lines.append(f"v {x[0]:.17g} {x[1]:.17g} {x[2]:.17g}")
+    for i in range(n1 - 1 if faces else 0):
+        for j in range(n2 - 1):
+            a = i * n2 + j + 1
+            b = a + n2
+            lines.append(f"f {a} {b} {a + 1}")
+            lines.append(f"f {b} {b + 1} {a + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def test_obj_bytes_match_per_node_writer(tmp_path):
+    patch = SupportPatch.paraboloid(0.5, kappa=0.5, chart_radius=2.0)
+    s = GraphSurface.from_height(lambda a, b: 0.1 * a + 0.05 * a**2 - 0.03 * b**2,
+                                 patch, 1 / 16, 0.5)
+    X = s.geometry().X
+    coords = X.ravel().tolist()
+    assert min(coords) < 0.0
+    assert any(float(f"{x:.16g}") != x for x in coords)   # 17 digits are needed
+    path = tmp_path / "mesh.obj"
+    write_obj(str(path), s)
+    assert path.read_bytes() == per_node_obj(X).encode()
+    pts = tmp_path / "points.obj"
+    write_obj(str(pts), X[::3, ::3])
+    assert pts.read_bytes() == per_node_obj(X[::3, ::3], faces=False).encode()
+
+
 def test_snapshot_roundtrip(tmp_path):
     s = GraphSurface.sphere_cap(1.0, 0.0625, 0.25)
     path = str(tmp_path / "snap.npz")
