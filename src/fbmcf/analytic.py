@@ -45,6 +45,9 @@ class AnalyticSurface:
     radius: float = None      # sphere/hemisphere radius
     t: float = 0.0
 
+    # exact surfaces have no grid; planarity fits fall back to their node spacing
+    h_frame = 0.0
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -95,7 +98,7 @@ class AnalyticSurface:
 
     # -- sampling -----------------------------------------------------------
 
-    def samples(self, m, focus=None, extent=None):
+    def samples(self, m=48, focus=None, extent=None):
         """FieldSample with about m^2 nodes; focus/extent steer planar grids."""
         if self.kind in ("sphere", "hemisphere"):
             return self._sphere_samples(m)
@@ -125,43 +128,35 @@ class AnalyticSurface:
         )
 
     def _plane_samples(self, m, focus, extent):
+        """Polar nodes around the focus: Gauss-Legendre in the radius up to extent."""
         n = self.normal
+        base = self.point
         if self.kind == "plane":
             e1, e2 = _orthobasis(n)
-            base = self.point
             if focus is not None:
                 f = np.asarray(focus, float) - base
                 base = base + f - np.dot(f, n) * n
-            rho, wr = np.polynomial.legendre.leggauss(m)
-            rho = 0.5 * extent * (rho + 1.0)
-            wr = 0.5 * extent * wr
             ph = 2.0 * np.pi * np.arange(2 * m) / (2 * m)
             wph = np.full(2 * m, np.pi / m)
-            RHO, PH = np.meshgrid(rho, ph, indexing="ij")
-            W = np.outer(wr * rho, wph)
-            X = base + RHO[..., None] * (
-                np.cos(PH)[..., None] * e1 + np.sin(PH)[..., None] * e2
-            )
         else:
-            # half-plane: edge along n x (0,1,0), upward direction (0,1,0)
-            up = np.array([0.0, 1.0, 0.0])
-            edge = np.cross(n, up)
-            edge /= np.linalg.norm(edge)
-            base = self.point
+            # half-plane: edge e1 along n x (0,1,0), upward direction e2 = (0,1,0)
+            e2 = np.array([0.0, 1.0, 0.0])
+            e1 = np.cross(n, e2)
+            e1 /= np.linalg.norm(e1)
             if focus is not None:
                 f = np.asarray(focus, float) - base
-                base = base + np.dot(f, edge) * edge
-            rho, wr = np.polynomial.legendre.leggauss(m)
-            rho = 0.5 * extent * (rho + 1.0)
-            wr = 0.5 * extent * wr
+                base = base + np.dot(f, e1) * e1
             ph, wph = np.polynomial.legendre.leggauss(m)
             ph = 0.5 * np.pi * (ph + 1.0)
             wph = 0.5 * np.pi * wph
-            RHO, PH = np.meshgrid(rho, ph, indexing="ij")
-            W = np.outer(wr * rho, wph)
-            X = base + RHO[..., None] * (
-                np.cos(PH)[..., None] * edge + np.sin(PH)[..., None] * up
-            )
+        rho, wr = np.polynomial.legendre.leggauss(m)
+        rho = 0.5 * extent * (rho + 1.0)
+        wr = 0.5 * extent * wr
+        RHO, PH = np.meshgrid(rho, ph, indexing="ij")
+        W = np.outer(wr * rho, wph)
+        X = base + RHO[..., None] * (
+            np.cos(PH)[..., None] * e1 + np.sin(PH)[..., None] * e2
+        )
         M = X.reshape(-1, 3).shape[0]
         return FieldSample(
             X.reshape(-1, 3), W.ravel(),
@@ -183,25 +178,16 @@ class AnalyticSurface:
 
     # -- boundary curve (hemisphere only) ------------------------------------
 
-    def boundary_samples(self, m):
-        """Points and unit tangents of the boundary circle on the support plane."""
+    def perimeter(self, tol=_QUAD_TOL):
+        """Length of the boundary circle on the support plane, by polyline refinement."""
         if self.kind != "hemisphere":
             raise ValueError("only hemispheres carry a compact boundary curve")
         R, c = self.radius, self.point
-        ph = 2.0 * np.pi * np.arange(m) / m
-        X = c + R * np.stack([np.cos(ph), np.zeros(m), np.sin(ph)], axis=-1)
-        T = np.stack([-np.sin(ph), np.zeros(m), np.cos(ph)], axis=-1)
-        ds = np.full(m, 2.0 * np.pi * R / m)
-        return X, T, ds
-
-    def perimeter(self, tol=_QUAD_TOL):
-        """Boundary length by polyline refinement."""
-        if self.kind != "hemisphere":
-            raise ValueError("only hemispheres carry a compact boundary curve")
         m = 256
         prev = None
         while m <= 10**7:
-            X, _, _ = self.boundary_samples(m)
+            ph = 2.0 * np.pi * np.arange(m) / m
+            X = c + R * np.stack([np.cos(ph), np.zeros(m), np.sin(ph)], axis=-1)
             val = float(np.sum(np.linalg.norm(np.roll(X, -1, axis=0) - X, axis=-1)))
             if prev is not None and abs(val - prev) <= tol * (abs(val) + 1.0):
                 return val

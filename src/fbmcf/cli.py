@@ -16,36 +16,25 @@ import yaml
 
 from .errors import FbmcfError, ScenarioError
 from .flow import run as flow_run
-from .io import load_trajectory, save_trajectory, write_manifest, write_obj
+from .io import load_trajectory, save_trajectory, write_csv, write_manifest, write_obj
 from .monitors import DensityQuery, monotonicity_report, singular_set_scan
 from .rescaling import normalized_frame, parabolic_rescale, planarity_multiplicity
 from .scenario import load_scenario
 
 EXIT_OK, EXIT_VERIFY, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 1, 2, 3
-_ERROR_REASONS = {"cfl-violation", "chart-exit", "non-finite", "error",
-                  "past-singularity"}
 
 
 def command_run(args):
     scenario = load_scenario(args.scenario)
     outdir = args.out or scenario.output_dir
-    os.makedirs(outdir, exist_ok=True)
     t0 = time.perf_counter()
-    try:
-        initial = scenario.build_initial()
-        config = scenario.build_flow_config()
-    except FbmcfError as err:
-        write_manifest(outdir, scenario.echo(), f"past-singularity: {err}",
-                       time.perf_counter() - t0, [])
-        print(f"run aborted: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    trajectory = flow_run(initial, config)
+    trajectory = flow_run(scenario.build_initial(), scenario.build_flow_config())
     files = save_trajectory(outdir, trajectory, scenario.echo())
     write_manifest(outdir, scenario.echo(), trajectory.stop_reason,
                    time.perf_counter() - t0, files)
     print(f"stop_reason: {trajectory.stop_reason} "
           f"({len(trajectory.snapshots)} snapshots in {outdir})")
-    return EXIT_NUMERICAL if trajectory.stop_reason in _ERROR_REASONS else EXIT_OK
+    return EXIT_OK if trajectory.error is None else _report(trajectory.error)
 
 
 def _parse_queries(path):
@@ -70,26 +59,18 @@ def command_monitor(args):
                 sample_times=[float(t) for t in q["sample_times"]])
             rep = monotonicity_report(trajectory, query)
             path = os.path.join(args.dir, f"density_{name}.csv")
-            rows = ["t,value,violation"]
-            prev = None
-            for t, v in zip(rep.times, rep.values):
-                viol = 0.0 if prev is None else max(v - prev, 0.0)
-                rows.append(f"{t:.17g},{v:.17g},{viol:.17g}")
-                prev = v
-            with open(path, "w") as fh:
-                fh.write("\n".join(rows) + "\n")
+            rise = np.maximum(np.diff(rep.values, prepend=rep.values[:1]), 0.0)
+            write_csv(path, ("t", "value", "violation"),
+                      np.column_stack([rep.times, rep.values, rise]))
         elif kind == "scan":
             scan = singular_set_scan(trajectory, float(q["epsilon"]),
                                      [float(r) for r in q["r_grid"]])
             path = os.path.join(args.dir, f"scan_{name}.csv")
-            rows = ["px,py,pz,r,mass,flagged"]
-            for i, P in enumerate(scan.candidates):
-                for j, r in enumerate(scan.r_grid):
-                    rows.append(f"{P[0]:.17g},{P[1]:.17g},{P[2]:.17g},"
-                                f"{r:.17g},{scan.masses[i, j]:.17g},"
-                                f"{int(scan.flagged[i])}")
-            with open(path, "w") as fh:
-                fh.write("\n".join(rows) + "\n")
+            nr = len(scan.r_grid)
+            write_csv(path, ("px", "py", "pz", "r", "mass", "flagged"), np.column_stack([
+                np.repeat(scan.candidates, nr, axis=0),
+                np.tile(scan.r_grid, len(scan.candidates)),
+                scan.masses.ravel(), np.repeat(scan.flagged, nr)]))
         else:
             raise ScenarioError(f"unknown query type {kind!r}", key="type")
         print(f"wrote {path}")
@@ -111,11 +92,9 @@ def command_rescale(args):
     write_obj(os.path.join(outdir, "frame.obj"), frame.surface)
     rep = planarity_multiplicity(frame, args.region_radius,
                                  boundary_mode=args.boundary)
-    with open(os.path.join(outdir, "planarity.csv"), "w") as fh:
-        fh.write("deviation,sheets,fit_nx,fit_ny,fit_nz\n")
-        fh.write(f"{rep.deviation:.17g},{rep.sheet_count},"
-                 f"{rep.normal[0]:.17g},{rep.normal[1]:.17g},"
-                 f"{rep.normal[2]:.17g}\n")
+    write_csv(os.path.join(outdir, "planarity.csv"),
+              ("deviation", "sheets", "fit_nx", "fit_ny", "fit_nz"),
+              [[rep.deviation, rep.sheet_count, *rep.normal]])
     print(f"wrote frame.obj and planarity.csv to {outdir}")
     return EXIT_OK
 
@@ -168,11 +147,9 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except ScenarioError as err:
+def _report(err):
+    """Print err on stderr and return the exit code its class calls for."""
+    if isinstance(err, ScenarioError):
         loc = ""
         if err.key:
             loc = f" (key: {err.key})"
@@ -180,12 +157,19 @@ def main(argv=None):
             loc = f" (line {err.line}, column {err.column})"
         print(f"validation error: {err}{loc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FileNotFoundError, ValueError) as err:
+    if isinstance(err, (FileNotFoundError, ValueError)):
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FbmcfError as err:
-        print(f"numerical abort: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    print(f"numerical abort: {err}", file=sys.stderr)
+    return EXIT_NUMERICAL
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except (FbmcfError, FileNotFoundError, ValueError) as err:
+        return _report(err)
 
 
 if __name__ == "__main__":

@@ -24,19 +24,17 @@ class PastSingularityError(FbmcfError):
 class FlowStepError(FbmcfError):
     """Base class for aborts inside the time stepper."""
 
-    reason = "flow-error"
-
 
 class CflViolationError(FlowStepError):
-    reason = "cfl-violation"
+    """Time step above a stability bound of the explicit scheme."""
 
 
 class ChartExitError(FlowStepError):
-    reason = "chart-exit"
+    """Surface left the validity ball of the support chart."""
 
 
 class NonFiniteError(FlowStepError):
-    reason = "non-finite"
+    """Non-finite height after a step."""
 
 
 class TimeWindowError(FbmcfError):

@@ -68,9 +68,17 @@ class FlowConfig:
 
 @dataclass
 class Trajectory:
+    """Snapshots and monitor series of a run.
+
+    stop_reason is "completed", "blowup", or "<error class>: <message>" when an
+    FbmcfError aborted the run; error then holds that exception, without its
+    traceback (in memory only; a reloaded trajectory has error None).
+    """
+
     snapshots: list
     monitors: dict = field(default_factory=dict)
     stop_reason: str = "completed"
+    error: Exception = None
 
     @property
     def times(self):
@@ -165,45 +173,53 @@ def _semi_implicit(surface, dt, a, f, tol=1e-12, max_sweeps=500):
 
 
 def run(initial, config):
-    """Drive the flow to t_end, recording monitor series and snapshots."""
+    """Drive the flow to t_end, recording monitor series and snapshots.
+
+    An FbmcfError from the geometry or the step ends the run with what it has
+    recorded so far.  The surface only advances once its geometry exists, so
+    every stored snapshot can be written out.
+    """
     surface = initial
     mon = {k: [] for k in ("t", "area", "perimeter", "energy", "max_H", "max_A")}
-    snapshots = [surface]
-    stop_reason = "completed"
+    snapshots = []
+    stop_reason, error = "completed", None
     step_count = 0
-    while True:
+    try:
         g = surface.geometry()
-        mask = g.mask
-        mon["t"].append(surface.t)
-        mon["area"].append(integrate(surface, 1.0))
-        mon["perimeter"].append(perimeter(surface) if surface.half else 0.0)
-        mon["energy"].append(integrate(surface, g.A2))
-        mon["max_H"].append(float(np.max(np.abs(g.H[mask]))))
-        max_a = float(np.max(np.sqrt(g.A2[mask])))
-        mon["max_A"].append(max_a)
+        snapshots.append(surface)
+        while True:
+            mask = g.mask
+            mon["t"].append(surface.t)
+            mon["area"].append(integrate(surface, 1.0))
+            mon["perimeter"].append(perimeter(surface) if surface.half else 0.0)
+            mon["energy"].append(integrate(surface, g.A2))
+            mon["max_H"].append(float(np.max(np.abs(g.H[mask]))))
+            max_a = float(np.max(np.sqrt(g.A2[mask])))
+            mon["max_A"].append(max_a)
 
-        if surface.h * max_a >= config.blowup_threshold:
-            stop_reason = "blowup"
-            break
-        if surface.t >= config.t_end - 1e-14 or step_count >= config.max_steps:
-            break
+            if surface.h * max_a >= config.blowup_threshold:
+                stop_reason = "blowup"
+                break
+            if surface.t >= config.t_end - 1e-14 or step_count >= config.max_steps:
+                break
 
-        act = _active_mask(surface)
-        smax = _spectral_bound(g.ginv, act)
-        dt = min(config.cfl * surface.h**2 / smax, config.t_end - surface.t)
-        try:
-            surface = step(surface, dt, config)
-        except FbmcfError as err:
-            stop_reason = getattr(err, "reason", "error")
-            break
-        step_count += 1
-        if step_count % config.snapshot_stride == 0:
-            snapshots.append(surface)
+            act = _active_mask(surface)
+            smax = _spectral_bound(g.ginv, act)
+            dt = min(config.cfl * surface.h**2 / smax, config.t_end - surface.t)
+            new = step(surface, dt, config)
+            g = new.geometry()
+            surface = new
+            step_count += 1
+            if step_count % config.snapshot_stride == 0:
+                snapshots.append(surface)
+    except FbmcfError as err:
+        # kept without its traceback, which would pin the frames of the run
+        stop_reason, error = f"{type(err).__name__}: {err}", err.with_traceback(None)
 
-    if snapshots[-1] is not surface:
+    if snapshots and snapshots[-1] is not surface:
         snapshots.append(surface)
     mon = {k: np.array(v) for k, v in mon.items()}
-    return Trajectory(snapshots, mon, stop_reason)
+    return Trajectory(snapshots, mon, stop_reason, error)
 
 
 # ---------------------------------------------------------------------------

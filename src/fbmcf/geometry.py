@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .analytic import AnalyticSurface, FieldSample
+from .analytic import FieldSample
 from .errors import FbmcfError, SingularMetricError
+from .rescaling import FrameSurface
 from .support import (
     SupportPatch,
     chart_coords,
@@ -26,7 +27,6 @@ from .support import (
     in_complementary_ball,
     metric_connection,
     trailing,
-    tubular_map,
 )
 
 
@@ -185,11 +185,6 @@ class GraphSurface:
         lo = 0 if self.half else -self.m
         return self.h * np.arange(lo, self.m + 1)
 
-    @property
-    def j_edge(self):
-        """Row index of the free-boundary edge y2 = 0 (half domains only)."""
-        return 0
-
     def neumann_residual(self):
         """One-sided discrete normal derivative along the free-boundary edge."""
         if not self.half:
@@ -236,11 +231,31 @@ class GraphSurface:
             self._geom = fundamental_forms(self)
         return self._geom
 
-    def samples(self):
-        """Footprint nodes as a FieldSample (positions, dA weights, N, H, |A|^2)."""
+    # -- surface protocol (shared with AnalyticSurface and FrameSurface) ----
+
+    is_compact = True
+
+    def samples(self, m=None, focus=None, extent=None):
+        """Footprint nodes as a FieldSample (positions, dA weights, N, H, |A|^2).
+
+        The arguments only steer analytic sampling.
+        """
         g = self.geometry()
         mask = g.mask
         return FieldSample(g.X[mask], g.dA[mask], g.N[mask], g.H[mask], g.A2[mask])
+
+    integral = FrameSurface.integral   # sum of fn(samples) times the node weights
+
+    def translate_scale(self, P, lam):
+        """The FrameSurface of (S - P)/lam built from the footprint samples."""
+        return FrameSurface(*self.samples(), t=self.t, h_frame=self.h).translate_scale(P, lam)
+
+    def perimeter(self):
+        """Length of the free-boundary curve, the edge row y2 = 0."""
+        if not self.half:
+            raise ValueError("surface has no free-boundary edge")
+        Xe = self.geometry().X[:, 0, :]
+        return float(np.sum(np.linalg.norm(np.diff(Xe, axis=0), axis=-1)))
 
 
 @dataclass
@@ -392,13 +407,8 @@ def integrate(surface, field, radius=None):
 
 
 def perimeter(surface):
-    """Length of the free-boundary curve."""
-    if isinstance(surface, AnalyticSurface):
-        return surface.perimeter()
-    if not surface.half:
-        raise ValueError("surface has no free-boundary edge")
-    Xe = surface.geometry().X[:, surface.j_edge, :]
-    return float(np.sum(np.linalg.norm(np.diff(Xe, axis=0), axis=-1)))
+    """Length of the free-boundary curve of a grid or analytic surface."""
+    return surface.perimeter()
 
 
 # ---------------------------------------------------------------------------
@@ -459,38 +469,17 @@ def area_ratio_profile(surface, P, r_list, C=0.0, Lambda=0.0, kappa=0.0,
 # Gauss-Bonnet energy identity
 # ---------------------------------------------------------------------------
 
-def _boundary_second_form_integral(surface, patch):
-    """Line integral of the support shape operator along the boundary curve."""
-    if patch is None or patch.is_flat:
-        return 0.0
-    m = 512
-    X, T, ds = surface.boundary_samples(m)
-    eps = 1e-5 * surface.radius
-    from .support import project_and_distance
+def gauss_bonnet_identity(surface):
+    """Both sides of energy = ∫H^2 + 2∮A_Gamma(T,T) - 4 pi chi.
 
-    _, _, nup = project_and_distance(patch, X + eps * T)
-    _, _, num = project_and_distance(patch, X - eps * T)
-    att = -np.einsum("mc,mc->m", (nup - num) / (2 * eps), T)
-    return float(np.sum(att * ds))
-
-
-def gauss_bonnet_identity(surface, patch=None):
-    """Both sides of energy = ∫H^2 + 2∮A_Gamma(T,T) - 4 pi chi."""
-    if isinstance(surface, AnalyticSurface):
-        if not surface.is_compact:
-            raise FbmcfError("topology-untagged: surface is not compact")
-        lhs = surface.integral(lambda s: s.A2)
-        ih2 = surface.integral(lambda s: s.H**2)
-        chi = 2 if surface.topology == "sphere" else 1
-        bterm = (_boundary_second_form_integral(surface, patch)
-                 if surface.topology == "disk" else 0.0)
-    else:
-        if surface.topology is None:
-            raise FbmcfError("topology-untagged")
-        g = surface.geometry()
-        lhs = integrate(surface, g.A2)
-        ih2 = integrate(surface, g.H**2)
-        chi = 2 if surface.topology == "sphere" else 1
-        bterm = 0.0  # grid mode supports rims on flat patches only
-    rhs = ih2 + 2.0 * bterm - 4.0 * np.pi * chi
+    The boundary term is 0: the analytic hemisphere sits on the flat support,
+    where A_Gamma = 0, and grid surfaces carry a topology tag only on flat
+    patches.
+    """
+    if surface.topology is None or not surface.is_compact:
+        raise FbmcfError("topology-untagged: surface is not a tagged compact surface")
+    lhs = surface.integral(lambda s: s.A2)
+    ih2 = surface.integral(lambda s: s.H**2)
+    chi = 2 if surface.topology == "sphere" else 1
+    rhs = ih2 - 4.0 * np.pi * chi
     return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs}

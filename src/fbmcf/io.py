@@ -9,7 +9,6 @@ import os
 
 import numpy as np
 
-from .errors import FbmcfError
 from .flow import Trajectory
 from .geometry import GraphSurface
 from .support import SupportPatch
@@ -32,13 +31,18 @@ def _face_lines(n1, n2):
 
 
 def write_obj(path, surface):
-    """ASCII mesh dump: `v x y z` per node, `f i j k` per triangle (1-based)."""
+    """ASCII mesh dump: `v x y z` per node, `f i j k` per triangle (1-based).
+
+    A GraphSurface is written as its node grid with two triangles per cell,
+    any other surface as the points of `samples()`, and an array of points
+    as it is.
+    """
     if isinstance(surface, GraphSurface):
         X = surface.geometry().X
         text = _vertex_lines(X) + _face_lines(*X.shape[:2])
     else:
-        pts = surface.samples().X if hasattr(surface, "samples") else surface
-        text = _vertex_lines(pts)
+        text = _vertex_lines(surface if isinstance(surface, np.ndarray)
+                             else surface.samples().X)
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -65,21 +69,20 @@ def load_snapshot(path):
                         float(d["t"]), bool(d["half"]))
 
 
-def write_monitor_csv(path, monitors):
-    rows = [",".join(MONITOR_COLUMNS)]
-    n = len(monitors["t"])
-    for k in range(n):
-        rows.append(",".join(f"{monitors[c][k]:.17g}" for c in MONITOR_COLUMNS))
+def write_csv(path, columns, rows):
+    """Header line, then one line per row with every value as %.17g (exact round trip)."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, len(columns))
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(",".join(columns) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def save_trajectory(outdir, trajectory, scenario_echo=None):
     """Persist monitors, OBJ dumps, and exact-round-trip snapshots."""
     os.makedirs(outdir, exist_ok=True)
     files = []
-    mon_path = os.path.join(outdir, "monitors.csv")
-    write_monitor_csv(mon_path, trajectory.monitors)
+    write_csv(os.path.join(outdir, "monitors.csv"), MONITOR_COLUMNS,
+              np.column_stack([trajectory.monitors[c] for c in MONITOR_COLUMNS]))
     files.append("monitors.csv")
     meta = {"stop_reason": trajectory.stop_reason, "snapshots": []}
     if scenario_echo is not None:
@@ -103,6 +106,8 @@ def load_trajectory(outdir):
         raise FileNotFoundError(f"no trajectory.json in {outdir}")
     with open(meta_path) as fh:
         meta = json.load(fh)
+    if not meta["snapshots"]:   # a run that aborted before its first geometry
+        raise ValueError(f"no snapshots in {outdir} (stop_reason: {meta['stop_reason']})")
     snaps = [load_snapshot(os.path.join(outdir, rec["npz"]))
              for rec in meta["snapshots"]]
     monitors = {}

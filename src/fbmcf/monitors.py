@@ -15,20 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .analytic import AnalyticSurface
 from .errors import FbmcfError, TimeWindowError
-from .geometry import integrate
+from .geometry import integrate  # noqa: F401 -- perfbench/tracing.py wraps this binding
 from .support import reflect as patch_reflect
 from .support import signed_distance
 
 BOUNDARY_WINDOW = 0.5 * (3.0 / 320.0) ** 5  # times kappa^{-2}
-
-
-def _surface_integral(surface, fn, focus=None, extent=None):
-    if isinstance(surface, AnalyticSurface):
-        return surface.integral(fn, focus=focus, extent=extent)
-    s = surface.samples()
-    return float(np.sum(np.asarray(fn(s)) * s.w))
 
 
 def _reflected(X, patch):
@@ -67,7 +59,7 @@ def interior_density_value(surface, P, T, r=np.inf, d_gamma=None):
             np.maximum(1.0 - (q2 - 4.0 * tau) / r**2, 0.0) ** 3
         return psi / (4.0 * np.pi * tau) * np.exp(-q2 / (4.0 * tau))
 
-    return _surface_integral(surface, fn, focus=P, extent=extent)
+    return surface.integral(fn, focus=P, extent=extent)
 
 
 def boundary_density_value(surface, P, T, kappa=0.0, patch=None):
@@ -105,7 +97,7 @@ def boundary_density_value(surface, P, T, kappa=0.0, patch=None):
         psi_g = np.exp(-0.5 * both / (4.0 * var * tau)) / (4.0 * np.pi * tau)
         return eta * psi_g
 
-    return prefactor * _surface_integral(surface, fn, focus=P, extent=extent)
+    return prefactor * surface.integral(fn, focus=P, extent=extent)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +183,7 @@ def self_shrinker_residual(surface, P, T, boundary=False, kappa=0.0, patch=None)
             w = np.exp(-0.5 * (q2 + qr2) / (4.0 * var * tau)) / (4.0 * np.pi * tau)
         return drift**2 * w
 
-    return float(np.sqrt(_surface_integral(surface, fn, focus=P, extent=extent)))
+    return float(np.sqrt(surface.integral(fn, focus=P, extent=extent)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,23 +191,8 @@ def self_shrinker_residual(surface, P, T, boundary=False, kappa=0.0, patch=None)
 # ---------------------------------------------------------------------------
 
 def energy(surface):
-    """Total squared second fundamental form ∫ |A|^2 dH^2."""
-    if isinstance(surface, AnalyticSurface):
-        if not surface.is_compact:
-            return 0.0
-        return surface.integral(lambda s: s.A2)
-    if hasattr(surface, "geometry"):
-        return integrate(surface, surface.geometry().A2)
-    s = surface.samples()
-    return float(np.sum(s.A2 * s.w))
-
-
-def _scan_samples(surface, m=48):
-    if isinstance(surface, AnalyticSurface):
-        if not surface.is_compact:
-            return None
-        return surface.samples(m)
-    return surface.samples()
+    """Total squared second fundamental form ∫ |A|^2 dH^2 (0 when not compact)."""
+    return surface.integral(lambda s: s.A2) if surface.is_compact else 0.0
 
 
 def interior_curvature_norm(trajectory, center, R, rho):
@@ -223,11 +200,9 @@ def interior_curvature_norm(trajectory, center, R, rho):
     center = np.asarray(center, dtype=float)
     best = -np.inf
     for snap in trajectory.snapshots:
-        if abs(snap.t) >= rho:
+        if abs(snap.t) >= rho or not snap.is_compact:
             continue
-        s = _scan_samples(snap)
-        if s is None:
-            continue
+        s = snap.samples()
         dist = np.linalg.norm(s.X - center, axis=-1)
         r_max = np.minimum(R - dist, np.sqrt(max(rho - abs(snap.t), 0.0)))
         ok = r_max > 0
@@ -263,14 +238,11 @@ def singular_set_scan(trajectory, epsilon, r_grid):
     r_grid = np.sort(np.asarray(r_grid, dtype=float))
     snap = trajectory.snapshots[-1]
     total = energy(snap)
-    empty = SingularScan(epsilon, r_grid, snap.t, np.zeros((0, 3)),
-                         np.zeros((0, len(r_grid))), np.zeros(0, bool),
-                         np.zeros((0, 3)), total)
-    if total < epsilon:
-        return empty
-    s = _scan_samples(snap)
-    if s is None:
-        return empty
+    if total < epsilon:   # also every non-compact surface, whose energy reads 0
+        return SingularScan(epsilon, r_grid, snap.t, np.zeros((0, 3)),
+                            np.zeros((0, len(r_grid))), np.zeros(0, bool),
+                            np.zeros((0, 3)), total)
+    s = snap.samples()
 
     spacing = 0.5 * r_grid[0]
     lo = s.X.min(axis=0) - r_grid[0]

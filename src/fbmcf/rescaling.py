@@ -2,9 +2,9 @@
 
 A parabolic frame is the spacetime zoom (Sigma_{T + lam^2 tau} - P)/lam; the
 normalized frame at parameter s is e^{s/2}(Sigma_{T - e^{-s}} - P), which
-equals the parabolic frame with lam = e^{-s/2} at tau = -1.  Analytic
-snapshots transform exactly; grid snapshots transform through their point
-samples with H -> lam H and |A|^2 -> lam^2 |A|^2.
+equals the parabolic frame with lam = e^{-s/2} at tau = -1.  Every surface
+transforms itself through `translate_scale`: analytic snapshots exactly, grid
+snapshots through their point samples with H -> lam H and |A|^2 -> lam^2 |A|^2.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AnalyticSurface, FieldSample
+from .analytic import FieldSample
 from .errors import FbmcfError
 
 
@@ -29,8 +29,33 @@ class FrameSurface:
     t: float
     h_frame: float
 
-    def samples(self):
+    is_compact = True
+
+    @property
+    def point(self):
+        """Centroid of the sample points."""
+        return self.X.mean(axis=0)
+
+    def samples(self, m=None, focus=None, extent=None):
+        """The stored samples; the arguments only steer analytic sampling."""
         return FieldSample(self.X, self.w, self.N, self.H, self.A2)
+
+    def integral(self, fn, focus=None, extent=None):
+        """Sum of fn(samples) times the sample weights."""
+        s = self.samples()
+        return float(np.sum(np.asarray(fn(s)) * s.w))
+
+    def translate_scale(self, P, lam):
+        """The samples of (S - P)/lam, with spacing h_frame/lam."""
+        return FrameSurface(
+            X=(self.X - P) / lam,
+            w=self.w / lam**2,
+            N=self.N.copy(),
+            H=lam * self.H,
+            A2=lam**2 * self.A2,
+            t=self.t,
+            h_frame=self.h_frame / lam,
+        )
 
 
 @dataclass
@@ -46,22 +71,6 @@ class RescalingFrame:
     h_frame: float
 
 
-def _transform_snapshot(snap, P, lam):
-    if isinstance(snap, AnalyticSurface):
-        return snap.translate_scale(P, lam), None
-    s = snap.samples()
-    fs = FrameSurface(
-        X=(s.X - P) / lam,
-        w=s.w / lam**2,
-        N=s.N.copy(),
-        H=lam * s.H,
-        A2=lam**2 * s.A2,
-        t=snap.t,
-        h_frame=snap.h / lam,
-    )
-    return fs, fs.h_frame
-
-
 def parabolic_rescale(trajectory, P, T, lam, tau, patch=None):
     """Frame (Sigma_{T + lam^2 tau} - P)/lam from the nearest stored snapshot."""
     P = np.asarray(P, dtype=float)
@@ -70,12 +79,10 @@ def parabolic_rescale(trajectory, P, T, lam, tau, patch=None):
     if not (times.min() - 1e-12 <= t_req <= times.max() + 1e-12):
         raise FbmcfError(f"requested time {t_req:g} outside the snapshot range")
     snap, offset = trajectory.snapshot_at(t_req)
-    surf, h_frame = _transform_snapshot(snap, P, lam)
-    if h_frame is None:
-        h_frame = (surf.radius / 64.0) if surf.is_compact else 0.0
+    surf = snap.translate_scale(P, lam)
     patch_eff = patch.rescale(lam) if patch is not None else None
     return RescalingFrame(P, T, "parabolic", lam, tau, surf, patch_eff,
-                          offset, h_frame)
+                          offset, surf.h_frame)
 
 
 def normalized_frame(trajectory, P, s, T, patch=None):
@@ -86,21 +93,10 @@ def normalized_frame(trajectory, P, s, T, patch=None):
     return fr
 
 
-def frame_samples(frame, m=96, focus=None, extent=None):
-    surf = frame.surface
-    if isinstance(surf, AnalyticSurface):
-        if surf.is_compact:
-            return surf.samples(m)
-        if extent is None:
-            raise ValueError("planar frame sampling needs an extent")
-        return surf.samples(m, focus=focus, extent=extent)
-    return surf.samples()
-
-
 def frame_distance(f1, f2, m=64):
     """Max pointwise distance between two frames sampled identically."""
-    s1 = frame_samples(f1, m, focus=np.zeros(3), extent=1.0)
-    s2 = frame_samples(f2, m, focus=np.zeros(3), extent=1.0)
+    s1 = f1.surface.samples(m, focus=np.zeros(3), extent=1.0)
+    s2 = f2.surface.samples(m, focus=np.zeros(3), extent=1.0)
     if s1.X.shape != s2.X.shape:
         raise FbmcfError("frames are sampled incompatibly")
     return float(np.max(np.linalg.norm(s1.X - s2.X, axis=-1)))
@@ -119,35 +115,22 @@ class PlanarityReport:
     exclusion: tuple
 
 
-def _collect_points(frame, region_radius, center):
-    surf = frame.surface
-    if isinstance(surf, AnalyticSurface):
-        s = frame_samples(frame, m=64, focus=center,
-                          extent=1.5 * region_radius)
-        h_frame = max(frame.h_frame, region_radius / 32.0)
-    else:
-        s = surf.samples()
-        h_frame = frame.h_frame
-    sel = np.linalg.norm(s.X - center, axis=-1) <= region_radius
-    return s.X[sel], h_frame
-
-
 def planarity_multiplicity(frame, region_radius, center=None, exclusion=(),
                            boundary_mode=False):
     """Best-fit (half-)plane with L-inf deviation and normal-line sheet count.
 
     In boundary mode the fit normal is constrained orthogonal to the support
     normal (0,1,0) and the plane passes through the boundary-trace centroid,
-    so the fitted half-plane meets the support surface orthogonally.
+    so the fitted half-plane meets the support surface orthogonally.  The
+    sheet tolerance is three frame grid spacings; exact surfaces have none
+    and use the spacing region_radius/32 of their quadrature nodes instead.
     """
-    if center is None:
-        surf = frame.surface
-        center = surf.point if isinstance(surf, AnalyticSurface) \
-            else surf.X.mean(axis=0)
-    center = np.asarray(center, dtype=float)
-    pts, h_frame = _collect_points(frame, region_radius, center)
+    center = np.asarray(frame.surface.point if center is None else center, dtype=float)
+    s = frame.surface.samples(64, focus=center, extent=1.5 * region_radius)
+    pts = s.X[np.linalg.norm(s.X - center, axis=-1) <= region_radius]
     if len(pts) == 0:
         raise FbmcfError("empty-region: no frame samples in the fit region")
+    h_frame = frame.h_frame or region_radius / 32.0
 
     mu = pts.mean(axis=0)
     rel = pts - mu

@@ -109,43 +109,6 @@ class SphereCapProfile:
         return phi, trailing(d1, 1), trailing(d2, 2), trailing(d3, 3)
 
 
-class SampledProfile:
-    """Height samples on a uniform lattice, interpolated by a quintic spline."""
-
-    def __init__(self, x_axis, z_axis, values):
-        from scipy.interpolate import RectBivariateSpline
-
-        self.x_axis = np.asarray(x_axis, dtype=float)
-        self.z_axis = np.asarray(z_axis, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        self._spline = RectBivariateSpline(self.x_axis, self.z_axis, self.values, kx=5, ky=5)
-        self.name = "sampled"
-
-    def derivs(self, p, q):
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        shape = p.shape
-        sp = self._spline
-
-        def ev(dx, dz):
-            return sp.ev(p.ravel(), q.ravel(), dx=dx, dz=dz).reshape(shape)
-
-        phi = ev(0, 0)
-        d1 = np.stack([ev(1, 0), ev(0, 1)], axis=-1)
-        d2 = np.empty(shape + (2, 2))
-        d2[..., 0, 0] = ev(2, 0)
-        d2[..., 0, 1] = d2[..., 1, 0] = ev(1, 1)
-        d2[..., 1, 1] = ev(0, 2)
-        d3 = np.empty(shape + (2, 2, 2))
-        d3[..., 0, 0, 0] = ev(3, 0)
-        v110 = ev(2, 1)
-        v011 = ev(1, 2)
-        d3[..., 0, 0, 1] = d3[..., 0, 1, 0] = d3[..., 1, 0, 0] = v110
-        d3[..., 0, 1, 1] = d3[..., 1, 0, 1] = d3[..., 1, 1, 0] = v011
-        d3[..., 1, 1, 1] = ev(0, 3)
-        return phi, d1, d2, d3
-
-
 class ScaledProfile:
     """phi^lam(y) = phi(lam*y)/lam, the profile of Gamma/lam."""
 
@@ -203,10 +166,6 @@ class SupportPatch:
         if chart_radius is None:
             chart_radius = min(1.0 / kappa, 0.9 * float(R))
         return cls("analytic-quadric", SphereCapProfile(R), kappa, chart_radius)
-
-    @classmethod
-    def from_samples(cls, x_axis, z_axis, values, kappa, chart_radius):
-        return cls("sampled", SampledProfile(x_axis, z_axis, values), kappa, chart_radius)
 
     @classmethod
     def from_spec(cls, phi_name, kappa=None, chart_radius=None):

@@ -6,11 +6,14 @@ through `np.einsum`, `np.linalg.inv` on the 3x3 pull-back metric, and the
 `Q` triple loop of `fundamental_forms`.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from fbmcf.cli import main
 from fbmcf.errors import SingularMetricError
+from fbmcf.flow import FlowConfig, run
 from fbmcf.geometry import (
     GraphSurface,
     _grad_hess,
@@ -234,3 +237,23 @@ def test_cli_singular_metric_is_numerical_abort(tmp_path, capsys):
         "flow:\n  t_end: 0.001\n  outer_bc: frozen\n")
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "numerical abort" in capsys.readouterr().err
+
+
+def test_singular_metric_at_start_keeps_cause(tmp_path):
+    traj = run(GraphSurface.zero(OVERREACH, 1 / 32, 0.5), FlowConfig(t_end=0.001, outer_bc="frozen"))
+    assert isinstance(traj.error, SingularMetricError)
+    assert traj.stop_reason == f"SingularMetricError: {traj.error}"
+    assert traj.snapshots == []   # the initial surface has no geometry to write out
+
+    path = tmp_path / "overreach.yaml"
+    path.write_text(
+        "patch:\n  phi: paraboloid:2\n  kappa: 0.25\n  chart_radius: 4.0\n"
+        "grid:\n  h: 0.03125\n  r_dom: 0.5\n"
+        "flow:\n  t_end: 0.001\n  outer_bc: frozen\n")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    for name in ("manifest.json", "trajectory.json"):
+        with open(out / name) as fh:
+            assert json.load(fh)["stop_reason"] == traj.stop_reason, name
+    # nothing to rescale: a validation error, not a crash
+    assert main(["rescale", str(out), "--terminal-time", "0.01"]) == 2

@@ -60,6 +60,17 @@ def test_cfl_violation_raises():
         step(s, 10 * s.h**2, cfg)
 
 
+def test_step_abort_keeps_cause_and_last_surface():
+    # at cfl 0.2 the coefficient-sum guard of step() rejects the first step
+    s = GraphSurface.from_height(lambda a, b: 0.1 * a, SupportPatch.paraboloid(0.5),
+                                 1 / 16, 0.5)
+    traj = run(s, FlowConfig(t_end=0.001, outer_bc="frozen"))
+    assert isinstance(traj.error, CflViolationError)
+    assert traj.stop_reason == f"CflViolationError: {traj.error}"
+    assert len(traj.snapshots) == 1 and traj.snapshots[0] is s
+    assert list(traj.monitors["t"]) == [0.0]
+
+
 def test_manufactured_solution_convergence():
     errs = {}
     for hi in (32, 64):

@@ -9,7 +9,6 @@ from fbmcf.rescaling import (
     FrameSurface,
     RescalingFrame,
     frame_distance,
-    frame_samples,
     normalized_frame,
     parabolic_rescale,
     planarity_multiplicity,
@@ -115,6 +114,6 @@ def test_frame_samples_planar_needs_extent():
     traj = exact_trajectory("half-plane", [0.0, 0.1])
     fr = parabolic_rescale(traj, O, 0.2, 1.0, -0.1)
     with pytest.raises(ValueError):
-        frame_samples(fr)
-    s = frame_samples(fr, focus=np.array([0.0, 0.5, 0.0]), extent=1.0)
+        fr.surface.samples()
+    s = fr.surface.samples(focus=np.array([0.0, 0.5, 0.0]), extent=1.0)
     assert len(s.X) > 0
