@@ -14,7 +14,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .analytic import FieldSample
 from .errors import FbmcfError, SingularMetricError
@@ -159,7 +158,6 @@ class GraphSurface:
     u: np.ndarray
     t: float = 0.0
     half: bool = True
-    topology: str = None
     _geom: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -195,7 +193,7 @@ class GraphSurface:
 
     def with_height(self, u, t=None):
         return GraphSurface(self.patch, self.h, self.r_dom, u,
-                            self.t if t is None else t, self.half, self.topology)
+                            self.t if t is None else t, self.half)
 
     # -- constructors -------------------------------------------------------
 
@@ -234,6 +232,7 @@ class GraphSurface:
     # -- surface protocol (shared with AnalyticSurface and FrameSurface) ----
 
     is_compact = True
+    topology = None   # no grid surface is tagged; gauss_bonnet_identity refuses it
 
     def samples(self, m=None, focus=None, extent=None):
         """Footprint nodes as a FieldSample (positions, dA weights, N, H, |A|^2).
@@ -440,6 +439,8 @@ def modified_area_ratio(surface, P, r, include_reflection=None):
     if np.any(in_ball):
         masked = np.where(g.mask, dist, np.inf)
         seed = np.unravel_index(np.argmin(masked), dist.shape)
+        from scipy import ndimage   # on first use: at import time it doubled start-up
+
         labels, _ = ndimage.label(in_ball)
         if labels[seed] != 0:
             comp = labels == labels[seed]
@@ -473,8 +474,8 @@ def gauss_bonnet_identity(surface):
     """Both sides of energy = ∫H^2 + 2∮A_Gamma(T,T) - 4 pi chi.
 
     The boundary term is 0: the analytic hemisphere sits on the flat support,
-    where A_Gamma = 0, and grid surfaces carry a topology tag only on flat
-    patches.
+    where A_Gamma = 0. Only analytic surfaces carry a topology tag; grid
+    surfaces have topology None and are refused.
     """
     if surface.topology is None or not surface.is_compact:
         raise FbmcfError("topology-untagged: surface is not a tagged compact surface")

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import FbmcfError, TimeWindowError
 from .geometry import integrate  # noqa: F401 -- perfbench/tracing.py wraps this binding
@@ -229,6 +228,41 @@ class SingularScan:
     total_energy: float
 
 
+# Candidate-node pairs held at once: bounds memory however large r_grid[-1] is.
+_PAIR_CAP = 1 << 20
+
+
+def _ball_masses(cand, X, wA2, r_grid):
+    """masses[k, j] = sum of wA2 over the nodes with |cand[k] - X|^2 < r_grid[j]^2.
+
+    Only candidate-node pairs within the largest radius are visited. A k-d
+    tree finds them within a slightly padded radius; each pair's d2 is then
+    recomputed bit for bit as (dx^2 + dy^2) + dz^2, and the strict test
+    decides, so the padding never does. Candidates go in blocks of
+    _PAIR_CAP // len(X), so a block never holds more than _PAIR_CAP pairs.
+    """
+    from scipy.spatial import cKDTree
+
+    masses = np.zeros((len(cand), len(r_grid)))
+    nodes = cKDTree(X)
+    reach = r_grid[-1] * (1.0 + 1e-9)
+    block = max(1, _PAIR_CAP // len(X))
+    for k0 in range(0, len(cand), block):
+        c = cand[k0:k0 + block]
+        pairs = cKDTree(c).sparse_distance_matrix(nodes, reach, output_type="ndarray")
+        i, j = pairs["i"], pairs["j"]
+        d2 = np.zeros(len(pairs))
+        for a in range(3):
+            d = c[:, a][i] - X[:, a][j]
+            d2 += d * d
+        w = wA2[j]
+        for col, r in enumerate(r_grid):
+            inside = d2 < r**2
+            masses[k0:k0 + block, col] = np.bincount(i[inside], weights=w[inside],
+                                                     minlength=len(c))
+    return masses
+
+
 def singular_set_scan(trajectory, epsilon, r_grid):
     """Flag candidate centers whose curvature mass exceeds epsilon at all radii."""
     if len(trajectory.snapshots) < 2:
@@ -252,16 +286,12 @@ def singular_set_scan(trajectory, epsilon, r_grid):
     shape = grid[0].shape
     cand = np.stack([g.ravel() for g in grid], axis=-1)
 
-    masses = np.empty((len(cand), len(r_grid)))
-    wA2 = s.w * s.A2
-    chunk = 2048
-    for k0 in range(0, len(cand), chunk):
-        d2 = np.sum((cand[k0:k0 + chunk, None, :] - s.X[None, :, :]) ** 2, axis=-1)
-        for j, r in enumerate(r_grid):
-            masses[k0:k0 + chunk, j] = np.sum(np.where(d2 < r**2, wA2, 0.0), axis=-1)
+    masses = _ball_masses(cand, s.X, s.w * s.A2, r_grid)
 
     flagged = np.all(masses >= epsilon, axis=-1)
     flag_grid = flagged.reshape(shape)
+    from scipy import ndimage   # on first use: at import time it doubled start-up
+
     labels, n = ndimage.label(flag_grid, structure=np.ones((3, 3, 3), dtype=int))
     clusters = []
     lab_flat = labels.ravel()

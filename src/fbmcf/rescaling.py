@@ -68,7 +68,6 @@ class RescalingFrame:
     surface: object        # AnalyticSurface or FrameSurface
     patch: object          # rescaled support patch (kappa_eff = lam * kappa)
     time_offset: float     # snapshot-time quantization offset (source units)
-    h_frame: float
 
 
 def parabolic_rescale(trajectory, P, T, lam, tau, patch=None):
@@ -81,8 +80,7 @@ def parabolic_rescale(trajectory, P, T, lam, tau, patch=None):
     snap, offset = trajectory.snapshot_at(t_req)
     surf = snap.translate_scale(P, lam)
     patch_eff = patch.rescale(lam) if patch is not None else None
-    return RescalingFrame(P, T, "parabolic", lam, tau, surf, patch_eff,
-                          offset, surf.h_frame)
+    return RescalingFrame(P, T, "parabolic", lam, tau, surf, patch_eff, offset)
 
 
 def normalized_frame(trajectory, P, s, T, patch=None):
@@ -130,7 +128,7 @@ def planarity_multiplicity(frame, region_radius, center=None, exclusion=(),
     pts = s.X[np.linalg.norm(s.X - center, axis=-1) <= region_radius]
     if len(pts) == 0:
         raise FbmcfError("empty-region: no frame samples in the fit region")
-    h_frame = frame.h_frame or region_radius / 32.0
+    h_frame = frame.surface.h_frame or region_radius / 32.0
 
     mu = pts.mean(axis=0)
     rel = pts - mu

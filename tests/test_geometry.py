@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fbmcf.analytic import AnalyticSurface
+from fbmcf.errors import FbmcfError
 from fbmcf.geometry import (
     GraphSurface,
     area_ratio_profile,
@@ -164,6 +165,13 @@ def test_gauss_bonnet_scale_invariance():
         assert abs(gb["lhs"] - 8 * np.pi) < 1e-6
         gb = gauss_bonnet_identity(AnalyticSurface.hemisphere(O, lam))
         assert abs(gb["lhs"] - 4 * np.pi) < 1e-6
+
+
+def test_gauss_bonnet_refuses_grid_surface():
+    # grid surfaces carry no topology tag, so the identity has no chi to use
+    s = GraphSurface.sphere_cap(1.0, 1 / 32, 0.5)
+    with pytest.raises(FbmcfError, match="topology-untagged"):
+        gauss_bonnet_identity(s)
 
 
 def test_neumann_residual_zero_for_even_data():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from fbmcf import monitors
 from fbmcf.analytic import AnalyticSurface
 from fbmcf.errors import FbmcfError, TimeWindowError
-from fbmcf.flow import FlowConfig, exact_trajectory, run
+from fbmcf.flow import FlowConfig, Trajectory, exact_trajectory, run
 from fbmcf.geometry import GraphSurface
 from fbmcf.monitors import (
     BOUNDARY_WINDOW,
@@ -16,6 +18,7 @@ from fbmcf.monitors import (
     self_shrinker_residual,
     singular_set_scan,
 )
+from fbmcf.rescaling import FrameSurface
 from fbmcf.support import SupportPatch
 
 O = np.zeros(3)
@@ -139,12 +142,16 @@ def test_interior_curvature_norm_empty_window():
         interior_curvature_norm(traj, O, 1.0, 0.5)
 
 
-def test_scan_flags_shrinking_sphere_center():
+def shrinking_sphere_near_extinction():
     R_end = 0.05
     R0 = 1.0
     t_last = (R0**2 - R_end**2) / 4.0
     times = np.linspace(t_last - 0.01, t_last, 5)
-    traj = exact_trajectory("sphere", times, R0=R0)
+    return exact_trajectory("sphere", times, R0=R0)
+
+
+def test_scan_flags_shrinking_sphere_center():
+    traj = shrinking_sphere_near_extinction()
     scan = singular_set_scan(traj, epsilon=1.0, r_grid=[0.1, 0.15, 0.2])
     assert len(scan.clusters) == 1
     assert np.linalg.norm(scan.clusters[0]) < 0.15
@@ -166,3 +173,81 @@ def test_scan_validation():
     short = exact_trajectory("sphere", [0.0], R0=1.0)
     with pytest.raises(ValueError):
         singular_set_scan(short, epsilon=1.0, r_grid=[0.1])
+
+
+def dense_reference_scan(trajectory, epsilon, r_grid):
+    """The earlier scan: every candidate against every node, 2,048 candidates at a time.
+
+    Returns (candidates, masses, flagged, clusters) for a trajectory whose
+    last snapshot has energy at least epsilon.
+    """
+    r_grid = np.sort(np.asarray(r_grid, dtype=float))
+    s = trajectory.snapshots[-1].samples()
+    spacing = 0.5 * r_grid[0]
+    lo = s.X.min(axis=0) - r_grid[0]
+    hi = s.X.max(axis=0) + r_grid[0]
+    axes = [np.arange(lo[d], hi[d] + spacing, spacing) for d in range(3)]
+    grid = np.meshgrid(*axes, indexing="ij")
+    cand = np.stack([g.ravel() for g in grid], axis=-1)
+    masses = np.empty((len(cand), len(r_grid)))
+    wA2 = s.w * s.A2
+    chunk = 2048
+    for k0 in range(0, len(cand), chunk):
+        d2 = np.sum((cand[k0:k0 + chunk, None, :] - s.X[None, :, :]) ** 2, axis=-1)
+        for j, r in enumerate(r_grid):
+            masses[k0:k0 + chunk, j] = np.sum(np.where(d2 < r**2, wA2, 0.0), axis=-1)
+    flagged = np.all(masses >= epsilon, axis=-1)
+    labels, n = ndimage.label(flagged.reshape(grid[0].shape),
+                              structure=np.ones((3, 3, 3), dtype=int))
+    lab = labels.ravel()
+    clusters = [np.average(cand[lab == k], axis=0, weights=masses[lab == k, 0])
+                for k in range(1, n + 1)]
+    return cand, masses, flagged, np.array(clusters).reshape(-1, 3)
+
+
+def stored_sphere_caps():
+    """The stored run of the store-query benchmark at h = 1/32: 21 flat-support caps."""
+    snaps = [GraphSurface.sphere_cap(1.0, 1 / 32, 0.5, t=float(t))
+             for t in np.linspace(0.0, 0.1, 21)]
+    return Trajectory(snaps)
+
+
+def assert_scan_matches_reference(scan, trajectory, epsilon, r_grid):
+    cand, masses, flagged, clusters = dense_reference_scan(trajectory, epsilon, r_grid)
+    assert np.array_equal(scan.candidates, cand)
+    assert np.array_equal(scan.masses == 0.0, masses == 0.0)
+    assert np.all(np.abs(scan.masses - masses) <= 1e-13 * np.abs(masses))
+    assert np.array_equal(scan.flagged, flagged)
+    assert scan.clusters.shape == clusters.shape
+    assert np.all(np.abs(scan.clusters - clusters) <= 1e-12)
+
+
+@pytest.mark.parametrize("pair_cap", [monitors._PAIR_CAP, 5000],
+                         ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("make_trajectory", [stored_sphere_caps,
+                                             shrinking_sphere_near_extinction],
+                         ids=["store-query-caps", "shrinking-sphere"])
+def test_scan_matches_dense_reference(make_trajectory, pair_cap, monkeypatch):
+    monkeypatch.setattr(monitors, "_PAIR_CAP", pair_cap)
+    traj = make_trajectory()
+    r_grid = [0.1, 0.15, 0.2]
+    scan = singular_set_scan(traj, epsilon=1.0, r_grid=r_grid)
+    assert np.any(scan.masses > 0.0) and np.any(scan.masses == 0.0)
+    assert_scan_matches_reference(scan, traj, 1.0, r_grid)
+
+
+def test_scan_node_at_exact_radius_does_not_count():
+    # Dyadic coordinates keep every distance exact. The candidate lattice has
+    # spacing r_grid[0]/2 = 0.25 from X.min - 0.5, so it holds the origin and
+    # (0.5, 0, 0). Node 1 lies at exactly 1.25 from the origin (0.75^2 + 1^2),
+    # and node 0 at exactly 0.5 from (0.5, 0, 0); the strict test drops both.
+    X = np.array([[0.0, 0.0, 0.0], [0.75, 1.0, 0.0]])
+    fs = FrameSurface(X=X, w=np.ones(2), N=np.tile([0.0, 0.0, 1.0], (2, 1)),
+                      H=np.zeros(2), A2=np.array([1.0, 4.0]), t=0.0, h_frame=0.25)
+    traj = Trajectory([fs, fs])
+    r_grid = [0.5, 1.25]
+    scan = singular_set_scan(traj, epsilon=1.0, r_grid=r_grid)
+    at = {tuple(c): k for k, c in enumerate(scan.candidates)}
+    assert scan.masses[at[(0.0, 0.0, 0.0)]].tolist() == [1.0, 1.0]
+    assert scan.masses[at[(0.5, 0.0, 0.0)]].tolist() == [0.0, 5.0]
+    assert_scan_matches_reference(scan, traj, 1.0, r_grid)

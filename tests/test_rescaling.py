@@ -98,7 +98,7 @@ def test_sheet_count_two_layers():
     fs = FrameSurface(X=pts, w=np.ones(len(pts)), N=np.tile([0.0, 0.0, 1.0],
                       (len(pts), 1)), H=np.zeros(len(pts)),
                       A2=np.zeros(len(pts)), t=0.0, h_frame=0.02)
-    fr = RescalingFrame(O, 0.0, "parabolic", 1.0, -1.0, fs, None, 0.0, 0.02)
+    fr = RescalingFrame(O, 0.0, "parabolic", 1.0, -1.0, fs, None, 0.0)
     rep = planarity_multiplicity(fr, 2.0, center=np.array([0.0, 0.0, 0.25]))
     assert rep.sheet_count == 2
 
