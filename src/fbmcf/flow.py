@@ -23,7 +23,8 @@ from .errors import (
     PastSingularityError,
     ReflectionConditionError,
 )
-from .geometry import GraphSurface, _grad_hess, grid_nodes, integrate, perimeter
+from .geometry import GraphSurface, _derivative_planes, grid_nodes, integrate, perimeter
+from .support import components, trailing
 
 
 def shrinking_radius(R0, t):
@@ -95,13 +96,6 @@ class Trajectory:
 # Stepping
 # ---------------------------------------------------------------------------
 
-def _spectral_bound(a, active):
-    tr = a[..., 0, 0] + a[..., 1, 1]
-    dsc = np.sqrt((a[..., 0, 0] - a[..., 1, 1]) ** 2 + 4.0 * a[..., 0, 1] ** 2)
-    lam = 0.5 * (tr + dsc)
-    return float(np.max(lam[active]))
-
-
 def _active_mask(surface):
     return _static_grid(surface.h, surface.r_dom, surface.half)[0]
 
@@ -128,23 +122,37 @@ def _apply_rim(u_new, surface, config, t_new):
     return u_new
 
 
+def _contract(a, b):
+    """a^{ij} b_ij over component-first 2x2 planes a[i, j] and b[i, j]."""
+    return a[0, 0] * b[0, 0] + a[0, 1] * b[0, 1] + a[1, 0] * b[1, 0] + a[1, 1] * b[1, 1]
+
+
+def _stability_bounds(surface, config):
+    """The explicit step bound cfl h^2 / max eig(g^{ij}) and cfl * max sum |g^{ij}|.
+
+    Both maxima run over the active nodes.
+    """
+    a = components(surface.geometry().ginv, 2)
+    act = _active_mask(surface)
+    tr = a[0, 0] + a[1, 1]
+    dsc = np.sqrt((a[0, 0] - a[1, 1]) ** 2 + 4.0 * a[0, 1] ** 2)
+    smax = float(np.max((0.5 * (tr + dsc))[act]))
+    sum_bound = float(np.max(np.abs(a).sum(axis=(0, 1))[act]))
+    return config.cfl * surface.h**2 / smax, config.cfl * sum_bound
+
+
 def step(surface, dt, config):
     """One time step; returns a new surface stamped at t + dt."""
     g = surface.geometry()
-    a, f = g.ginv, g.coeff_f
-    act = _active_mask(surface)
-    smax = _spectral_bound(a, act)
-    if dt > config.cfl * surface.h**2 / smax * (1.0 + 1e-9):
-        raise CflViolationError(
-            f"dt = {dt:g} exceeds cfl bound {config.cfl * surface.h**2 / smax:g}"
-        )
-    sum_bound = float(np.max(np.sum(np.abs(a[act]), axis=(-2, -1))))
-    if config.cfl * sum_bound > 0.5 + 1e-9:
+    a, f = components(g.ginv, 2), g.coeff_f
+    dt_max, cfl_sum = _stability_bounds(surface, config)
+    if dt > dt_max * (1.0 + 1e-9):
+        raise CflViolationError(f"dt = {dt:g} exceeds cfl bound {dt_max:g}")
+    if cfl_sum > 0.5 + 1e-9:
         raise CflViolationError("cfl times max coefficient sum exceeds 1/2")
 
-    rhs = np.einsum("...ij,...ij->...", a, g.d2u) + f
     if config.scheme == "explicit-euler":
-        u_new = surface.u + dt * rhs
+        u_new = surface.u + dt * (_contract(a, components(g.d2u, 2)) + f)
     else:
         u_new = _semi_implicit(surface, dt, a, f)
     u_new = _apply_rim(u_new, surface, config, surface.t + dt)
@@ -161,11 +169,11 @@ def _semi_implicit(surface, dt, a, f, tol=1e-12, max_sweeps=500):
     """Backward Euler with lagged coefficients, solved by damped Jacobi."""
     h = surface.h
     target = surface.u + dt * f
-    diag = 1.0 + 2.0 * dt * (a[..., 0, 0] + a[..., 1, 1]) / h**2
+    diag = 1.0 + 2.0 * dt * (a[0, 0] + a[1, 1]) / h**2
     v = surface.u.copy()
     for _ in range(max_sweeps):
-        _, d2v = _grad_hess(v, h, surface.half)
-        res = v - dt * np.einsum("...ij,...ij->...", a, d2v) - target
+        _, d2v = _derivative_planes(v, h, surface.half)
+        res = v - dt * _contract(a, d2v) - target
         if np.max(np.abs(res)) < tol * (1.0 + np.max(np.abs(v))):
             return v
         v = v - 0.8 * res / diag
@@ -203,9 +211,7 @@ def run(initial, config):
             if surface.t >= config.t_end - 1e-14 or step_count >= config.max_steps:
                 break
 
-            act = _active_mask(surface)
-            smax = _spectral_bound(g.ginv, act)
-            dt = min(config.cfl * surface.h**2 / smax, config.t_end - surface.t)
+            dt = min(_stability_bounds(surface, config)[0], config.t_end - surface.t)
             new = step(surface, dt, config)
             g = new.geometry()
             surface = new
@@ -280,8 +286,8 @@ def even_extension(surface, tol_N=None):
     if tol_N is None:
         tol_N = surface.h**2
     g = surface.geometry()
-    a, f = g.ginv, g.coeff_f
-    a12_edge = float(np.max(np.abs(a[:, 0, 0, 1])))
+    a, f = components(g.ginv, 2), g.coeff_f
+    a12_edge = float(np.max(np.abs(a[0, 1, :, 0])))
     if a12_edge > 10.0 * tol_N:
         raise ReflectionConditionError(
             f"mixed coefficient {a12_edge:g} does not vanish on the edge"
@@ -293,20 +299,18 @@ def even_extension(surface, tol_N=None):
 
     ubar = ext(surface.u, +1.0)
     fbar = ext(f, +1.0)
-    n1, n2 = surface.u.shape
-    abar = np.empty((n1, 2 * n2 - 1, 2, 2))
-    abar[..., 0, 0] = ext(a[..., 0, 0], +1.0)
-    abar[..., 1, 1] = ext(a[..., 1, 1], +1.0)
-    a12 = ext(a[..., 0, 1], -1.0)
-    abar[..., 0, 1] = abar[..., 1, 0] = a12
-    return ubar, abar, fbar
+    abar = np.empty((2, 2) + ubar.shape)
+    abar[0, 0] = ext(a[0, 0], +1.0)
+    abar[1, 1] = ext(a[1, 1], +1.0)
+    abar[0, 1] = abar[1, 0] = ext(a[0, 1], -1.0)
+    return ubar, trailing(abar, 2), fbar
 
 
 def extension_residual(surface):
     """Spatial PDE operator evaluated on the even extension (full rectangle)."""
     ubar, abar, fbar = even_extension(surface)
-    _, d2u = _grad_hess(ubar, surface.h, half=False)
-    return np.einsum("...ij,...ij->...", abar, d2u) + fbar
+    _, d2u = _derivative_planes(ubar, surface.h, half=False)
+    return _contract(components(abar, 2), d2u) + fbar
 
 
 # ---------------------------------------------------------------------------

@@ -96,19 +96,18 @@ def grid_nodes(h, r_dom, half):
 # ---------------------------------------------------------------------------
 
 def _derivative_planes(U, h, half):
-    """Difference quotients (d1, d2, d11, d12, d22), one array each."""
-    d1 = np.empty_like(U)
+    """Difference quotients as component-first planes du[i] and d2u[i, j]."""
+    du = np.empty((2,) + U.shape)
+    d2u = np.empty((2, 2) + U.shape)
+    d1, d2, d11, d12, d22 = du[0], du[1], d2u[0, 0], d2u[0, 1], d2u[1, 1]
     d1[1:-1] = (U[2:] - U[:-2]) / (2 * h)
     d1[0] = (-3 * U[0] + 4 * U[1] - U[2]) / (2 * h)
     d1[-1] = (3 * U[-1] - 4 * U[-2] + U[-3]) / (2 * h)
 
-    d11 = np.empty_like(U)
     d11[1:-1] = (U[2:] - 2 * U[1:-1] + U[:-2]) / h**2
     d11[0] = (2 * U[0] - 5 * U[1] + 4 * U[2] - U[3]) / h**2
     d11[-1] = (2 * U[-1] - 5 * U[-2] + 4 * U[-3] - U[-4]) / h**2
 
-    d2 = np.empty_like(U)
-    d22 = np.empty_like(U)
     d2[:, 1:-1] = (U[:, 2:] - U[:, :-2]) / (2 * h)
     d22[:, 1:-1] = (U[:, 2:] - 2 * U[:, 1:-1] + U[:, :-2]) / h**2
     if half:
@@ -121,27 +120,14 @@ def _derivative_planes(U, h, half):
     d2[:, -1] = (3 * U[:, -1] - 4 * U[:, -2] + U[:, -3]) / (2 * h)
     d22[:, -1] = (2 * U[:, -1] - 5 * U[:, -2] + 4 * U[:, -3] - U[:, -4]) / h**2
 
-    d12 = np.empty_like(U)
     d12[:, 1:-1] = (d1[:, 2:] - d1[:, :-2]) / (2 * h)
     if half:
         d12[:, 0] = 0.0  # d1 is even across the edge
     else:
         d12[:, 0] = (-3 * d1[:, 0] + 4 * d1[:, 1] - d1[:, 2]) / (2 * h)
     d12[:, -1] = (3 * d1[:, -1] - 4 * d1[:, -2] + d1[:, -3]) / (2 * h)
-    return d1, d2, d11, d12, d22
-
-
-def _stack_derivatives(d1, d2, d11, d12, d22):
-    du = np.stack([d1, d2], axis=-1)
-    d2u = np.empty(d1.shape + (2, 2))
-    d2u[..., 0, 0] = d11
-    d2u[..., 0, 1] = d2u[..., 1, 0] = d12
-    d2u[..., 1, 1] = d22
+    d2u[1, 0] = d12
     return du, d2u
-
-
-def _grad_hess(U, h, half):
-    return _stack_derivatives(*_derivative_planes(U, h, half))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +245,13 @@ class GraphSurface:
 
 @dataclass
 class SurfaceGeometry:
-    """Per-node geometric data of a GraphSurface."""
+    """Per-node geometric data of a GraphSurface.
+
+    Vector and matrix fields are stored component-first, one contiguous
+    (n1, n2) plane per component, and exposed in the shapes below as views
+    with the component axes last (see `support.trailing`);
+    `support.components` recovers the planes without a copy.
+    """
 
     X: np.ndarray       # (n1, n2, 3) ambient positions
     N: np.ndarray       # (n1, n2, 3) inward unit normal
@@ -273,79 +265,34 @@ class SurfaceGeometry:
     sqrtg: np.ndarray
     wcell: np.ndarray   # footprint cell overlap areas
     dA: np.ndarray      # sqrt(det g) * wcell
-    coeff_f: np.ndarray  # lower-order PDE coefficient g^{ij}(Gamma^3_ij + Q_ij)
+    coeff_f: np.ndarray  # lower-order PDE coefficient g^{ij}(Gamma^2_ij + Q_ij)
     mask: np.ndarray    # wcell > 0
 
 
-def _inv2x2(g):
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-    if np.any(det <= 0.0):
-        raise SingularMetricError("induced metric is degenerate")
-    inv = np.empty_like(g)
-    inv[..., 0, 0] = g[..., 1, 1]
-    inv[..., 1, 1] = g[..., 0, 0]
-    inv[..., 0, 1] = inv[..., 1, 0] = -g[..., 0, 1]
-    return inv / det[..., None, None], det
+_PAIRS = ((0, 0), (0, 1), (1, 1))
+# the flat chart Phi(Y) = Y: dPhi = h = identity and Gamma = 0
+_EYE3, _ZERO_GAMMA = np.eye(3), np.zeros((3, 3, 3))
 
 
 def fundamental_forms(surface):
-    """Induced metric, second fundamental form, curvature, and quadrature data."""
-    planes = _derivative_planes(surface.u, surface.h, surface.half)
-    du, d2u = _stack_derivatives(*planes)
-    Y1, Y2 = grid_nodes(surface.h, surface.r_dom, surface.half)
-    if surface.patch.is_flat:
-        X, N, g, ginv, det, A, Hcur, A2, coeff_f = _flat_forms(surface.u, Y1, Y2, du, d2u)
-    else:
-        X, N, g, ginv, det, A, Hcur, A2, coeff_f = _curved_forms(
-            surface.patch, surface.u, Y1, Y2, planes)
-    wcell = disk_cell_weights(surface.y1, surface.y2, surface.h, surface.r_dom,
-                              surface.half)
-    sqrtg = np.sqrt(det)
-    return SurfaceGeometry(X, N, du, d2u, g, ginv, A, Hcur, A2, sqrtg, wcell,
-                           sqrtg * wcell, coeff_f, wcell > 0)
+    """Induced metric, second fundamental form, curvature, and quadrature data.
 
-
-def _flat_forms(U, Y1, Y2, du, d2u):
-    X = np.stack([Y1, Y2, U], axis=-1)
-    g = np.empty(U.shape + (2, 2))
-    for i in range(2):
-        for j in range(2):
-            g[..., i, j] = (1.0 if i == j else 0.0) + du[..., i] * du[..., j]
-    S = d2u  # Gamma = 0, Q = 0
-    Tan = np.zeros(U.shape + (3, 2))
-    Tan[..., 0, 0] = 1.0
-    Tan[..., 1, 1] = 1.0
-    Tan[..., 2, :] = du
-    phi3 = np.zeros(U.shape + (3,))
-    phi3[..., 2] = 1.0
-
-    cross = np.cross(Tan[..., :, 0], Tan[..., :, 1])
-    N = -cross / np.linalg.norm(cross, axis=-1, keepdims=True)
-    phi3N = np.einsum("...c,...c->...", phi3, N)
-    A = phi3N[..., None, None] * S
-
-    ginv, det = _inv2x2(g)
-    Hcur = np.einsum("...ij,...ij->...", ginv, A)
-    GA = np.einsum("...ik,...kj->...ij", ginv, A)
-    A2 = np.einsum("...ij,...ji->...", GA, GA)
-    return X, N, g, ginv, det, A, Hcur, A2, np.zeros_like(U)
-
-
-_PAIRS = ((0, 0), (0, 1), (1, 1))
-
-
-def _curved_forms(patch, U, Y1, Y2, planes):
-    """Graph geometry over a curved support, one contiguous plane per component.
-
-    Chart index 2 carries the height, so the graph tangents are
-    T_i = dPhi_i + u_i dPhi_2 for i = 0, 1.
+    One component-first body serves every support.  Chart index 2 carries the
+    height, so the graph tangents are T_i = dPhi_i + u_i dPhi_2 for i = 0, 1.
+    A flat support enters as constant frame data: X = (y1, y2, u), h = delta,
+    Gamma = 0 and dPhi = I.
     """
-    u, d2 = planes[:2], dict(zip(_PAIRS, planes[2:]))
+    U, patch = surface.u, surface.patch
+    u, d2u = _derivative_planes(U, surface.h, surface.half)
     Y = np.empty((3,) + U.shape)
-    Y[0], Y[1], Y[2] = Y1, Y2, U
-    fr = chart_frames(patch, trailing(Y, 1), order=2)
-    hm, Gam = metric_connection(fr)
-    dPhi = components(fr["dPhi"], 2)
+    Y[0], Y[1] = grid_nodes(surface.h, surface.r_dom, surface.half)
+    Y[2] = U
+    if patch.is_flat:
+        X, dPhi, hm, Gam = trailing(Y, 1), _EYE3, _EYE3, _ZERO_GAMMA
+    else:
+        fr = chart_frames(patch, trailing(Y, 1), order=2)
+        hm, Gam = metric_connection(fr)
+        X, dPhi = fr["X"], components(fr["dPhi"], 2)
 
     # g_ij = h(T_i, T_j); low_ij = Gamma^2_ij + Q_ij = P^2_ij - u_k P^k_ij, where
     # P^k_ij = Gamma^k(T_i, T_j) and the sum runs over k = 0, 1
@@ -372,18 +319,27 @@ def _curved_forms(patch, U, Y1, Y2, planes):
         N[c] = -cross[c] / norm
     phi3N = dPhi[0, 2] * N[0] + dPhi[1, 2] * N[1] + dPhi[2, 2] * N[2]
     for i, j in _PAIRS:
-        A[i, j] = A[j, i] = phi3N * (low[i, j] + d2[i, j])
+        A[i, j] = A[j, i] = phi3N * (low[i, j] + d2u[i, j])
 
-    ginv, det = _inv2x2(trailing(g, 2))
-    ginv = components(ginv, 2)
+    det = g[0, 0] * g[1, 1] - g[0, 1] ** 2
+    if np.any(det <= 0.0):
+        raise SingularMetricError("induced metric is degenerate")
+    ginv = np.empty_like(g)
+    ginv[0, 0], ginv[1, 1] = g[1, 1] / det, g[0, 0] / det
+    ginv[0, 1] = ginv[1, 0] = -g[0, 1] / det
     # H = g^ij A_ij, |A|^2 = tr((g^-1 A)^2) and f = g^ij low_ij for symmetric g^-1, A, low
     Hcur = ginv[0, 0] * A[0, 0] + 2.0 * ginv[0, 1] * A[0, 1] + ginv[1, 1] * A[1, 1]
     GA = [[ginv[i, 0] * A[0, j] + ginv[i, 1] * A[1, j] for j in range(2)] for i in range(2)]
     A2 = GA[0][0] * GA[0][0] + 2.0 * GA[0][1] * GA[1][0] + GA[1][1] * GA[1][1]
     coeff_f = (ginv[0, 0] * low[0, 0] + 2.0 * ginv[0, 1] * low[0, 1]
                + ginv[1, 1] * low[1, 1])
-    return (fr["X"], trailing(N, 1), trailing(g, 2), trailing(ginv, 2), det,
-            trailing(A, 2), Hcur, A2, coeff_f)
+
+    wcell = disk_cell_weights(surface.y1, surface.y2, surface.h, surface.r_dom,
+                              surface.half)
+    sqrtg = np.sqrt(det)
+    return SurfaceGeometry(X, trailing(N, 1), trailing(u, 1), trailing(d2u, 2),
+                           trailing(g, 2), trailing(ginv, 2), trailing(A, 2), Hcur, A2,
+                           sqrtg, wcell, sqrtg * wcell, coeff_f, wcell > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ class FrameSurface:
     h_frame: float
 
     is_compact = True
+    topology = None   # untagged, like the grid surface it came from
 
     @property
     def point(self):

@@ -1,9 +1,10 @@
-"""The component-first curved-chart kernel against the einsum implementation it replaced.
+"""The component-first geometry kernel against the einsum implementation it replaced.
 
 The reference below is the earlier trailing-axis code: profile derivatives
 stacked on the last axes, `chart_frames` and `pullback_metric_connection`
-through `np.einsum`, `np.linalg.inv` on the 3x3 pull-back metric, and the
-`Q` triple loop of `fundamental_forms`.
+through `np.einsum`, `np.linalg.inv` on the 3x3 pull-back metric, the 2x2
+inverse on trailing axes, and the `Q` triple loop of `fundamental_forms`.
+The flat support runs through the same reference with a zero profile.
 """
 
 import json
@@ -14,14 +15,9 @@ import pytest
 from fbmcf.cli import main
 from fbmcf.errors import SingularMetricError
 from fbmcf.flow import FlowConfig, run
-from fbmcf.geometry import (
-    GraphSurface,
-    _grad_hess,
-    _inv2x2,
-    disk_cell_weights,
-    fundamental_forms,
-)
+from fbmcf.geometry import GraphSurface, _derivative_planes, disk_cell_weights, fundamental_forms
 from fbmcf.support import (
+    FlatProfile,
     ParaboloidProfile,
     ScaledProfile,
     SphereCapProfile,
@@ -42,6 +38,9 @@ def ref_derivs(profile, p, q):
         phi, d1, d2, d3 = ref_derivs(profile.base, lam * p, lam * q)
         return phi / lam, d1, lam * d2, lam**2 * d3
     shape = p.shape
+    if isinstance(profile, FlatProfile):
+        return (np.zeros(shape), np.zeros(shape + (2,)), np.zeros(shape + (2, 2)),
+                np.zeros(shape + (2, 2, 2)))
     if isinstance(profile, ParaboloidProfile):
         a = profile.a
         d1 = np.zeros(shape + (2,))
@@ -127,9 +126,31 @@ def ref_pullback(patch, Y):
     return X, dPhi, h, Gamma
 
 
+def ref_inv2x2(g):
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
+    if np.any(det <= 0.0):
+        raise SingularMetricError("induced metric is degenerate")
+    inv = np.empty_like(g)
+    inv[..., 0, 0] = g[..., 1, 1]
+    inv[..., 1, 1] = g[..., 0, 0]
+    inv[..., 0, 1] = inv[..., 1, 0] = -g[..., 0, 1]
+    return inv / det[..., None, None], det
+
+
+def ref_grad_hess(U, h, half):
+    """du and d2u stacked on trailing axes from the difference quotients."""
+    (d1, d2), d2c = _derivative_planes(U, h, half)
+    du = np.stack([d1, d2], axis=-1)
+    d2u = np.empty(d1.shape + (2, 2))
+    d2u[..., 0, 0] = d2c[0, 0]
+    d2u[..., 0, 1] = d2u[..., 1, 0] = d2c[0, 1]
+    d2u[..., 1, 1] = d2c[1, 1]
+    return du, d2u
+
+
 def ref_fundamental_forms(surface):
     U = surface.u
-    du, d2u = _grad_hess(U, surface.h, surface.half)
+    du, d2u = ref_grad_hess(U, surface.h, surface.half)
     Y1, Y2 = np.meshgrid(surface.y1, surface.y2, indexing="ij")
     X, dPhi, hm, Gam = ref_pullback(surface.patch, np.stack([Y1, Y2, U], axis=-1))
     g = np.empty(U.shape + (2, 2))
@@ -154,7 +175,7 @@ def ref_fundamental_forms(surface):
     cross = np.cross(Tan[..., :, 0], Tan[..., :, 1])
     N = -cross / np.linalg.norm(cross, axis=-1, keepdims=True)
     A = np.einsum("...c,...c->...", dPhi[..., :, 2], N)[..., None, None] * (low + d2u)
-    ginv, det = _inv2x2(g)
+    ginv, det = ref_inv2x2(g)
     GA = np.einsum("...ik,...kj->...ij", ginv, A)
     wcell = disk_cell_weights(surface.y1, surface.y2, surface.h, surface.r_dom, surface.half)
     return {"X": X, "N": N, "du": du, "d2u": d2u, "g": g, "ginv": ginv, "A": A,
@@ -165,10 +186,12 @@ def ref_fundamental_forms(surface):
 
 
 def rel_err(got, want):
-    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    # a field that is 0 in the reference (flat Gamma and f) must be 0 here too
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), np.finfo(float).tiny))
 
 
 PATCHES = {
+    "flat": SupportPatch.flat(),
     "paraboloid:0.5": SupportPatch.paraboloid(0.5, kappa=0.5, chart_radius=2.0),
     "sphere_cap:2": SupportPatch.sphere_cap(2.0),
     "paraboloid:0.5 rescaled by 0.5": SupportPatch.paraboloid(
@@ -176,20 +199,26 @@ PATCHES = {
 }
 
 
-def curved_surface(patch):
+def curved_surface(patch, half=True):
     return GraphSurface.from_height(lambda a, b: 0.1 * a + 0.05 * a**2 - 0.03 * b**2,
-                                    patch, 1 / 32, 0.5)
+                                    patch, 1 / 32, 0.5, half=half)
 
 
-@pytest.mark.parametrize("name", sorted(PATCHES))
-def test_fundamental_forms_match_einsum_reference(name):
-    s = curved_surface(PATCHES[name])
+# the half-disk cases keep the bare patch name as their id
+@pytest.mark.parametrize("name, half", [
+    pytest.param(name, half, id=name if half else f"{name} full disk")
+    for half in (True, False) for name in sorted(PATCHES)])
+def test_fundamental_forms_match_einsum_reference(name, half):
+    s = curved_surface(PATCHES[name], half)
     got, want = fundamental_forms(s), ref_fundamental_forms(s)
     for f in FIELDS:
         assert getattr(got, f).shape == want[f].shape, f
         assert rel_err(getattr(got, f), want[f]) <= 1e-12, f
     assert np.array_equal(got.mask, want["wcell"] > 0)
-    assert np.max(np.abs(got.coeff_f)) > 1e-3   # the lower-order term is exercised
+    if name == "flat":
+        assert np.all(got.coeff_f == 0.0)
+    else:
+        assert np.max(np.abs(got.coeff_f)) > 1e-3   # the lower-order term is exercised
 
 
 @pytest.mark.parametrize("name", sorted(PATCHES))

@@ -35,22 +35,29 @@ def test_flat_exactly_stationary():
 
 
 def test_first_step_matches_forcing_term():
-    # over a curved patch, one step of the tilted plane u = 0.1 y1 is
-    # u + dt * (g^{ij} D2_ij u + f), with a forcing f that does not vanish
+    # one step is u + dt * (g^{ij} D2_ij u + f) on both supports: over a curved
+    # patch the tilted plane u = 0.1 y1 has a forcing f that does not vanish,
+    # and over the flat support the sphere cap has f = 0
     patch = SupportPatch.paraboloid(0.5, kappa=0.5, chart_radius=2.0)
-    s = GraphSurface.from_height(lambda a, b: 0.1 * a, patch, 1 / 32, 0.5)
-    g = s.geometry()
-    act = np.hypot(*np.meshgrid(s.y1, s.y2, indexing="ij")) < s.r_dom
-    assert np.max(np.abs(g.coeff_f[act])) > 0.01   # 0.018 at h = 1/32
-    dt = 0.08 * s.h**2
-    cfg = FlowConfig(t_end=1.0, cfl=0.15, outer_bc="frozen")
-    s1 = step(s, dt, cfg)
-    a, d2u = g.ginv, g.d2u
-    lin = (a[..., 0, 0] * d2u[..., 0, 0] + a[..., 0, 1] * d2u[..., 0, 1]
-           + a[..., 1, 0] * d2u[..., 1, 0] + a[..., 1, 1] * d2u[..., 1, 1])
-    expected = s.u + dt * (lin + g.coeff_f)
-    assert np.max(np.abs(s1.u - expected)[act]) < 1e-14
-    assert np.array_equal(s1.u[~act], s.u[~act])
+    tilted = GraphSurface.from_height(lambda a, b: 0.1 * a, patch, 1 / 32, 0.5)
+    cap = GraphSurface.sphere_cap(1.0, 1 / 32, 0.5)
+    for s in (tilted, cap):
+        g = s.geometry()
+        act = np.hypot(*np.meshgrid(s.y1, s.y2, indexing="ij")) < s.r_dom
+        if s is tilted:
+            assert np.max(np.abs(g.coeff_f[act])) > 0.01   # 0.018 at h = 1/32
+        else:
+            assert np.all(g.coeff_f == 0.0)
+        dt = 0.08 * s.h**2
+        cfg = FlowConfig(t_end=1.0, cfl=0.15, outer_bc="frozen")
+        s1 = step(s, dt, cfg)
+        a, d2u = g.ginv, g.d2u
+        lin = (a[..., 0, 0] * d2u[..., 0, 0] + a[..., 0, 1] * d2u[..., 0, 1]
+               + a[..., 1, 0] * d2u[..., 1, 0] + a[..., 1, 1] * d2u[..., 1, 1])
+        expected = s.u + dt * (lin + g.coeff_f)
+        assert np.max(np.abs(s1.u - expected)[act]) < 1e-14
+        assert np.max(np.abs(s1.u - s.u)[act]) > 1e-6   # the step moves the surface
+        assert np.array_equal(s1.u[~act], s.u[~act])
 
 
 def test_cfl_violation_raises():

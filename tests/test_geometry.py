@@ -168,10 +168,12 @@ def test_gauss_bonnet_scale_invariance():
 
 
 def test_gauss_bonnet_refuses_grid_surface():
-    # grid surfaces carry no topology tag, so the identity has no chi to use
-    s = GraphSurface.sphere_cap(1.0, 1 / 32, 0.5)
-    with pytest.raises(FbmcfError, match="topology-untagged"):
-        gauss_bonnet_identity(s)
+    # grid surfaces and their rescaled frames carry no topology tag, so the
+    # identity has no chi to use
+    frame = GraphSurface.sphere_cap(1.0, 1 / 16, 0.5).translate_scale([0, 0, 0], 1.0)
+    for s in (GraphSurface.sphere_cap(1.0, 1 / 32, 0.5), frame):
+        with pytest.raises(FbmcfError, match="topology-untagged"):
+            gauss_bonnet_identity(s)
 
 
 def test_neumann_residual_zero_for_even_data():
