@@ -96,10 +96,6 @@ class Trajectory:
 # Stepping
 # ---------------------------------------------------------------------------
 
-def _active_mask(surface):
-    return _static_grid(surface.h, surface.r_dom, surface.half)[0]
-
-
 @functools.lru_cache(maxsize=32)
 def _static_grid(h, r_dom, half):
     """Read-only active-node mask and squared chart radius Y1^2 + Y2^2 of one grid."""
@@ -112,7 +108,7 @@ def _static_grid(h, r_dom, half):
 
 
 def _apply_rim(u_new, surface, config, t_new):
-    act = _active_mask(surface)
+    act = _static_grid(surface.h, surface.r_dom, surface.half)[0]
     if config.outer_bc == "dirichlet-exact":
         Y1, Y2 = grid_nodes(surface.h, surface.r_dom, surface.half)
         rim = np.asarray(config.rim_values(Y1, Y2, t_new), dtype=float)
@@ -130,15 +126,21 @@ def _contract(a, b):
 def _stability_bounds(surface, config):
     """The explicit step bound cfl h^2 / max eig(g^{ij}) and cfl * max sum |g^{ij}|.
 
-    Both maxima run over the active nodes.
+    The cfl-free maxima are memoised on the surface, so `run` and `step` share them.
     """
+    if surface._maxima is None:
+        surface._maxima = _stability_maxima(surface)
+    smax, sum_bound = surface._maxima
+    return config.cfl * surface.h**2 / smax, config.cfl * sum_bound
+
+
+def _stability_maxima(surface):
+    """max eig(g^{ij}) and max sum |g^{ij}| over the active nodes."""
     a = components(surface.geometry().ginv, 2)
-    act = _active_mask(surface)
+    act = _static_grid(surface.h, surface.r_dom, surface.half)[0]
     tr = a[0, 0] + a[1, 1]
     dsc = np.sqrt((a[0, 0] - a[1, 1]) ** 2 + 4.0 * a[0, 1] ** 2)
-    smax = float(np.max((0.5 * (tr + dsc))[act]))
-    sum_bound = float(np.max(np.abs(a).sum(axis=(0, 1))[act]))
-    return config.cfl * surface.h**2 / smax, config.cfl * sum_bound
+    return float(np.max((0.5 * (tr + dsc))[act])), float(np.max(np.abs(a).sum(axis=(0, 1))[act]))
 
 
 def step(surface, dt, config):

@@ -24,7 +24,6 @@ from .support import (
     chart_frames,
     components,
     in_complementary_ball,
-    metric_connection,
     trailing,
 )
 
@@ -145,6 +144,7 @@ class GraphSurface:
     t: float = 0.0
     half: bool = True
     _geom: object = field(default=None, repr=False, compare=False)
+    _maxima: object = field(default=None, repr=False, compare=False)   # see flow._stability_bounds
 
     def __post_init__(self):
         m = self.m
@@ -265,22 +265,24 @@ class SurfaceGeometry:
     sqrtg: np.ndarray
     wcell: np.ndarray   # footprint cell overlap areas
     dA: np.ndarray      # sqrt(det g) * wcell
-    coeff_f: np.ndarray  # lower-order PDE coefficient g^{ij}(Gamma^2_ij + Q_ij)
+    coeff_f: np.ndarray  # g^{ij} N.d2Phi(T~_i, T~_j) / (N.dPhi_2) = g^{ij}(Gamma^2_ij + Q_ij)
     mask: np.ndarray    # wcell > 0
 
 
 _PAIRS = ((0, 0), (0, 1), (1, 1))
-# the flat chart Phi(Y) = Y: dPhi = h = identity and Gamma = 0
-_EYE3, _ZERO_GAMMA = np.eye(3), np.zeros((3, 3, 3))
+_EYE3 = np.eye(3)   # dPhi of the flat chart Phi(Y) = Y, whose d2Phi is 0
 
 
 def fundamental_forms(surface):
     """Induced metric, second fundamental form, curvature, and quadrature data.
 
-    One component-first body serves every support.  Chart index 2 carries the
-    height, so the graph tangents are T_i = dPhi_i + u_i dPhi_2 for i = 0, 1.
-    A flat support enters as constant frame data: X = (y1, y2, u), h = delta,
-    Gamma = 0 and dPhi = I.
+    One component-first body serves every support, in ambient terms.  Chart
+    index 2 carries the height: T_i = dPhi_i + u_i dPhi_2, g_ij = T_i . T_j and
+    N = -(T_0 x T_1) / |T_0 x T_1|.  With B_ij = N . d2Phi(T~_i, T~_j), where
+    T~_i = e_i + u_i e_2, A_ij = B_ij + (N . dPhi_2) D2_ij u and the lower-order
+    term is f = g^ij B_ij / (N . dPhi_2).  As det dPhi = -|T_0 x T_1| (N . dPhi_2),
+    SingularMetricError is raised where det g <= 0 or N . dPhi_2 >= 0 (a chart
+    folded past a focal point).  A flat support has X = Y, dPhi = I, d2Phi = 0.
     """
     U, patch = surface.u, surface.patch
     u, d2u = _derivative_planes(U, surface.h, surface.half)
@@ -288,51 +290,47 @@ def fundamental_forms(surface):
     Y[0], Y[1] = grid_nodes(surface.h, surface.r_dom, surface.half)
     Y[2] = U
     if patch.is_flat:
-        X, dPhi, hm, Gam = trailing(Y, 1), _EYE3, _EYE3, _ZERO_GAMMA
+        X, dPhi, d2Phi = trailing(Y, 1), _EYE3, None
     else:
         fr = chart_frames(patch, trailing(Y, 1), order=2)
-        hm, Gam = metric_connection(fr)
-        X, dPhi = fr["X"], components(fr["dPhi"], 2)
+        X, dPhi, d2Phi = fr["X"], components(fr["dPhi"], 2), components(fr["d2Phi"], 3)
 
-    # g_ij = h(T_i, T_j); low_ij = Gamma^2_ij + Q_ij = P^2_ij - u_k P^k_ij, where
-    # P^k_ij = Gamma^k(T_i, T_j) and the sum runs over k = 0, 1
+    T = [[dPhi[c, i] + dPhi[c, 2] * u[i] for c in range(3)] for i in range(2)]
     g = np.empty((2, 2) + U.shape)
-    A = np.empty_like(g)
-    low = {}
     for i, j in _PAIRS:
-        uij = u[i] * u[j]
-        g[i, j] = g[j, i] = (hm[i, j] + hm[i, 2] * u[j] + hm[j, 2] * u[i]
-                             + hm[2, 2] * uij)
-        P = [Gam[k, i, j] + Gam[k, i, 2] * u[j] + Gam[k, j, 2] * u[i] + Gam[k, 2, 2] * uij
-             for k in range(3)]
-        low[i, j] = P[2] - u[0] * P[0] - u[1] * P[1]
-
-    # inward unit normal N = -(T_0 x T_1) / |T_0 x T_1|; A_ij = (dPhi_2 . N) (low_ij + D2_ij u)
-    T0 = [dPhi[c, 0] + dPhi[c, 2] * u[0] for c in range(3)]
-    T1 = [dPhi[c, 1] + dPhi[c, 2] * u[1] for c in range(3)]
-    cross = (T0[1] * T1[2] - T0[2] * T1[1],
-             T0[2] * T1[0] - T0[0] * T1[2],
-             T0[0] * T1[1] - T0[1] * T1[0])
-    norm = np.sqrt(cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2])
-    N = np.empty((3,) + U.shape)
-    for c in range(3):
-        N[c] = -cross[c] / norm
-    phi3N = dPhi[0, 2] * N[0] + dPhi[1, 2] * N[1] + dPhi[2, 2] * N[2]
-    for i, j in _PAIRS:
-        A[i, j] = A[j, i] = phi3N * (low[i, j] + d2u[i, j])
-
+        g[i, j] = g[j, i] = T[i][0] * T[j][0] + T[i][1] * T[j][1] + T[i][2] * T[j][2]
     det = g[0, 0] * g[1, 1] - g[0, 1] ** 2
     if np.any(det <= 0.0):
         raise SingularMetricError("induced metric is degenerate")
+    cross = (T[0][1] * T[1][2] - T[0][2] * T[1][1],
+             T[0][2] * T[1][0] - T[0][0] * T[1][2],
+             T[0][0] * T[1][1] - T[0][1] * T[1][0])
+    norm = np.sqrt(cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2])
+    N = -np.array(cross) / norm
+    phi3N = dPhi[0, 2] * N[0] + dPhi[1, 2] * N[1] + dPhi[2, 2] * N[2]
+    if np.any(phi3N >= 0.0):
+        raise SingularMetricError("chart is folded past a focal point of the support")
+
     ginv = np.empty_like(g)
     ginv[0, 0], ginv[1, 1] = g[1, 1] / det, g[0, 0] / det
     ginv[0, 1] = ginv[1, 0] = -g[0, 1] / det
-    # H = g^ij A_ij, |A|^2 = tr((g^-1 A)^2) and f = g^ij low_ij for symmetric g^-1, A, low
+    A = phi3N * d2u
+    coeff_f = np.zeros(U.shape)
+    if d2Phi is not None:
+        # n_ab = N . d2Phi_ab; d2Phi_11 = 0, as y2 is a distance
+        n = {(a, b): N[0] * d2Phi[0, a, b] + N[1] * d2Phi[1, a, b] + N[2] * d2Phi[2, a, b]
+             for a, b in ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2))}
+        n[1, 1] = 0.0
+        B = {(i, j): n[i, j] + n[i, 2] * u[j] + n[j, 2] * u[i] + n[2, 2] * (u[i] * u[j])
+             for i, j in _PAIRS}
+        for i, j in _PAIRS:
+            A[i, j] = A[j, i] = A[i, j] + B[i, j]
+        coeff_f = (ginv[0, 0] * B[0, 0] + 2.0 * ginv[0, 1] * B[0, 1]
+                   + ginv[1, 1] * B[1, 1]) / phi3N
+    # H = g^ij A_ij and |A|^2 = tr((g^-1 A)^2) for symmetric g^-1 and A
     Hcur = ginv[0, 0] * A[0, 0] + 2.0 * ginv[0, 1] * A[0, 1] + ginv[1, 1] * A[1, 1]
     GA = [[ginv[i, 0] * A[0, j] + ginv[i, 1] * A[1, j] for j in range(2)] for i in range(2)]
     A2 = GA[0][0] * GA[0][0] + 2.0 * GA[0][1] * GA[1][0] + GA[1][1] * GA[1][1]
-    coeff_f = (ginv[0, 0] * low[0, 0] + 2.0 * ginv[0, 1] * low[0, 1]
-               + ginv[1, 1] * low[1, 1])
 
     wcell = disk_cell_weights(surface.y1, surface.y2, surface.h, surface.r_dom,
                               surface.half)

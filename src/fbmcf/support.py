@@ -365,8 +365,8 @@ def _inverse_sym3(h):
 def metric_connection(frames):
     """Pull-back metric h_ij and Gamma[k, i, j] from `chart_frames` output.
 
-    Both are component-first arrays: h[i, j] and Gamma[k, i, j] are planes over
-    the sample points.  Raises SingularMetricError where det h <= 0.
+    Component-first planes for the pull-back checks; the per-step kernel
+    `fundamental_forms` needs neither.  Raises SingularMetricError where det h <= 0.
     """
     dPhi, d2Phi = components(frames["dPhi"], 2), components(frames["d2Phi"], 3)
     h = np.empty((3,) + dPhi.shape[1:])

@@ -256,6 +256,31 @@ def test_fundamental_forms_singular_metric_raises():
         fundamental_forms(s)
 
 
+def test_chart_past_focal_line_raises():
+    # nodes at y2 > 0.5 lie past the focal line and none sits on it, so det g > 0
+    # everywhere and only the sign of N . dPhi_2 shows that the chart is folded
+    s = GraphSurface.zero(OVERREACH, 0.03, 0.75)
+    Y = np.stack([*np.meshgrid(s.y1, s.y2, indexing="ij"), s.u], axis=-1)
+    det = np.linalg.det(chart_frames(OVERREACH, Y)["dPhi"])
+    assert np.min(det) < 0.0 and np.min(np.abs(det)) > 1e-4
+    with pytest.raises(SingularMetricError):
+        fundamental_forms(s)
+    traj = run(s, FlowConfig(t_end=0.001, outer_bc="frozen"))
+    assert isinstance(traj.error, SingularMetricError)
+    assert traj.stop_reason == f"SingularMetricError: {traj.error}"
+
+
+@pytest.mark.parametrize("name", sorted(n for n in PATCHES if n != "flat"))
+def test_chart_determinant_identity(name):
+    # det dPhi = -|T_0 x T_1| (N . dPhi_2), on which the folded-chart test rests
+    s = curved_surface(PATCHES[name])
+    g = fundamental_forms(s)
+    Y = np.stack([*np.meshgrid(s.y1, s.y2, indexing="ij"), s.u], axis=-1)
+    dPhi = chart_frames(s.patch, Y)["dPhi"]
+    want = -g.sqrtg * np.einsum("...c,...c->...", dPhi[..., :, 2], g.N)
+    assert rel_err(np.linalg.det(dPhi), want) <= 1e-12
+
+
 def test_cli_singular_metric_is_numerical_abort(tmp_path, capsys):
     path = tmp_path / "overreach.yaml"
     path.write_text(

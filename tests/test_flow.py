@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fbmcf import flow
 from fbmcf.errors import CflViolationError, FbmcfError, PastSingularityError
 from fbmcf.flow import (
     FlowConfig,
@@ -65,6 +66,17 @@ def test_cfl_violation_raises():
     cfg = FlowConfig(t_end=1.0, outer_bc="frozen")
     with pytest.raises(CflViolationError):
         step(s, 10 * s.h**2, cfg)
+
+
+def test_stability_maxima_evaluated_once_per_step(monkeypatch):
+    # run() sizes dt and step() checks it from the maxima memoised on each surface
+    seen = []
+    real = flow._stability_maxima
+    monkeypatch.setattr(flow, "_stability_maxima", lambda s: seen.append(s) or real(s))
+    traj = sphere_run(32, 0.002)
+    n = len(traj.monitors["t"]) - 1
+    assert traj.stop_reason == "completed" and n >= 5
+    assert n <= len(seen) <= n + 1
 
 
 def test_step_abort_keeps_cause_and_last_surface():

@@ -1,8 +1,5 @@
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,30 +241,18 @@ def test_cli_missing_dir_exit_2(tmp_path):
     assert main(["monitor", str(tmp_path / "absent"), str(qpath)]) == 2
 
 
-def _checkout_python(args):
-    # Run the child from this checkout with the interpreter running the
-    # tests, and put this checkout's src first on its path, so that no
-    # installed copy of fbmcf is needed.
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          cwd=root, env=env, timeout=600)
-
-
-def test_cli_verify_fast_subprocess():
-    proc = _checkout_python(["-m", "fbmcf.cli", "verify", "--fast"])
+def test_cli_verify_fast_subprocess(checkout_python):
+    proc = checkout_python(["-m", "fbmcf.cli", "verify", "--fast"])
     output = proc.stdout + proc.stderr
     assert proc.returncode == 0, output
     assert "verification PASSED" in proc.stdout, output
     assert proc.stdout.count("[SKIP]") == 2, output
 
 
-def test_import_leaves_scipy_ndimage_and_spatial_unloaded():
+def test_import_leaves_scipy_ndimage_and_spatial_unloaded(checkout_python):
     # both load on first use, inside modified_area_ratio and singular_set_scan
-    proc = _checkout_python(["-c", "import sys, fbmcf, fbmcf.cli; print(sorted("
-                             "m for m in ('scipy.ndimage', 'scipy.spatial') "
-                             "if m in sys.modules))"])
+    proc = checkout_python(["-c", "import sys, fbmcf, fbmcf.cli; print(sorted("
+                            "m for m in ('scipy.ndimage', 'scipy.spatial') "
+                            "if m in sys.modules))"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip() == "[]", proc.stdout + proc.stderr
