@@ -21,7 +21,13 @@ from .flow import (
     shrinking_radius,
     step,
 )
-from .geometry import GraphSurface, gauss_bonnet_identity, integrate, modified_area_ratio
+from .geometry import (
+    GraphSurface,
+    gauss_bonnet_identity,
+    grid_nodes,
+    integrate,
+    modified_area_ratio,
+)
 from .monitors import (
     DensityQuery,
     boundary_density_value,
@@ -67,7 +73,7 @@ def _sphere_error(h_inv):
     traj = _sphere_run(h_inv, 0.01, 10**6)
     surf = traj.snapshots[-1]
     R = shrinking_radius(1.0, surf.t)
-    Y1, Y2 = np.meshgrid(surf.y1, surf.y2, indexing="ij")
+    Y1, Y2 = grid_nodes(surf.h, surf.r_dom, surf.half)
     exact = np.sqrt(R**2 - Y1**2 - Y2**2)
     mask = surf.geometry().mask
     return float(np.max(np.abs(surf.u - exact)[mask])), traj.stop_reason

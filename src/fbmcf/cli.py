@@ -29,9 +29,9 @@ def command_run(args):
     outdir = args.out or scenario.output_dir
     t0 = time.perf_counter()
     trajectory = flow_run(scenario.build_initial(), scenario.build_flow_config())
-    files = save_trajectory(outdir, trajectory, scenario.echo())
-    write_manifest(outdir, scenario.echo(), trajectory.stop_reason,
-                   time.perf_counter() - t0, files)
+    echo = scenario.echo()
+    files = save_trajectory(outdir, trajectory, echo)
+    write_manifest(outdir, echo, trajectory.stop_reason, time.perf_counter() - t0, files)
     print(f"stop_reason: {trajectory.stop_reason} "
           f"({len(trajectory.snapshots)} snapshots in {outdir})")
     return EXIT_OK if trajectory.error is None else _report(trajectory.error)

@@ -26,6 +26,8 @@ from .errors import (
 from .geometry import GraphSurface, _derivative_planes, grid_nodes, integrate, perimeter
 from .support import components, trailing
 
+MAX_STEPS = 10**6   # hard bound on the steps of one run
+
 
 def shrinking_radius(R0, t):
     """Radius law R(t) = sqrt(R0^2 - 4t) of the shrinking sphere."""
@@ -42,19 +44,15 @@ class FlowConfig:
     t_end: float
     cfl: float = 0.2
     snapshot_stride: int = 1
-    outer_bc: str = "dirichlet-exact"   # dirichlet-exact | frozen
-    scheme: str = "explicit-euler"      # explicit-euler | semi-implicit-linearized
+    outer_bc: str = "frozen"            # dirichlet-exact | frozen
     blowup_threshold: float = 0.5
     rim_values: object = None           # callable(Y1, Y2, t) -> heights
-    max_steps: int = 10**6
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 0.25:
             raise ValueError("cfl must lie in (0, 0.25]")
         if self.outer_bc not in ("dirichlet-exact", "frozen"):
             raise ValueError(f"unknown outer boundary mode {self.outer_bc!r}")
-        if self.scheme not in ("explicit-euler", "semi-implicit-linearized"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.outer_bc == "dirichlet-exact" and self.rim_values is None:
             raise ValueError("dirichlet-exact requires rim_values")
 
@@ -144,7 +142,7 @@ def _stability_maxima(surface):
 
 
 def step(surface, dt, config):
-    """One time step; returns a new surface stamped at t + dt."""
+    """One explicit Euler step u + dt (g^{ij} D2_ij u + f); returns a new surface at t + dt."""
     g = surface.geometry()
     a, f = components(g.ginv, 2), g.coeff_f
     dt_max, cfl_sum = _stability_bounds(surface, config)
@@ -153,10 +151,7 @@ def step(surface, dt, config):
     if cfl_sum > 0.5 + 1e-9:
         raise CflViolationError("cfl times max coefficient sum exceeds 1/2")
 
-    if config.scheme == "explicit-euler":
-        u_new = surface.u + dt * (_contract(a, components(g.d2u, 2)) + f)
-    else:
-        u_new = _semi_implicit(surface, dt, a, f)
+    u_new = surface.u + dt * (_contract(a, components(g.d2u, 2)) + f)
     u_new = _apply_rim(u_new, surface, config, surface.t + dt)
 
     if not np.all(np.isfinite(u_new)):
@@ -165,21 +160,6 @@ def step(surface, dt, config):
     if np.max(rsq + u_new**2) >= surface.patch.chart_radius**2:
         raise ChartExitError("surface left the chart validity ball")
     return surface.with_height(u_new, t=surface.t + dt)
-
-
-def _semi_implicit(surface, dt, a, f, tol=1e-12, max_sweeps=500):
-    """Backward Euler with lagged coefficients, solved by damped Jacobi."""
-    h = surface.h
-    target = surface.u + dt * f
-    diag = 1.0 + 2.0 * dt * (a[0, 0] + a[1, 1]) / h**2
-    v = surface.u.copy()
-    for _ in range(max_sweeps):
-        _, d2v = _derivative_planes(v, h, surface.half)
-        res = v - dt * _contract(a, d2v) - target
-        if np.max(np.abs(res)) < tol * (1.0 + np.max(np.abs(v))):
-            return v
-        v = v - 0.8 * res / diag
-    raise FbmcfError("semi-implicit Jacobi iteration did not converge")
 
 
 def run(initial, config):
@@ -210,7 +190,7 @@ def run(initial, config):
             if surface.h * max_a >= config.blowup_threshold:
                 stop_reason = "blowup"
                 break
-            if surface.t >= config.t_end - 1e-14 or step_count >= config.max_steps:
+            if surface.t >= config.t_end - 1e-14 or step_count >= MAX_STEPS:
                 break
 
             dt = min(_stability_bounds(surface, config)[0], config.t_end - surface.t)

@@ -185,17 +185,13 @@ class GraphSurface:
 
     @classmethod
     def zero(cls, patch, h, r_dom, half=True):
-        m = int(round(r_dom / h))
-        n2 = m + 1 if half else 2 * m + 1
-        return cls(patch, h, r_dom, np.zeros((2 * m + 1, n2)), 0.0, half)
+        return cls(patch, h, r_dom, np.zeros(grid_nodes(h, r_dom, half)[0].shape), 0.0, half)
 
     @classmethod
     def from_height(cls, fn, patch, h, r_dom, t=0.0, half=True):
-        m = int(round(r_dom / h))
-        lo = 0 if half else -m
-        Y1, Y2 = np.meshgrid(h * np.arange(-m, m + 1), h * np.arange(lo, m + 1),
-                             indexing="ij")
-        return cls(patch, h, r_dom, np.asarray(fn(Y1, Y2), dtype=float), t, half)
+        """Heights fn(Y1, Y2) at the grid nodes; the node arrays are shared and read-only."""
+        return cls(patch, h, r_dom, np.array(fn(*grid_nodes(h, r_dom, half)), dtype=float),
+                   t, half)
 
     @classmethod
     def sphere_cap(cls, R0, h, r_dom, t=0.0, patch=None, half=True):

@@ -47,24 +47,14 @@ def write_obj(path, surface):
         fh.write(text)
 
 
-def _patch_meta(patch):
-    return {"phi": patch.profile.name, "kappa": patch.kappa,
-            "chart_radius": patch.chart_radius}
-
-
-def _patch_from_meta(meta):
-    return SupportPatch.from_spec(meta["phi"], kappa=meta["kappa"] or None,
-                                  chart_radius=meta["chart_radius"])
-
-
 def save_snapshot(path, surface):
     np.savez(path, u=surface.u, t=surface.t, h=surface.h, r_dom=surface.r_dom,
-             half=surface.half, patch=json.dumps(_patch_meta(surface.patch)))
+             half=surface.half, patch=json.dumps(surface.patch.spec()))
 
 
 def load_snapshot(path):
     d = np.load(path, allow_pickle=False)
-    patch = _patch_from_meta(json.loads(str(d["patch"])))
+    patch = SupportPatch.from_spec(**json.loads(str(d["patch"])))
     return GraphSurface(patch, float(d["h"]), float(d["r_dom"]), d["u"],
                         float(d["t"]), bool(d["half"]))
 

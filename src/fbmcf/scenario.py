@@ -1,8 +1,9 @@
 """Scenario configuration files: strict YAML with a fixed key catalog.
 
 Unknown keys are errors, not warnings, so stored scenarios stay auditable.
-Defaults are filled in and echoed back so the manifest records the complete
-effective configuration.
+A `patch` or `flow` key left out takes its default from `SupportPatch` or
+`FlowConfig`, and the echo reads the effective values back from the built
+objects, so the manifest records the complete effective configuration.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 import yaml
 
 from .errors import ScenarioError
-from .flow import FlowConfig, shrinking_radius
+from .flow import FlowConfig
 from .geometry import GraphSurface
 from .support import SupportPatch
 
@@ -21,18 +22,27 @@ _SECTIONS = {
     "patch": {"phi", "kappa", "chart_radius"},
     "initial": {"kind", "R0", "tilt"},
     "grid": {"h", "r_dom", "half"},
-    "flow": {"cfl", "t_end", "snapshot_stride", "outer_bc", "scheme",
-             "blowup_threshold"},
+    "flow": {"cfl", "t_end", "snapshot_stride", "outer_bc", "blowup_threshold"},
 }
 _TOP_KEYS = set(_SECTIONS) | {"output_dir", "name"}
 _INITIAL_KINDS = {"zero", "sphere", "tilted-plane"}
 
 _DEFAULTS = {
-    "patch": {"phi": "flat", "kappa": 0.0, "chart_radius": 10.0},
+    "patch": {"phi": "flat"},
     "initial": {"kind": "zero", "R0": 1.0, "tilt": 0.0},
     "grid": {"half": True},
-    "flow": {"cfl": 0.2, "snapshot_stride": 1, "outer_bc": "frozen",
-             "scheme": "explicit-euler", "blowup_threshold": 0.5},
+}
+
+# value checks on single keys, applied where a scenario sets the key
+_CHECKS = {
+    "patch.kappa": (lambda v: v >= 0.0, "kappa must be >= 0"),
+    "patch.chart_radius": (lambda v: v > 0.0, "chart_radius must be positive"),
+    "initial.kind": (lambda v: v in _INITIAL_KINDS, "unknown initial kind {!r}"),
+    "grid.h": (lambda v: v > 0.0, "h must be positive"),
+    "grid.r_dom": (lambda v: v > 0.0, "r_dom must be positive"),
+    "flow.cfl": (lambda v: 0.0 < v <= 0.25, "cfl must lie in (0, 0.25]"),
+    "flow.outer_bc": (lambda v: v in ("dirichlet-exact", "frozen"),
+                      "unknown outer_bc {!r}"),
 }
 
 
@@ -46,12 +56,7 @@ class Scenario:
     output_dir: str
 
     def build_patch(self):
-        spec = self.patch_spec
-        kappa = spec["kappa"] or None
-        cr = spec["chart_radius"]
-        if spec["phi"] == "flat":
-            return SupportPatch.flat(cr)
-        return SupportPatch.from_spec(spec["phi"], kappa=kappa, chart_radius=cr)
+        return SupportPatch.from_spec(**self.patch_spec)
 
     def build_initial(self):
         patch = self.build_patch()
@@ -70,27 +75,21 @@ class Scenario:
         raise ScenarioError(f"unknown initial kind {kind!r}", key="initial.kind")
 
     def build_flow_config(self):
-        spec = dict(self.flow_spec)
-        if spec["outer_bc"] == "dirichlet-exact":
+        if self.flow_spec.get("outer_bc") == "dirichlet-exact":
             if self.initial_spec["kind"] != "sphere":
                 raise ScenarioError(
                     "dirichlet-exact needs a sphere initial surface",
                     key="flow.outer_bc")
-            return FlowConfig.for_sphere(
-                self.initial_spec["R0"], spec["t_end"], cfl=spec["cfl"],
-                snapshot_stride=spec["snapshot_stride"],
-                outer_bc="dirichlet-exact", scheme=spec["scheme"],
-                blowup_threshold=spec["blowup_threshold"])
-        return FlowConfig(t_end=spec["t_end"], cfl=spec["cfl"],
-                          snapshot_stride=spec["snapshot_stride"],
-                          outer_bc=spec["outer_bc"], scheme=spec["scheme"],
-                          blowup_threshold=spec["blowup_threshold"])
+            return FlowConfig.for_sphere(self.initial_spec["R0"], **self.flow_spec)
+        return FlowConfig(**self.flow_spec)
 
     def echo(self):
-        """Complete effective configuration, defaults filled in."""
-        out = {"name": self.name, "patch": self.patch_spec,
+        """Complete effective configuration, read back from the built objects."""
+        config = self.build_flow_config()
+        out = {"name": self.name, "patch": self.build_patch().spec(),
                "initial": self.initial_spec, "grid": self.grid_spec,
-               "flow": self.flow_spec, "output_dir": self.output_dir}
+               "flow": {k: getattr(config, k) for k in sorted(_SECTIONS["flow"])},
+               "output_dir": self.output_dir}
         if self.initial_spec["kind"] == "sphere":
             out["singular_time"] = self.initial_spec["R0"] ** 2 / 4.0
         return out
@@ -107,7 +106,11 @@ def _merge_section(name, data):
     if not isinstance(section, dict):
         raise ScenarioError(f"section {name!r} must be a mapping", key=name)
     for k, v in section.items():
-        _require(k in _SECTIONS[name], f"unknown key {name}.{k}", f"{name}.{k}")
+        key = f"{name}.{k}"
+        _require(k in _SECTIONS[name], f"unknown key {key}", key)
+        if key in _CHECKS:
+            ok, message = _CHECKS[key]
+            _require(ok(v), message.format(v), key)
         merged[k] = v
     return merged
 
@@ -132,29 +135,16 @@ def validate_scenario(data):
         _require(k in _TOP_KEYS, f"unknown key {k}", k)
 
     patch = _merge_section("patch", data)
-    _require(patch["kappa"] >= 0.0, "kappa must be >= 0", "patch.kappa")
-    _require(patch["chart_radius"] > 0.0, "chart_radius must be positive",
-             "patch.chart_radius")
-
     initial = _merge_section("initial", data)
-    _require(initial["kind"] in _INITIAL_KINDS,
-             f"unknown initial kind {initial['kind']!r}", "initial.kind")
 
     grid = _merge_section("grid", data)
     _require("h" in grid and "r_dom" in grid, "grid needs h and r_dom", "grid")
-    _require(grid["h"] > 0.0, "h must be positive", "grid.h")
-    _require(grid["r_dom"] > 0.0, "r_dom must be positive", "grid.r_dom")
     ratio = grid["r_dom"] / grid["h"]
     _require(abs(ratio - round(ratio)) < 1e-9,
              "h must divide r_dom commensurably", "grid.h")
 
     flow = _merge_section("flow", data)
     _require("t_end" in flow, "flow needs t_end", "flow.t_end")
-    _require(0.0 < flow["cfl"] <= 0.25, "cfl must lie in (0, 0.25]", "flow.cfl")
-    _require(flow["outer_bc"] in ("dirichlet-exact", "frozen"),
-             f"unknown outer_bc {flow['outer_bc']!r}", "flow.outer_bc")
-    _require(flow["scheme"] in ("explicit-euler", "semi-implicit-linearized"),
-             f"unknown scheme {flow['scheme']!r}", "flow.scheme")
 
     if initial["kind"] == "sphere":
         # the initial graph must exist over the whole footprint rectangle

@@ -156,30 +156,38 @@ class SupportPatch:
     @classmethod
     def paraboloid(cls, a, kappa=None, chart_radius=None):
         kappa = float(abs(a)) if kappa is None else float(kappa)
-        if chart_radius is None:
-            chart_radius = 1.0 / kappa
+        if chart_radius is None:   # kappa = 0 is refused in __post_init__
+            chart_radius = 1.0 / kappa if kappa else np.inf
         return cls("analytic-quadric", ParaboloidProfile(a), kappa, chart_radius)
 
     @classmethod
     def sphere_cap(cls, R, kappa=None, chart_radius=None):
         kappa = 1.0 / float(R) if kappa is None else float(kappa)
         if chart_radius is None:
-            chart_radius = min(1.0 / kappa, 0.9 * float(R))
+            chart_radius = min(1.0 / kappa if kappa else np.inf, 0.9 * float(R))
         return cls("analytic-quadric", SphereCapProfile(R), kappa, chart_radius)
 
     @classmethod
-    def from_spec(cls, phi_name, kappa=None, chart_radius=None):
-        """Catalog lookup: 'flat', 'paraboloid:a', 'sphere_cap:R'."""
-        if phi_name == "flat":
+    def from_spec(cls, phi, kappa=None, chart_radius=None):
+        """Catalog lookup: 'flat', 'paraboloid:a', 'sphere_cap:R'.
+
+        A flat patch ignores kappa; a left-out value takes the constructor's default.
+        """
+        if phi == "flat":
             return cls.flat(10.0 if chart_radius is None else chart_radius)
-        if ":" in phi_name:
-            base, arg = phi_name.split(":", 1)
+        if ":" in phi:
+            base, arg = phi.split(":", 1)
             val = float(arg)
             if base == "paraboloid":
                 return cls.paraboloid(val, kappa=kappa, chart_radius=chart_radius)
             if base == "sphere_cap":
                 return cls.sphere_cap(val, kappa=kappa, chart_radius=chart_radius)
-        raise ValueError(f"unknown phi catalog entry: {phi_name!r}")
+        raise ValueError(f"unknown phi catalog entry: {phi!r}")
+
+    def spec(self):
+        """The `from_spec` arguments that rebuild this patch."""
+        return {"phi": self.profile.name, "kappa": self.kappa,
+                "chart_radius": self.chart_radius}
 
     # -- basic properties ---------------------------------------------------
 
@@ -209,7 +217,7 @@ def _check_range(patch, Y):
         )
 
 
-def chart_frames(patch, Y, order=2, check=True):
+def chart_frames(patch, Y, order=2):
     """Evaluate Phi and its derivatives at chart points Y of shape (..., 3).
 
     Returns a dict with keys 'X' (..., 3), 'dPhi' (..., 3, i) and, for
@@ -217,8 +225,7 @@ def chart_frames(patch, Y, order=2, check=True):
     directions.  The arrays are component-first views (see `trailing`).
     """
     Y = np.asarray(Y, dtype=float)
-    if check:
-        _check_range(patch, Y)
+    _check_range(patch, Y)
     p, d, q = Y[..., 0], Y[..., 1], Y[..., 2]
     phi, g1, g2, g3 = patch.profile.derivs(p, q)
     g1, g2 = components(g1, 1), components(g2, 2)

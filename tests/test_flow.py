@@ -103,17 +103,6 @@ def test_manufactured_solution_convergence():
     assert 3.0 <= errs[32] / errs[64] <= 5.0
 
 
-def test_semi_implicit_close_to_explicit():
-    s = GraphSurface.sphere_cap(1.0, 1 / 32, 0.5)
-    dt = 0.2 * s.h**2
-    cfg_e = FlowConfig.for_sphere(1.0, 1.0, outer_bc="dirichlet-exact")
-    cfg_s = FlowConfig.for_sphere(1.0, 1.0, outer_bc="dirichlet-exact",
-                                  scheme="semi-implicit-linearized")
-    ue = step(s, dt, cfg_e).u
-    us = step(s, dt, cfg_s).u
-    assert np.max(np.abs(ue - us)) < 1e-6
-
-
 def test_symmetry_preserved():
     traj = sphere_run(32, 0.002)
     f = traj.snapshots[-1]

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 
@@ -15,7 +17,7 @@ from fbmcf.io import (
     save_trajectory,
     write_obj,
 )
-from fbmcf.scenario import load_scenario, validate_scenario
+from fbmcf.scenario import _SECTIONS, load_scenario, validate_scenario
 from fbmcf.support import SupportPatch
 
 SPHERE_YAML = """\
@@ -47,9 +49,10 @@ def write_scenario(tmp_path, text):
 def test_scenario_defaults_filled():
     sc = validate_scenario({"grid": {"h": 0.125, "r_dom": 0.5},
                             "flow": {"t_end": 0.001}})
-    assert sc.flow_spec["cfl"] == 0.2
-    assert sc.flow_spec["outer_bc"] == "frozen"
-    assert sc.initial_spec["kind"] == "zero"
+    echo = sc.echo()
+    assert echo["flow"]["cfl"] == 0.2
+    assert echo["flow"]["outer_bc"] == "frozen"
+    assert echo["initial"]["kind"] == "zero"
     surf = sc.build_initial()
     assert surf.h == 0.125 and np.all(surf.u == 0.0)
 
@@ -76,11 +79,40 @@ def test_scenario_echo_contains_singular_time():
       "flow": {"t_end": 1.0, "outer_bc": "weird"}}, "flow.outer_bc"),
     ({"initial": {"kind": "sphere", "R0": 0.2},
       "grid": {"h": 0.1, "r_dom": 0.5}, "flow": {"t_end": 1.0}}, "initial.R0"),
+    ({"grid": {"h": 0.1, "r_dom": 0.5},
+      "flow": {"t_end": 1.0, "scheme": "explicit-euler"}}, "flow.scheme"),
 ])
 def test_scenario_rejects_bad_data(data, key):
     with pytest.raises(ScenarioError) as exc:
         validate_scenario(data)
     assert exc.value.key == key
+
+
+@pytest.mark.parametrize("phi,kappa,chart_radius", [
+    ("paraboloid:0.5", 0.5, 2.0),
+    ("sphere_cap:2", 0.5, 1.8),
+])
+def test_curved_scenario_runs_with_patch_defaults(tmp_path, phi, kappa, chart_radius):
+    out = tmp_path / "out"
+    path = write_scenario(tmp_path, (
+        f"patch:\n  phi: {phi}\n"
+        "initial:\n  kind: tilted-plane\n  tilt: 0.1\n"
+        "grid:\n  h: 0.0625\n  r_dom: 0.5\n"
+        f"flow:\n  t_end: 0.001\n  cfl: 0.15\noutput_dir: {out}\n"))
+    assert main(["run", path]) == 0
+    with open(out / "trajectory.json") as fh:
+        meta = json.load(fh)
+    assert meta["stop_reason"] == "completed"
+    assert meta["scenario"]["patch"] == {"phi": phi, "kappa": kappa,
+                                         "chart_radius": chart_radius}
+
+
+def test_scenario_keys_pass_through_to_constructors():
+    # a flow or patch key is handed to FlowConfig or SupportPatch.from_spec as it is
+    fields = {f.name for f in dataclasses.fields(FlowConfig)}
+    assert _SECTIONS["flow"] <= fields
+    params = set(inspect.signature(SupportPatch.from_spec).parameters)
+    assert _SECTIONS["patch"] <= params
 
 
 def test_scenario_yaml_error_location(tmp_path):

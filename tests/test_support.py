@@ -179,3 +179,10 @@ def test_kappa_condition_sphere_cap(cap):
     rep = verify_kappa_condition(cap)
     assert rep.passed
     assert rep.min_mean_curvature > 0.0
+
+
+@pytest.mark.parametrize("phi", ["paraboloid:0.5", "sphere_cap:2"])
+def test_curved_patch_refuses_kappa_zero(phi):
+    # a scenario's `kappa: 0` reaches from_spec as it is; no default radius 1/0
+    with pytest.raises(ValueError, match="only admitted for flat"):
+        SupportPatch.from_spec(phi, kappa=0.0)
