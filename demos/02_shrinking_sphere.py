@@ -17,8 +17,7 @@ R0 = 1.0
 h = 1.0 / 64
 surface = GraphSurface.sphere_cap(R0, h, r_dom=0.5)
 
-config = FlowConfig.for_sphere(R0, t_end=0.02, outer_bc="dirichlet-exact",
-                               snapshot_stride=50)
+config = FlowConfig.for_sphere(R0, t_end=0.02, snapshot_stride=50)
 trajectory = run(surface, config)
 print("stop reason:", trajectory.stop_reason)
 

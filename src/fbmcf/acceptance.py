@@ -45,8 +45,7 @@ ORIGIN = np.zeros(3)
 @functools.lru_cache(maxsize=None)
 def _sphere_run(h_inv, t_end, stride):
     surf = GraphSurface.sphere_cap(1.0, 1.0 / h_inv, 0.5)
-    cfg = FlowConfig.for_sphere(1.0, t_end, outer_bc="dirichlet-exact",
-                                snapshot_stride=stride)
+    cfg = FlowConfig.for_sphere(1.0, t_end, snapshot_stride=stride)
     return run(surf, cfg)
 
 

@@ -45,6 +45,14 @@ class ReflectionConditionError(FbmcfError):
     """Mixed coefficient does not vanish on the free-boundary edge."""
 
 
+class PatchFieldError(ValueError):
+    """A support-patch setting breaks the graph-patch rules; `field` names it."""
+
+    def __init__(self, message, field):
+        super().__init__(message)
+        self.field = field
+
+
 class ScenarioError(FbmcfError):
     """Scenario file failed to parse or validate."""
 

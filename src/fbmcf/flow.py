@@ -57,12 +57,13 @@ class FlowConfig:
             raise ValueError("dirichlet-exact requires rim_values")
 
     @classmethod
-    def for_sphere(cls, R0, t_end, **kw):
+    def for_sphere(cls, R0, t_end, outer_bc="dirichlet-exact", **kw):
+        """Settings whose rim, by default, holds the exact shrinking sphere of radius R0."""
         def rim(Y1, Y2, t):
             R = shrinking_radius(R0, t)
             return np.sqrt(R**2 - Y1**2 - Y2**2)
 
-        return cls(t_end=t_end, rim_values=rim, **kw)
+        return cls(t_end=t_end, outer_bc=outer_bc, rim_values=rim, **kw)
 
 
 @dataclass

@@ -282,14 +282,15 @@ def fundamental_forms(surface):
     """
     U, patch = surface.u, surface.patch
     u, d2u = _derivative_planes(U, surface.h, surface.half)
-    Y = np.empty((3,) + U.shape)
-    Y[0], Y[1] = grid_nodes(surface.h, surface.r_dom, surface.half)
-    Y[2] = U
+    Y1, Y2 = grid_nodes(surface.h, surface.r_dom, surface.half)
     if patch.is_flat:
+        Y = np.empty((3,) + U.shape)
+        Y[0], Y[1], Y[2] = Y1, Y2, U
         X, dPhi, d2Phi = trailing(Y, 1), _EYE3, None
     else:
-        fr = chart_frames(patch, trailing(Y, 1), order=2)
-        X, dPhi, d2Phi = fr["X"], components(fr["dPhi"], 2), components(fr["d2Phi"], 3)
+        # the static axes go in as (n1, 1) and (1, n2): see chart_frames
+        fr = chart_frames(patch, Y1[:, :1], Y2[:1, :], U, order=2)
+        X, dPhi, d2Phi = fr["X"], components(fr["dPhi"], 2), fr["d2Phi"]
 
     T = [[dPhi[c, i] + dPhi[c, 2] * u[i] for c in range(3)] for i in range(2)]
     g = np.empty((2, 2) + U.shape)
@@ -314,8 +315,8 @@ def fundamental_forms(surface):
     coeff_f = np.zeros(U.shape)
     if d2Phi is not None:
         # n_ab = N . d2Phi_ab; d2Phi_11 = 0, as y2 is a distance
-        n = {(a, b): N[0] * d2Phi[0, a, b] + N[1] * d2Phi[1, a, b] + N[2] * d2Phi[2, a, b]
-             for a, b in ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2))}
+        n = {ab: N[0] * d2Phi[ab][0] + N[1] * d2Phi[ab][1] + N[2] * d2Phi[ab][2]
+             for ab in d2Phi}
         n[1, 1] = 0.0
         B = {(i, j): n[i, j] + n[i, 2] * u[j] + n[j, 2] * u[i] + n[2, 2] * (u[i] * u[j])
              for i, j in _PAIRS}

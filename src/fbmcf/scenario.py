@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .errors import ScenarioError
+from .errors import PatchFieldError, ScenarioError
 from .flow import FlowConfig
 from .geometry import GraphSurface
 from .support import SupportPatch
@@ -56,7 +56,10 @@ class Scenario:
     output_dir: str
 
     def build_patch(self):
-        return SupportPatch.from_spec(**self.patch_spec)
+        try:
+            return SupportPatch.from_spec(**self.patch_spec)
+        except PatchFieldError as err:
+            raise ScenarioError(str(err), key=f"patch.{err.field}") from err
 
     def build_initial(self):
         patch = self.build_patch()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChartRangeError, NewtonConvergenceError, SingularMetricError
+from .errors import ChartRangeError, NewtonConvergenceError, PatchFieldError, SingularMetricError
 
 # tangent slot a -> chart index (y1, y3)
 _TANGENT_IDX = (0, 2)
@@ -141,11 +141,11 @@ class SupportPatch:
 
     def __post_init__(self):
         if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
+            raise PatchFieldError("kappa must be >= 0", "kappa")
         if self.kappa == 0 and self.kind != "flat":
-            raise ValueError("kappa = 0 is only admitted for flat patches")
+            raise PatchFieldError("kappa = 0 is only admitted for flat patches", "kappa")
         if self.kappa > 0 and self.chart_radius > 1.0 / self.kappa + 1e-12:
-            raise ValueError("chart_radius must be <= 1/kappa")
+            raise PatchFieldError("chart_radius must be <= 1/kappa", "chart_radius")
 
     # -- constructors -------------------------------------------------------
 
@@ -209,33 +209,38 @@ class SupportPatch:
 # Chart evaluation
 # ---------------------------------------------------------------------------
 
-def _check_range(patch, Y):
-    r = np.linalg.norm(Y, axis=-1)
-    if np.any(r >= patch.chart_radius):
+def _check_range(patch, y1, y2, y3):
+    # max |Y| = sqrt(max |Y|^2) exactly, as sqrt is monotone and correctly rounded
+    r = np.sqrt(np.max(y1 * y1 + y2 * y2 + y3 * y3))
+    if r >= patch.chart_radius:
         raise ChartRangeError(
-            f"chart point |Y| = {float(np.max(r)):g} outside radius {patch.chart_radius:g}"
+            f"chart point |Y| = {float(r):g} outside radius {patch.chart_radius:g}"
         )
 
 
-def chart_frames(patch, Y, order=2):
-    """Evaluate Phi and its derivatives at chart points Y of shape (..., 3).
+def chart_frames(patch, y1, y2, y3, order=2):
+    """Evaluate Phi and its derivatives at the chart points (y1, y2, y3).
 
-    Returns a dict with keys 'X' (..., 3), 'dPhi' (..., 3, i) and, for
-    order >= 2, 'd2Phi' (..., 3, i, j), where the last axes index chart
-    directions.  The arrays are component-first views (see `trailing`).
+    The coordinates are arrays that broadcast against each other, such as a
+    grid's (n1, 1) and (1, n2) axes and an (n1, n2) height.  Profile and nu
+    data take the shape of (y1, y3) -- (n1, 1) on a support that does not
+    depend on y3 -- and only products with the distance y2 fill the full shape.
+    Returns a dict with 'X' (..., 3) and 'dPhi' (..., 3, i) over the full shape,
+    component-first views (see `trailing`), 'nu' (..., 3) and, for order >= 2,
+    'd2Phi', mapping the chart pairs (0, 0), (0, 1), (0, 2), (1, 2) and (2, 2)
+    to their three ambient components; d2Phi_11 = 0, as y2 is a distance.
     """
-    Y = np.asarray(Y, dtype=float)
-    _check_range(patch, Y)
-    p, d, q = Y[..., 0], Y[..., 1], Y[..., 2]
+    p, d, q = (np.asarray(y, dtype=float) for y in (y1, y2, y3))
+    _check_range(patch, p, d, q)
     phi, g1, g2, g3 = patch.profile.derivs(p, q)
     g1, g2 = components(g1, 1), components(g2, 2)
-    shape = p.shape
+    shape = np.broadcast_shapes(p.shape, d.shape, q.shape)
 
     # Unnormalised inward normal n = (-g1_0, 1, -g1_1) and nu = n / |n|.  Ambient
     # components c = 0, 2 carry profile slot k (c = _TANGENT_IDX[k]); n_1 is constant.
     n = (-g1[0], 1.0, -g1[1])
     W = np.sqrt(g1[0] * g1[0] + 1.0 + g1[1] * g1[1])
-    nu = np.empty((3,) + shape)
+    nu = np.empty((3,) + W.shape)
     for c in range(3):
         nu[c] = n[c] / W
 
@@ -262,16 +267,16 @@ def chart_frames(patch, Y, order=2):
     dPhi[2, 2] = 1.0 + d * dnu[2][1]
     dPhi[:, 1] = nu
 
-    out = {"X": trailing(X, 1), "dPhi": trailing(dPhi, 2), "nu": trailing(nu, 1),
-           "phi": phi}
+    out = {"X": trailing(X, 1), "dPhi": trailing(dPhi, 2), "nu": trailing(nu, 1)}
     if order < 2:
         return out
 
     g3 = components(g3, 3)
     W3 = W**3
-    d2Phi = np.empty((3, 3, 3) + shape)
+    # a pair with the distance y2 is dnu_a; a tangent pair is y2 * d2nu_ab + d2c_ab
+    d2Phi = {(0, 1): (dnu[0][0], dnu[1][0], dnu[2][0]),
+             (1, 2): (dnu[0][1], dnu[1][1], dnu[2][1])}
     for a, b in ((0, 0), (0, 1), (1, 1)):
-        ia, ib = _TANGENT_IDX[a], _TANGENT_IDX[b]
         ddW = ((g2[0, a] * g2[0, b] + g2[1, a] * g2[1, b]
                 + g1[0] * g3[0, a, b] + g1[1] * g3[1, a, b]) / W
                - n_dn[a] * n_dn[b] / W3)
@@ -281,37 +286,31 @@ def chart_frames(patch, Y, order=2):
         for k, c in enumerate(_TANGENT_IDX):
             ddnu[c] = (-n[c] * tail - g3[k, a, b] / W
                        + g2[k, b] * s[a] + g2[k, a] * s[b])
-        for c in range(3):
-            d2Phi[c, ia, ib] = d2Phi[c, ib, ia] = d * ddnu[c]
-        d2Phi[1, ia, ib] += g2[a, b]
-        d2Phi[1, ib, ia] = d2Phi[1, ia, ib]
-    for a, ia in enumerate(_TANGENT_IDX):
-        for c in range(3):
-            d2Phi[c, ia, 1] = d2Phi[c, 1, ia] = dnu[c][a]
-    d2Phi[:, 1, 1] = 0.0
-    out["d2Phi"] = trailing(d2Phi, 3)
+        d2Phi[_TANGENT_IDX[a], _TANGENT_IDX[b]] = (d * ddnu[0], d * ddnu[1] + g2[a, b],
+                                                   d * ddnu[2])
+    out["d2Phi"] = d2Phi
     return out
 
 
 def tubular_map(patch, Y):
     """Phi(Y) = (y1, phi(y1,y3), y3) + y2 * nu(y1, y3)."""
+    Y = np.asarray(Y, dtype=float)
     if patch.is_flat:
-        Y = np.asarray(Y, dtype=float)
-        _check_range(patch, Y)
+        _check_range(patch, *components(Y, 1))
         return Y.copy()
-    return chart_frames(patch, Y, order=1)["X"]
+    return chart_frames(patch, *components(Y, 1), order=1)["X"]
 
 
 def chart_coords(patch, X, tol_factor=1e-12, max_iter=50):
     """Invert the tubular map by Newton iteration, seeded at Y = X."""
     X = np.asarray(X, dtype=float)
     if patch.is_flat:
-        _check_range(patch, X)
+        _check_range(patch, *components(X, 1))
         return X.copy()
     Y = X.copy()
     tol = tol_factor * patch.chart_radius
     for _ in range(max_iter):
-        fr = chart_frames(patch, Y, order=1)
+        fr = chart_frames(patch, *components(Y, 1), order=1)
         res = fr["X"] - X
         if np.max(np.linalg.norm(res, axis=-1)) <= tol:
             return Y
@@ -328,7 +327,7 @@ def project_and_distance(patch, X):
     Y = chart_coords(patch, X)
     Yp = Y.copy()
     Yp[..., 1] = 0.0
-    fr = chart_frames(patch, Yp, order=1)
+    fr = chart_frames(patch, *components(Yp, 1), order=1)
     return fr["X"], Y[..., 1], fr["nu"]
 
 
@@ -375,7 +374,7 @@ def metric_connection(frames):
     Component-first planes for the pull-back checks; the per-step kernel
     `fundamental_forms` needs neither.  Raises SingularMetricError where det h <= 0.
     """
-    dPhi, d2Phi = components(frames["dPhi"], 2), components(frames["d2Phi"], 3)
+    dPhi, d2Phi = components(frames["dPhi"], 2), frames["d2Phi"]
     h = np.empty((3,) + dPhi.shape[1:])
     for i in range(3):
         for j in range(i, 3):
@@ -386,8 +385,9 @@ def metric_connection(frames):
     Gamma = np.empty((3,) + h.shape)
     for i in range(3):
         for j in range(i, 3):
-            first = [d2Phi[0, i, j] * dPhi[0, l] + d2Phi[1, i, j] * dPhi[1, l]
-                     + d2Phi[2, i, j] * dPhi[2, l] for l in range(3)]
+            pair = d2Phi.get((i, j), (0.0, 0.0, 0.0))   # d2Phi_11 = 0
+            first = [pair[0] * dPhi[0, l] + pair[1] * dPhi[1, l] + pair[2] * dPhi[2, l]
+                     for l in range(3)]
             for k in range(3):
                 Gamma[k, i, j] = Gamma[k, j, i] = (hinv[k, 0] * first[0] + hinv[k, 1] * first[1]
                                                    + hinv[k, 2] * first[2])
@@ -401,7 +401,7 @@ def pullback_metric_connection(patch, Y):
         shape = Y.shape[:-1]
         h = np.broadcast_to(np.eye(3), shape + (3, 3)).copy()
         return h, np.zeros(shape + (3, 3, 3))
-    h, Gamma = metric_connection(chart_frames(patch, Y, order=2))
+    h, Gamma = metric_connection(chart_frames(patch, *components(Y, 1), order=2))
     return trailing(h, 2), trailing(Gamma, 3)
 
 

@@ -1,0 +1,23 @@
+"""Smoke test of scripts/bench.py on a coarse grid and a short run."""
+
+import json
+
+
+def test_bench_script_writes_rows(checkout_python, tmp_path):
+    proc = checkout_python(["scripts/bench.py", "--pr", "0", "--grid", "16",
+                            "--seconds", "0.5", "--out", str(tmp_path)])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads((tmp_path / "BENCH_0.json").read_text())
+    assert set(report["workloads"]) == {"trough-curved", "store-query"}
+    for name, rows in report["workloads"].items():
+        e2e = rows["end_to_end"]
+        assert e2e["failed"] == 0 and e2e["attempted"] >= 3, name
+        assert e2e["untraced_wall_s"]["unit"] == "s" and e2e["untraced_wall_s"]["value"] > 0
+        assert rows["layers"]["geometry.fundamental_forms.calls"]["value"] > 0, name
+    # one chart evaluation per curved fundamental_forms call; none on a flat support
+    trough = report["workloads"]["trough-curved"]["layers"]
+    assert (trough["support.chart_frames.calls"]["value"]
+            == trough["geometry.fundamental_forms.calls"]["value"])
+    assert 0 < trough["support.chart_frames.share_of_fundamental_forms"]["value"] < 1
+    store = report["workloads"]["store-query"]["layers"]
+    assert store["support.chart_frames.calls"]["value"] == 0

@@ -8,12 +8,14 @@ The flat support runs through the same reference with a zero profile.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from fbmcf import geometry
 from fbmcf.cli import main
-from fbmcf.errors import SingularMetricError
+from fbmcf.errors import ChartRangeError, SingularMetricError
 from fbmcf.flow import FlowConfig, run
 from fbmcf.geometry import GraphSurface, _derivative_planes, disk_cell_weights, fundamental_forms
 from fbmcf.support import (
@@ -204,6 +206,11 @@ def curved_surface(patch, half=True):
                                     patch, 1 / 32, 0.5, half=half)
 
 
+def grid_coords(s):
+    """Chart coordinates (y1, y2, y3) of every node, each of the full (n1, n2) shape."""
+    return (*np.meshgrid(s.y1, s.y2, indexing="ij"), s.u)
+
+
 # the half-disk cases keep the bare patch name as their id
 @pytest.mark.parametrize("name, half", [
     pytest.param(name, half, id=name if half else f"{name} full disk")
@@ -219,6 +226,58 @@ def test_fundamental_forms_match_einsum_reference(name, half):
         assert np.all(got.coeff_f == 0.0)
     else:
         assert np.max(np.abs(got.coeff_f)) > 1e-3   # the lower-order term is exercised
+
+
+@pytest.mark.parametrize("name, half", [
+    pytest.param(name, half, id=name if half else f"{name} full disk")
+    for half in (True, False) for name in sorted(PATCHES) if name != "flat"])
+def test_grid_axes_chart_matches_point_cloud_chart(name, half, monkeypatch):
+    # fundamental_forms hands the chart the static axes as (n1, 1) and (1, n2)
+    # arrays; the same kernel fed a chart evaluated at the full (n1, n2, 3)
+    # node cloud must give every field bit for bit
+    s = curved_surface(PATCHES[name], half)
+    got = fundamental_forms(s)
+    Y = np.stack(grid_coords(s), axis=-1)
+
+    def point_cloud(patch, y1, y2, y3, order=2):
+        assert np.array_equal(np.broadcast_to(y3, Y.shape[:-1]), Y[..., 2])
+        return chart_frames(patch, Y[..., 0], Y[..., 1], Y[..., 2], order=order)
+
+    monkeypatch.setattr(geometry, "chart_frames", point_cloud)
+    want = fundamental_forms(s)
+    for f in FIELDS:
+        assert getattr(got, f).shape == getattr(want, f).shape, f
+        assert np.array_equal(getattr(got, f), getattr(want, f)), f
+
+
+def test_trough_profile_evaluated_on_the_y1_axis(monkeypatch):
+    # the trough's profile depends on y1 alone, so one step costs O(n1) profile work
+    patch = SupportPatch.paraboloid(0.5, kappa=0.5, chart_radius=2.0)
+    s = curved_surface(patch)
+    derivs, shapes = patch.profile.derivs, []
+
+    def recording(p, q):
+        shapes.append(np.shape(p))
+        return derivs(p, q)
+
+    monkeypatch.setattr(patch.profile, "derivs", recording)
+    fundamental_forms(s)
+    assert shapes == [(s.u.shape[0], 1)]
+
+
+def test_broadcast_chart_point_out_of_range():
+    patch = PATCHES["paraboloid:0.5"]   # chart radius 2
+    y1, y2 = np.linspace(-1.5, 1.5, 7)[:, None], np.linspace(0.0, 1.5, 4)[None, :]
+    y3 = np.full((7, 4), 0.3)
+    r = np.max(np.linalg.norm(np.stack(np.broadcast_arrays(y1, y2, y3), axis=-1), axis=-1))
+    message = f"chart point |Y| = {r:g} outside radius 2"
+    with pytest.raises(ChartRangeError, match=re.escape(message)):
+        chart_frames(patch, y1, y2, y3)
+    s = GraphSurface.zero(patch, 0.25, 1.5)   # the corner nodes lie at |Y| = 2.12
+    Y = np.stack(grid_coords(s), axis=-1)
+    r = np.max(np.linalg.norm(Y, axis=-1))
+    with pytest.raises(ChartRangeError, match=re.escape(f"|Y| = {r:g} outside radius 2")):
+        fundamental_forms(s)
 
 
 @pytest.mark.parametrize("name", sorted(PATCHES))
@@ -245,7 +304,7 @@ OVERREACH = SupportPatch.paraboloid(2.0, kappa=0.25, chart_radius=4.0)
 
 
 def test_metric_connection_singular_at_focal_point():
-    frames = chart_frames(OVERREACH, np.array([0.0, 0.5, 0.0]))
+    frames = chart_frames(OVERREACH, 0.0, 0.5, 0.0)
     with pytest.raises(SingularMetricError):
         metric_connection(frames)
 
@@ -260,8 +319,7 @@ def test_chart_past_focal_line_raises():
     # nodes at y2 > 0.5 lie past the focal line and none sits on it, so det g > 0
     # everywhere and only the sign of N . dPhi_2 shows that the chart is folded
     s = GraphSurface.zero(OVERREACH, 0.03, 0.75)
-    Y = np.stack([*np.meshgrid(s.y1, s.y2, indexing="ij"), s.u], axis=-1)
-    det = np.linalg.det(chart_frames(OVERREACH, Y)["dPhi"])
+    det = np.linalg.det(chart_frames(OVERREACH, *grid_coords(s))["dPhi"])
     assert np.min(det) < 0.0 and np.min(np.abs(det)) > 1e-4
     with pytest.raises(SingularMetricError):
         fundamental_forms(s)
@@ -275,8 +333,7 @@ def test_chart_determinant_identity(name):
     # det dPhi = -|T_0 x T_1| (N . dPhi_2), on which the folded-chart test rests
     s = curved_surface(PATCHES[name])
     g = fundamental_forms(s)
-    Y = np.stack([*np.meshgrid(s.y1, s.y2, indexing="ij"), s.u], axis=-1)
-    dPhi = chart_frames(s.patch, Y)["dPhi"]
+    dPhi = chart_frames(s.patch, *grid_coords(s))["dPhi"]
     want = -g.sqrtg * np.einsum("...c,...c->...", dPhi[..., :, 2], g.N)
     assert rel_err(np.linalg.det(dPhi), want) <= 1e-12
 

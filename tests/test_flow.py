@@ -61,6 +61,15 @@ def test_first_step_matches_forcing_term():
         assert np.array_equal(s1.u[~act], s.u[~act])
 
 
+def test_for_sphere_rim_is_the_exact_sphere():
+    cfg = FlowConfig.for_sphere(1.0, 0.01)
+    assert cfg.outer_bc == "dirichlet-exact"
+    s = GraphSurface.sphere_cap(1.0, 1 / 16, 0.5, t=0.004)
+    Y1, Y2 = np.meshgrid(s.y1, s.y2, indexing="ij")
+    assert np.array_equal(cfg.rim_values(Y1, Y2, 0.004), s.u)
+    assert FlowConfig.for_sphere(1.0, 0.01, outer_bc="frozen").outer_bc == "frozen"
+
+
 def test_cfl_violation_raises():
     s = GraphSurface.sphere_cap(1.0, 1 / 32, 0.5)
     cfg = FlowConfig(t_end=1.0, outer_bc="frozen")

@@ -266,6 +266,19 @@ def test_cli_bad_scenario_exit_2(tmp_path):
     assert main(["run", path]) == 2
 
 
+@pytest.mark.parametrize("patch, key", [
+    ("phi: paraboloid:0.5\n  chart_radius: 5.0", "patch.chart_radius"),
+    ("phi: sphere_cap:2\n  kappa: 0", "patch.kappa"),
+], ids=["chart_radius-past-1/kappa", "curved-kappa-0"])
+def test_cli_patch_rule_names_its_key(tmp_path, capsys, patch, key):
+    # the rule lives in SupportPatch; the scenario only names the offending key
+    path = write_scenario(tmp_path, f"patch:\n  {patch}\n"
+                          "grid:\n  h: 0.0625\n  r_dom: 0.5\n"
+                          "flow:\n  t_end: 0.001\n")
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"(key: {key})" in capsys.readouterr().err
+
+
 def test_cli_missing_dir_exit_2(tmp_path):
     qpath = tmp_path / "q.yaml"
     qpath.write_text("- name: a\n  type: density\n  P: [0, 0, 0]\n  T: 1.0\n"
