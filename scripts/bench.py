@@ -5,8 +5,8 @@ Usage, from the root of a checkout:
     python3 scripts/bench.py --pr 9                      # 55 s per workload, h = 1/128
     python3 scripts/bench.py --pr 9 --grid 16 --seconds 1 --out /tmp/bench
 
-Each workload of BENCHMARK.json runs in its own process as
-``perfbench/run.py --trace 1``, which alternates untraced and traced
+Every workload of BENCHMARK.json runs in its own process as
+``perfbench/run.py --trace 1 --seed 1``, which alternates untraced and traced
 repetitions.  The last line of its stdout is one JSON object; this script
 reads it as it is and keeps:
 
@@ -35,15 +35,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("geometry.fundamental_forms", "support.chart_frames")
 END_TO_END = (("untraced_wall_s", "trace.untraced_wall_s"), ("traced_wall_s", "trace.wall_s"))
+SEED = 1  # perfbench/run.py's own default
 
 
 def _parse(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True, help="number in the file name")
-    p.add_argument("--workload", action="append",
-                   help="a BENCHMARK.json workload (repeatable; default: all)")
     p.add_argument("--seconds", type=float, default=55.0)
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--grid", type=int, default=128, help="inverse grid spacing 1/h")
     p.add_argument("--out", default=str(ROOT), help="directory of BENCH_<pr>.json")
     return p.parse_args(argv)
@@ -52,7 +50,7 @@ def _parse(argv):
 def run_traced(name, args):
     """perfbench/run.py --trace 1 on one workload; returns its last JSON line."""
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", name,
-           "--seed", str(args.seed), "--seconds", str(args.seconds),
+           "--seed", str(SEED), "--seconds", str(args.seconds),
            "--grid", str(args.grid), "--trace", "1"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
@@ -82,8 +80,8 @@ def rows(result):
 def main(argv=None):
     args = _parse(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = args.workload or [w["name"] for w in spec["workloads"]]
-    report = {"pr": args.pr, "seconds_per_workload": args.seconds, "seed": args.seed,
+    names = [w["name"] for w in spec["workloads"]]
+    report = {"pr": args.pr, "seconds_per_workload": args.seconds, "seed": SEED,
               "grid": args.grid,
               "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                        "numpy": version("numpy"), "machine": platform.machine()},
