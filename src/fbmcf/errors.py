@@ -21,19 +21,11 @@ class PastSingularityError(FbmcfError):
     """An exact shrinking solution was requested at or past its singular time."""
 
 
-class FlowStepError(FbmcfError):
-    """Base class for aborts inside the time stepper."""
+class CflViolationError(FbmcfError):
+    """Time step above the stability bound of the explicit scheme."""
 
 
-class CflViolationError(FlowStepError):
-    """Time step above a stability bound of the explicit scheme."""
-
-
-class ChartExitError(FlowStepError):
-    """Surface left the validity ball of the support chart."""
-
-
-class NonFiniteError(FlowStepError):
+class NonFiniteError(FbmcfError):
     """Non-finite height after a step."""
 
 

@@ -17,13 +17,12 @@ import numpy as np
 from .analytic import AnalyticSurface
 from .errors import (
     CflViolationError,
-    ChartExitError,
     FbmcfError,
     NonFiniteError,
     PastSingularityError,
     ReflectionConditionError,
 )
-from .geometry import GraphSurface, _derivative_planes, grid_nodes, integrate, perimeter
+from .geometry import _derivative_planes, grid_nodes, integrate, perimeter
 from .support import components, trailing
 
 MAX_STEPS = 10**6   # hard bound on the steps of one run
@@ -41,6 +40,15 @@ def shrinking_radius(R0, t):
 
 @dataclass
 class FlowConfig:
+    """Settings of one run.
+
+    cfl <= 1/4 is the whole stability rule.  A step is dt <= cfl h^2 / max eig(g^{ij})
+    (see `_stability_bound`), and a symmetric positive 2x2 matrix has
+    sum |g^{ij}| <= 2 max eig(g^{ij}), so dt sum |g^{ij}| / h^2 <= 2 cfl <= 1/2 at
+    every node: the weight 1 - 2 dt (g^{11} + g^{22}) / h^2 of a node's own height
+    in its update never turns negative.
+    """
+
     t_end: float
     cfl: float = 0.2
     snapshot_stride: int = 1
@@ -96,18 +104,16 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=32)
-def _static_grid(h, r_dom, half):
-    """Read-only active-node mask and squared chart radius Y1^2 + Y2^2 of one grid."""
+def _active_mask(h, r_dom, half):
+    """Read-only mask of the grid nodes strictly inside the footprint radius."""
     Y1, Y2 = grid_nodes(h, r_dom, half)
     act = np.hypot(Y1, Y2) < r_dom - 1e-12 * r_dom
-    rsq = Y1**2 + Y2**2
-    for a in (act, rsq):
-        a.setflags(write=False)
-    return act, rsq
+    act.setflags(write=False)
+    return act
 
 
 def _apply_rim(u_new, surface, config, t_new):
-    act = _static_grid(surface.h, surface.r_dom, surface.half)[0]
+    act = _active_mask(surface.h, surface.r_dom, surface.half)
     if config.outer_bc == "dirichlet-exact":
         Y1, Y2 = grid_nodes(surface.h, surface.r_dom, surface.half)
         rim = np.asarray(config.rim_values(Y1, Y2, t_new), dtype=float)
@@ -122,44 +128,41 @@ def _contract(a, b):
     return a[0, 0] * b[0, 0] + a[0, 1] * b[0, 1] + a[1, 0] * b[1, 0] + a[1, 1] * b[1, 1]
 
 
-def _stability_bounds(surface, config):
-    """The explicit step bound cfl h^2 / max eig(g^{ij}) and cfl * max sum |g^{ij}|.
+def _stability_bound(surface, config):
+    """The explicit step bound cfl h^2 / max eig(g^{ij}) (see `FlowConfig`).
 
-    The cfl-free maxima are memoised on the surface, so `run` and `step` share them.
+    The cfl-free maximum is memoised on the surface, so `run` and `step` share it.
     """
     if surface._maxima is None:
         surface._maxima = _stability_maxima(surface)
-    smax, sum_bound = surface._maxima
-    return config.cfl * surface.h**2 / smax, config.cfl * sum_bound
+    return config.cfl * surface.h**2 / surface._maxima
 
 
 def _stability_maxima(surface):
-    """max eig(g^{ij}) and max sum |g^{ij}| over the active nodes."""
+    """max eig(g^{ij}) over the active nodes."""
     a = components(surface.geometry().ginv, 2)
-    act = _static_grid(surface.h, surface.r_dom, surface.half)[0]
+    act = _active_mask(surface.h, surface.r_dom, surface.half)
     tr = a[0, 0] + a[1, 1]
     dsc = np.sqrt((a[0, 0] - a[1, 1]) ** 2 + 4.0 * a[0, 1] ** 2)
-    return float(np.max((0.5 * (tr + dsc))[act])), float(np.max(np.abs(a).sum(axis=(0, 1))[act]))
+    return float(np.max((0.5 * (tr + dsc))[act]))
 
 
 def step(surface, dt, config):
-    """One explicit Euler step u + dt (g^{ij} D2_ij u + f); returns a new surface at t + dt."""
+    """One explicit Euler step u + dt (g^{ij} D2_ij u + f); returns a new surface at t + dt.
+
+    The new surface's chart range is checked where its geometry is built.
+    """
     g = surface.geometry()
     a, f = components(g.ginv, 2), g.coeff_f
-    dt_max, cfl_sum = _stability_bounds(surface, config)
+    dt_max = _stability_bound(surface, config)
     if dt > dt_max * (1.0 + 1e-9):
         raise CflViolationError(f"dt = {dt:g} exceeds cfl bound {dt_max:g}")
-    if cfl_sum > 0.5 + 1e-9:
-        raise CflViolationError("cfl times max coefficient sum exceeds 1/2")
 
     u_new = surface.u + dt * (_contract(a, components(g.d2u, 2)) + f)
     u_new = _apply_rim(u_new, surface, config, surface.t + dt)
 
     if not np.all(np.isfinite(u_new)):
         raise NonFiniteError("non-finite height after step")
-    rsq = _static_grid(surface.h, surface.r_dom, surface.half)[1]
-    if np.max(rsq + u_new**2) >= surface.patch.chart_radius**2:
-        raise ChartExitError("surface left the chart validity ball")
     return surface.with_height(u_new, t=surface.t + dt)
 
 
@@ -194,7 +197,7 @@ def run(initial, config):
             if surface.t >= config.t_end - 1e-14 or step_count >= MAX_STEPS:
                 break
 
-            dt = min(_stability_bounds(surface, config)[0], config.t_end - surface.t)
+            dt = min(_stability_bound(surface, config), config.t_end - surface.t)
             new = step(surface, dt, config)
             g = new.geometry()
             surface = new
@@ -215,24 +218,17 @@ def run(initial, config):
 # Exact solutions
 # ---------------------------------------------------------------------------
 
-def exact_surface(kind, t=0.0, R0=1.0, center=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0),
-                  form="analytic", h=None, r_dom=None, patch=None):
+def exact_surface(kind, t=0.0, R0=1.0, center=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0)):
     """Closed-form flow snapshots: plane, half-plane, sphere, hemisphere."""
     center = np.asarray(center, dtype=float)
     if kind == "plane":
         return AnalyticSurface.plane(center, normal, t=t)
     if kind == "half-plane":
         return AnalyticSurface.half_plane(center, normal, t=t)
-    if kind in ("sphere", "hemisphere"):
-        R = shrinking_radius(R0, t)
-        if form == "analytic":
-            if kind == "sphere":
-                return AnalyticSurface.sphere(center, R, t=t)
-            return AnalyticSurface.hemisphere(center, R, t=t)
-        if kind == "sphere":
-            return GraphSurface.sphere_cap(R0, h, r_dom, t=t, patch=patch, half=True)
-        raise ValueError("the full hemisphere is not a single chart graph; "
-                         "use analytic form")
+    if kind == "sphere":
+        return AnalyticSurface.sphere(center, shrinking_radius(R0, t), t=t)
+    if kind == "hemisphere":
+        return AnalyticSurface.hemisphere(center, shrinking_radius(R0, t), t=t)
     raise ValueError(f"unknown exact surface kind {kind!r}")
 
 

@@ -20,6 +20,7 @@ from .errors import FbmcfError, SingularMetricError
 from .rescaling import FrameSurface
 from .support import (
     SupportPatch,
+    _check_range,
     chart_coords,
     chart_frames,
     components,
@@ -144,7 +145,7 @@ class GraphSurface:
     t: float = 0.0
     half: bool = True
     _geom: object = field(default=None, repr=False, compare=False)
-    _maxima: object = field(default=None, repr=False, compare=False)   # see flow._stability_bounds
+    _maxima: object = field(default=None, repr=False, compare=False)   # see flow._stability_bound
 
     def __post_init__(self):
         m = self.m
@@ -278,12 +279,15 @@ def fundamental_forms(surface):
     T~_i = e_i + u_i e_2, A_ij = B_ij + (N . dPhi_2) D2_ij u and the lower-order
     term is f = g^ij B_ij / (N . dPhi_2).  As det dPhi = -|T_0 x T_1| (N . dPhi_2),
     SingularMetricError is raised where det g <= 0 or N . dPhi_2 >= 0 (a chart
-    folded past a focal point).  A flat support has X = Y, dPhi = I, d2Phi = 0.
+    folded past a focal point), and ChartRangeError where a chart point
+    (y1, y2, u) leaves the chart radius.  A flat support has X = Y, dPhi = I,
+    d2Phi = 0.
     """
     U, patch = surface.u, surface.patch
     u, d2u = _derivative_planes(U, surface.h, surface.half)
     Y1, Y2 = grid_nodes(surface.h, surface.r_dom, surface.half)
     if patch.is_flat:
+        _check_range(patch, Y1[:, :1], Y2[:1, :], U)
         Y = np.empty((3,) + U.shape)
         Y[0], Y[1], Y[2] = Y1, Y2, U
         X, dPhi, d2Phi = trailing(Y, 1), _EYE3, None

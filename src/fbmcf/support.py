@@ -172,16 +172,22 @@ class SupportPatch:
         """Catalog lookup: 'flat', 'paraboloid:a', 'sphere_cap:R'.
 
         A flat patch ignores kappa; a left-out value takes the constructor's default.
+        A curved patch refuses a kappa below that default, the profile's own
+        curvature |a| or 1/R: the chart radius 1/kappa could then reach the
+        support's focal line.
         """
         if phi == "flat":
             return cls.flat(10.0 if chart_radius is None else chart_radius)
         if ":" in phi:
             base, arg = phi.split(":", 1)
             val = float(arg)
-            if base == "paraboloid":
-                return cls.paraboloid(val, kappa=kappa, chart_radius=chart_radius)
-            if base == "sphere_cap":
-                return cls.sphere_cap(val, kappa=kappa, chart_radius=chart_radius)
+            if base in ("paraboloid", "sphere_cap"):
+                patch = getattr(cls, base)(val, kappa=kappa, chart_radius=chart_radius)
+                curvature = abs(val) if base == "paraboloid" else 1.0 / val
+                if patch.kappa < curvature:
+                    raise PatchFieldError(
+                        f"kappa must be >= {curvature:g}, the curvature of {phi}", "kappa")
+                return patch
         raise ValueError(f"unknown phi catalog entry: {phi!r}")
 
     def spec(self):

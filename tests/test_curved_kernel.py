@@ -338,16 +338,21 @@ def test_chart_determinant_identity(name):
     assert rel_err(np.linalg.det(dPhi), want) <= 1e-12
 
 
+# A paraboloid of curvature 2 with chart radius 1/2 under r_dom = 1/2: the grid
+# nodes at |Y| >= 0.5 lie on or past the chart radius, so the chart refuses them.
+SHORT_CHART = ("patch:\n  phi: paraboloid:2\n  chart_radius: 0.5\n"
+               "grid:\n  h: 0.03125\n  r_dom: 0.5\n"
+               "flow:\n  t_end: 0.001\n  outer_bc: frozen\n")
+
+
 def test_cli_singular_metric_is_numerical_abort(tmp_path, capsys):
-    path = tmp_path / "overreach.yaml"
-    path.write_text(
-        "name: overreach\n"
-        "patch:\n  phi: paraboloid:2\n  kappa: 0.25\n  chart_radius: 4.0\n"
-        "initial:\n  kind: zero\n"
-        "grid:\n  h: 0.03125\n  r_dom: 0.5\n"
-        "flow:\n  t_end: 0.001\n  outer_bc: frozen\n")
+    # a scenario cannot declare OVERREACH's kappa (from_spec refuses it), so the
+    # CLI half checks that a chart-range abort is a numerical abort too
+    path = tmp_path / "short_chart.yaml"
+    path.write_text("name: short-chart\n" + SHORT_CHART)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
-    assert "numerical abort" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical abort" in err and "outside radius 0.5" in err
 
 
 def test_singular_metric_at_start_keeps_cause(tmp_path):
@@ -356,15 +361,16 @@ def test_singular_metric_at_start_keeps_cause(tmp_path):
     assert traj.stop_reason == f"SingularMetricError: {traj.error}"
     assert traj.snapshots == []   # the initial surface has no geometry to write out
 
-    path = tmp_path / "overreach.yaml"
-    path.write_text(
-        "patch:\n  phi: paraboloid:2\n  kappa: 0.25\n  chart_radius: 4.0\n"
-        "grid:\n  h: 0.03125\n  r_dom: 0.5\n"
-        "flow:\n  t_end: 0.001\n  outer_bc: frozen\n")
+    # the CLI half: a chart-range abort at the start keeps its cause on disk
+    short = run(GraphSurface.zero(SupportPatch.from_spec("paraboloid:2", chart_radius=0.5),
+                                  1 / 32, 0.5), FlowConfig(t_end=0.001, outer_bc="frozen"))
+    assert isinstance(short.error, ChartRangeError) and short.snapshots == []
+    path = tmp_path / "short_chart.yaml"
+    path.write_text(SHORT_CHART)
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 3
     for name in ("manifest.json", "trajectory.json"):
         with open(out / name) as fh:
-            assert json.load(fh)["stop_reason"] == traj.stop_reason, name
+            assert json.load(fh)["stop_reason"] == short.stop_reason, name
     # nothing to rescale: a validation error, not a crash
     assert main(["rescale", str(out), "--terminal-time", "0.01"]) == 2

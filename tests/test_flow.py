@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbmcf import flow
-from fbmcf.errors import CflViolationError, FbmcfError, PastSingularityError
+from fbmcf.errors import (
+    ChartRangeError,
+    CflViolationError,
+    FbmcfError,
+    NonFiniteError,
+    PastSingularityError,
+)
 from fbmcf.flow import (
     FlowConfig,
     even_extension,
@@ -89,14 +97,56 @@ def test_stability_maxima_evaluated_once_per_step(monkeypatch):
 
 
 def test_step_abort_keeps_cause_and_last_surface():
-    # at cfl 0.2 the coefficient-sum guard of step() rejects the first step
+    # a rim that holds NaN makes the heights of the first step non-finite
     s = GraphSurface.from_height(lambda a, b: 0.1 * a, SupportPatch.paraboloid(0.5),
                                  1 / 16, 0.5)
-    traj = run(s, FlowConfig(t_end=0.001, outer_bc="frozen"))
-    assert isinstance(traj.error, CflViolationError)
-    assert traj.stop_reason == f"CflViolationError: {traj.error}"
+    cfg = FlowConfig(t_end=0.001, outer_bc="dirichlet-exact",
+                     rim_values=lambda Y1, Y2, t: np.full(Y1.shape, np.nan))
+    traj = run(s, cfg)
+    assert isinstance(traj.error, NonFiniteError)
+    assert traj.stop_reason == f"NonFiniteError: {traj.error}"
     assert len(traj.snapshots) == 1 and traj.snapshots[0] is s
     assert list(traj.monitors["t"]) == [0.0]
+
+
+def test_chart_range_abort_after_step_keeps_last_surface():
+    # the rim lifts the footprint corners to |Y| = 0.87, past the chart radius 0.8;
+    # the new surface's geometry refuses them, so the run keeps the surface before
+    s = GraphSurface.zero(SupportPatch.flat(chart_radius=0.8), 1 / 16, 0.5)
+    cfg = FlowConfig(t_end=0.001, outer_bc="dirichlet-exact",
+                     rim_values=lambda Y1, Y2, t: np.full(Y1.shape, 0.5))
+    traj = run(s, cfg)
+    assert isinstance(traj.error, ChartRangeError)
+    assert traj.stop_reason == f"ChartRangeError: {traj.error}"
+    assert len(traj.snapshots) == 1 and traj.snapshots[0] is s
+
+
+def test_equatorial_disk_stays_fixed():
+    # the plane y3 = 0.1 y1 through the centre of the sphere cap's sphere is a
+    # free-boundary minimal disk: it meets the support orthogonally and H = 0
+    s = GraphSurface.from_height(lambda a, b: 0.1 * a, SupportPatch.from_spec("sphere_cap:2"),
+                                 1 / 64, 0.5)
+    traj = run(s, FlowConfig(t_end=0.003))
+    assert traj.stop_reason == "completed"
+    assert len(traj.monitors["t"]) - 1 >= 60
+    assert np.max(np.abs(traj.snapshots[-1].u - s.u)) <= 1e-14
+
+
+SUPPORT_OF_CURVATURE = {"flat": lambda k: FLAT, "paraboloid": SupportPatch.paraboloid,
+                        "sphere_cap": lambda k: SupportPatch.sphere_cap(1.0 / k)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(support=st.sampled_from(sorted(SUPPORT_OF_CURVATURE)), curvature=st.floats(0.1, 1.6),
+       t1=st.floats(-1.0, 1.0), t2=st.floats(-1.0, 1.0), bend=st.floats(-1.0, 1.0))
+def test_coefficient_sum_within_twice_top_eigenvalue(support, curvature, t1, t2, bend):
+    # sum |g^{ij}| <= 2 max eig(g^{ij}) at every node: so the spectral bound alone
+    # keeps dt sum |g^{ij}| / h^2 <= 2 cfl <= 1/2 (see FlowConfig)
+    s = GraphSurface.from_height(lambda a, b: t1 * a + t2 * b + bend * (a * a - b * b),
+                                 SUPPORT_OF_CURVATURE[support](curvature), 1 / 32, 0.125)
+    ginv = s.geometry().ginv
+    top = np.linalg.eigvalsh(ginv)[..., -1]
+    assert np.all(np.abs(ginv).sum(axis=(-2, -1)) <= 2.0 * top * (1.0 + 1e-12))
 
 
 def test_manufactured_solution_convergence():

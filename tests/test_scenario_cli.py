@@ -93,18 +93,21 @@ def test_scenario_rejects_bad_data(data, key):
     ("sphere_cap:2", 0.5, 1.8),
 ])
 def test_curved_scenario_runs_with_patch_defaults(tmp_path, phi, kappa, chart_radius):
-    out = tmp_path / "out"
-    path = write_scenario(tmp_path, (
-        f"patch:\n  phi: {phi}\n"
-        "initial:\n  kind: tilted-plane\n  tilt: 0.1\n"
-        "grid:\n  h: 0.0625\n  r_dom: 0.5\n"
-        f"flow:\n  t_end: 0.001\n  cfl: 0.15\noutput_dir: {out}\n"))
-    assert main(["run", path]) == 0
-    with open(out / "trajectory.json") as fh:
-        meta = json.load(fh)
-    assert meta["stop_reason"] == "completed"
-    assert meta["scenario"]["patch"] == {"phi": phi, "kappa": kappa,
-                                         "chart_radius": chart_radius}
+    # with cfl set and with cfl left out, which takes FlowConfig's default 0.2
+    for cfl, cfl_line in ((0.15, "  cfl: 0.15\n"), (0.2, "")):
+        out = tmp_path / f"out-{cfl}"
+        path = write_scenario(tmp_path, (
+            f"patch:\n  phi: {phi}\n"
+            "initial:\n  kind: tilted-plane\n  tilt: 0.1\n"
+            "grid:\n  h: 0.0625\n  r_dom: 0.5\n"
+            f"flow:\n  t_end: 0.001\n{cfl_line}output_dir: {out}\n"))
+        assert main(["run", path]) == 0, cfl_line
+        with open(out / "trajectory.json") as fh:
+            meta = json.load(fh)
+        assert meta["stop_reason"] == "completed"
+        assert meta["scenario"]["patch"] == {"phi": phi, "kappa": kappa,
+                                             "chart_radius": chart_radius}
+        assert meta["scenario"]["flow"]["cfl"] == cfl
 
 
 def test_scenario_keys_pass_through_to_constructors():
@@ -269,7 +272,8 @@ def test_cli_bad_scenario_exit_2(tmp_path):
 @pytest.mark.parametrize("patch, key", [
     ("phi: paraboloid:0.5\n  chart_radius: 5.0", "patch.chart_radius"),
     ("phi: sphere_cap:2\n  kappa: 0", "patch.kappa"),
-], ids=["chart_radius-past-1/kappa", "curved-kappa-0"])
+    ("phi: paraboloid:2\n  kappa: 0.25\n  chart_radius: 4.0", "patch.kappa"),
+], ids=["chart_radius-past-1/kappa", "curved-kappa-0", "kappa-below-curvature"])
 def test_cli_patch_rule_names_its_key(tmp_path, capsys, patch, key):
     # the rule lives in SupportPatch; the scenario only names the offending key
     path = write_scenario(tmp_path, f"patch:\n  {patch}\n"

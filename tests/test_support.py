@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fbmcf.errors import ChartRangeError
+from fbmcf.errors import ChartRangeError, PatchFieldError
 from fbmcf.support import (
     SupportPatch,
     chart_coords,
@@ -186,3 +186,15 @@ def test_curved_patch_refuses_kappa_zero(phi):
     # a scenario's `kappa: 0` reaches from_spec as it is; no default radius 1/0
     with pytest.raises(ValueError, match="only admitted for flat"):
         SupportPatch.from_spec(phi, kappa=0.0)
+
+
+@pytest.mark.parametrize("phi,kappa,curvature", [("paraboloid:2", 0.25, 2.0),
+                                                 ("paraboloid:-2", 1.5, 2.0),
+                                                 ("sphere_cap:2", 0.4, 0.5)])
+def test_from_spec_refuses_kappa_below_curvature(phi, kappa, curvature):
+    # the support's focal line, at distance 1/curvature, would lie inside 1/kappa
+    with pytest.raises(PatchFieldError, match="kappa must be >=") as exc:
+        SupportPatch.from_spec(phi, kappa=kappa)
+    assert exc.value.field == "kappa"
+    assert SupportPatch.from_spec(phi, kappa=curvature).kappa == curvature
+    assert SupportPatch.from_spec(phi).kappa == curvature
