@@ -13,10 +13,12 @@ reads it as it is and keeps:
 - end-to-end rows: the mean repetition time without tracing
   (``trace.untraced_wall_s``), the mean with tracing, and the counts of
   attempted and failed repetitions;
-- layer rows: calls, total_s and self_s of ``geometry.fundamental_forms``
-  and ``support.chart_frames`` (medians over the traced repetitions), the
-  milliseconds per call of each, and the share of ``fundamental_forms``
-  time spent in ``chart_frames``.
+- layer rows: calls, total_s and self_s (medians over the traced
+  repetitions) and milliseconds per call of the chart kernel
+  (``geometry.fundamental_forms``, ``support.chart_frames``), the writers
+  (``io.write_obj``, ``io.save_trajectory``) and the analytic quadrature
+  (``analytic.AnalyticSurface.integral``), and the share of
+  ``fundamental_forms`` time spent in ``chart_frames``.
 
 Nothing under ``perfbench/`` is changed.
 """
@@ -33,7 +35,8 @@ from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("geometry.fundamental_forms", "support.chart_frames")
+LAYERS = ("geometry.fundamental_forms", "support.chart_frames", "io.write_obj",
+          "io.save_trajectory", "analytic.AnalyticSurface.integral")
 END_TO_END = (("untraced_wall_s", "trace.untraced_wall_s"), ("traced_wall_s", "trace.wall_s"))
 SEED = 1  # perfbench/run.py's own default
 
@@ -71,7 +74,8 @@ def rows(result):
         total = metrics[f"{layer}.total_s"]["value"]
         layers[f"{layer}.ms_per_call"] = {"value": 1e3 * total / calls if calls else None,
                                           "unit": "ms"}
-    forms, chart = (metrics[f"{layer}.total_s"]["value"] for layer in LAYERS)
+    forms = metrics["geometry.fundamental_forms.total_s"]["value"]
+    chart = metrics["support.chart_frames.total_s"]["value"]
     layers["support.chart_frames.share_of_fundamental_forms"] = {
         "value": chart / forms if forms else None, "unit": "ratio"}
     return {"end_to_end": end_to_end, "layers": layers}

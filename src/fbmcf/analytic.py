@@ -11,6 +11,7 @@ on the flat support plane {x2 = 0} with polar axis (0, 1, 0).
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
@@ -24,6 +25,18 @@ FieldSample = namedtuple("FieldSample", ["X", "w", "N", "H", "A2"])
 
 _QUAD_TOL = 1e-8
 _MAX_NODES = 4096
+
+
+@functools.lru_cache(maxsize=16)   # `integral` uses seven orders at most, 48 * 2**k <= _MAX_NODES
+def _gauss_legendre(m):
+    """numpy's m-node Gauss-Legendre rule on [-1, 1], computed once per m.
+
+    Nodes and weights are read-only and shared by every caller.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(m)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _orthobasis(n):
@@ -109,7 +122,7 @@ class AnalyticSurface:
     def _sphere_samples(self, m):
         R, c = self.radius, self.point
         th_max = np.pi if self.kind == "sphere" else 0.5 * np.pi
-        th, wth = np.polynomial.legendre.leggauss(m)
+        th, wth = _gauss_legendre(m)
         th = 0.5 * th_max * (th + 1.0)
         wth = 0.5 * th_max * wth
         ph = 2.0 * np.pi * np.arange(2 * m) / (2 * m)
@@ -146,10 +159,10 @@ class AnalyticSurface:
             if focus is not None:
                 f = np.asarray(focus, float) - base
                 base = base + np.dot(f, e1) * e1
-            ph, wph = np.polynomial.legendre.leggauss(m)
+            ph, wph = _gauss_legendre(m)
             ph = 0.5 * np.pi * (ph + 1.0)
             wph = 0.5 * np.pi * wph
-        rho, wr = np.polynomial.legendre.leggauss(m)
+        rho, wr = _gauss_legendre(m)
         rho = 0.5 * extent * (rho + 1.0)
         wr = 0.5 * extent * wr
         RHO, PH = np.meshgrid(rho, ph, indexing="ij")

@@ -47,17 +47,23 @@ def _parse_queries(path):
 
 def command_monitor(args):
     trajectory = load_trajectory(args.dir)
+    patch = trajectory.snapshots[-1].patch
     queries = _parse_queries(args.query_file)
     for k, q in enumerate(queries):
         name = q.get("name", f"q{k}")
         kind = q.get("type", "density")
         if kind == "density":
+            # a boundary kernel is only admissible for the run's own kappa or above
+            kappa = float(q.get("kappa", patch.kappa))
+            if kappa < patch.kappa:
+                raise ScenarioError(f"kappa {kappa:g} is below the run's patch kappa "
+                                    f"{patch.kappa:g}", key="kappa")
             query = DensityQuery(
                 P=np.asarray(q["P"], dtype=float), T=float(q["T"]),
                 location=q.get("location", "interior"),
-                r=float(q.get("r", np.inf)), kappa=float(q.get("kappa", 0.0)),
+                r=float(q.get("r", np.inf)), kappa=kappa,
                 sample_times=[float(t) for t in q["sample_times"]])
-            rep = monotonicity_report(trajectory, query)
+            rep = monotonicity_report(trajectory, query, patch=patch)
             path = os.path.join(args.dir, f"density_{name}.csv")
             rise = np.maximum(np.diff(rep.values, prepend=rep.values[:1]), 0.0)
             write_csv(path, ("t", "value", "violation"),

@@ -16,9 +16,32 @@ from .support import SupportPatch
 MONITOR_COLUMNS = ("t", "area", "perimeter", "energy", "max_H", "max_A")
 
 
+def _distinct_text(rows):
+    """The %.17g text of each value of rows, formatted once per distinct value.
+
+    Values are told apart by their bit patterns, so -0.0 and 0.0 keep their
+    own text.  Returns None where more than half the values are distinct:
+    there the lookup costs more than formatting every value.
+    """
+    bits, inverse = np.unique(rows.view(np.int64), return_inverse=True)
+    if 2 * len(bits) > rows.size:
+        return None
+    text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+    return text[inverse.ravel()].tolist()
+
+
+def _rows_text(rows, head, sep):
+    """One line per row of the 2-D array rows: head, then its values as %.17g joined by sep."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    fmt, values = "%s", _distinct_text(rows)
+    if values is None:
+        fmt, values = "%.17g", rows.ravel().tolist()
+    line = head + sep.join([fmt] * rows.shape[1]) + "\n"
+    return (line * len(rows)) % tuple(values)
+
+
 def _vertex_lines(X):
-    X = np.asarray(X, dtype=float).reshape(-1, 3)
-    return ("v %.17g %.17g %.17g\n" * len(X)) % tuple(X.ravel().tolist())
+    return _rows_text(np.reshape(X, (-1, 3)), "v ", " ")
 
 
 @functools.lru_cache(maxsize=8)
@@ -35,16 +58,17 @@ def write_obj(path, surface):
 
     A GraphSurface is written as its node grid with two triangles per cell,
     any other surface as the points of `samples()`, and an array of points
-    as it is.
+    as it is.  Coordinates are written with %.17g, so the output is exact:
+    float() of each field gives back the stored value.
     """
     if isinstance(surface, GraphSurface):
         X = surface.geometry().X
-        text = _vertex_lines(X) + _face_lines(*X.shape[:2])
+        blocks = (_vertex_lines(X), _face_lines(*X.shape[:2]))
     else:
-        text = _vertex_lines(surface if isinstance(surface, np.ndarray)
-                             else surface.samples().X)
-    with open(path, "w") as fh:
-        fh.write(text)
+        blocks = (_vertex_lines(surface if isinstance(surface, np.ndarray)
+                                else surface.samples().X),)
+    with open(path, "w") as fh:   # block by block: no joined copy of the text
+        fh.writelines(blocks)
 
 
 def save_snapshot(path, surface):
@@ -60,11 +84,14 @@ def load_snapshot(path):
 
 
 def write_csv(path, columns, rows):
-    """Header line, then one line per row with every value as %.17g (exact round trip)."""
+    """Header line, then one line per row with every value as %.17g.
+
+    The output is exact: float() of each field gives back the value written.
+    No rows give the header line alone.
+    """
     rows = np.asarray(rows, dtype=float).reshape(-1, len(columns))
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist()))
+        fh.writelines((",".join(columns) + "\n", _rows_text(rows, "", ",")))
 
 
 def save_trajectory(outdir, trajectory, scenario_echo=None):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fbmcf.analytic import AnalyticSurface
+from fbmcf.analytic import AnalyticSurface, _gauss_legendre
 
 O = np.zeros(3)
 
@@ -66,3 +66,13 @@ def test_planar_sampling_requires_extent():
     s = AnalyticSurface.plane(O, (0.0, 1.0, 0.0))
     with pytest.raises(ValueError):
         s.samples(16)
+
+
+@pytest.mark.parametrize("m", [48, 96, 192])
+def test_gauss_legendre_rule_is_computed_once(m):
+    nodes, weights = _gauss_legendre(m)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(m)
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    again = _gauss_legendre(m)
+    assert again[0] is nodes and again[1] is weights

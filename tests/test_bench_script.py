@@ -21,3 +21,16 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
     assert 0 < trough["support.chart_frames.share_of_fundamental_forms"]["value"] < 1
     store = report["workloads"]["store-query"]["layers"]
     assert store["support.chart_frames.calls"]["value"] == 0
+    # each repetition saves one trajectory: 21 snapshot OBJs and, after the
+    # reload, the rescaled frame; the analytic series integrates 21 snapshots
+    assert store["io.save_trajectory.calls"]["value"] == 1
+    assert store["io.write_obj.calls"]["value"] == 22
+    assert store["analytic.AnalyticSurface.integral.calls"]["value"] == 21
+    assert trough["io.save_trajectory.calls"]["value"] == 1
+    assert trough["io.write_obj.calls"]["value"] >= 1
+    assert trough["analytic.AnalyticSurface.integral.calls"]["value"] == 0
+    for layer in ("io.write_obj", "io.save_trajectory"):
+        for rows in (store, trough):
+            assert rows[f"{layer}.ms_per_call"]["value"] > 0, layer
+            assert rows[f"{layer}.ms_per_call"]["unit"] == "ms", layer
+    assert store["analytic.AnalyticSurface.integral.ms_per_call"]["value"] > 0

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +16,14 @@ from fbmcf.io import (
     load_trajectory,
     save_snapshot,
     save_trajectory,
+    write_csv,
     write_obj,
 )
+from fbmcf.monitors import DensityQuery, monotonicity_report
 from fbmcf.scenario import _SECTIONS, load_scenario, validate_scenario
 from fbmcf.support import SupportPatch
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SPHERE_YAML = """\
 name: sphere-test
@@ -158,10 +163,16 @@ def per_node_obj(X, faces=True):
     return "\n".join(lines) + "\n"
 
 
-def test_obj_bytes_match_per_node_writer(tmp_path):
-    patch = SupportPatch.paraboloid(0.5, kappa=0.5, chart_radius=2.0)
+# The curved trough has mostly distinct coordinates; on the flat support the
+# y1 and y2 columns repeat along the grid, so most values recur.
+OBJ_PATCHES = {"curved": SupportPatch.paraboloid(0.5, kappa=0.5, chart_radius=2.0),
+               "flat": SupportPatch.flat()}
+
+
+@pytest.mark.parametrize("kind", sorted(OBJ_PATCHES))
+def test_obj_bytes_match_per_node_writer(tmp_path, kind):
     s = GraphSurface.from_height(lambda a, b: 0.1 * a + 0.05 * a**2 - 0.03 * b**2,
-                                 patch, 1 / 16, 0.5)
+                                 OBJ_PATCHES[kind], 1 / 16, 0.5)
     X = s.geometry().X
     coords = X.ravel().tolist()
     assert min(coords) < 0.0
@@ -172,6 +183,54 @@ def test_obj_bytes_match_per_node_writer(tmp_path):
     pts = tmp_path / "points.obj"
     write_obj(str(pts), X[::3, ::3])
     assert pts.read_bytes() == per_node_obj(X[::3, ::3], faces=False).encode()
+
+
+# -0.0 next to 0.0, repeats, both infinities, a subnormal and a large value;
+# fewer than half the values are distinct, so each is formatted once
+EDGE_ROWS = np.array([
+    [0.0, -0.0, 1.0],
+    [-0.0, 0.0, np.inf],
+    [-np.inf, 5e-324, 1e300],
+    [0.1, 0.1, 0.1],
+    [1.0, -0.0, 0.1],
+    [0.0, 1.0, 1e300],
+    [0.1, 1.0, 0.0],
+    [-np.inf, np.inf, 5e-324],
+])
+
+
+def _signbits(a):
+    return np.signbit(np.asarray(a, dtype=float))
+
+
+def test_obj_bytes_match_per_node_writer_on_edge_values(tmp_path):
+    X = EDGE_ROWS.reshape(-1, 2, 3)
+    path = tmp_path / "edge.obj"
+    write_obj(str(path), X)
+    assert path.read_bytes() == per_node_obj(X, faces=False).encode()
+    back = np.array([[float(t) for t in line.split()[1:]]
+                     for line in path.read_text().splitlines()])
+    assert np.array_equal(back, EDGE_ROWS)
+    assert np.array_equal(_signbits(back), _signbits(EDGE_ROWS))
+
+
+@pytest.mark.parametrize("rows", [EDGE_ROWS, np.random.default_rng(5).random((7, 3))],
+                         ids=["repeated", "distinct"])
+def test_csv_bytes_match_per_row_writer(tmp_path, rows):
+    path = tmp_path / "rows.csv"
+    write_csv(str(path), ("a", "b", "c"), rows)
+    reference = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                    for row in rows.tolist())
+    assert path.read_bytes() == reference.encode()
+    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(back, rows)
+    assert np.array_equal(_signbits(back), _signbits(rows))
+
+
+def test_csv_without_rows_is_header_only(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_csv(str(path), ("t", "value"), np.empty((0, 2)))
+    assert path.read_bytes() == b"t,value\n"
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -242,6 +301,46 @@ def test_cli_monitor(finished_run, tmp_path):
     assert len(rows) == 3
     with open(os.path.join(finished_run, "scan_hot.csv")) as fh:
         assert fh.readline().strip() == "px,py,pz,r,mass,flagged"
+
+
+BOUNDARY_QUERY = ("- name: edge\n  type: density\n  location: boundary\n"
+                  "  P: [0, 0, 0]\n  T: 0.25\n  sample_times: [0.0, 0.002, 0.0035]\n")
+
+
+def test_cli_boundary_monitor_on_flat_run_matches_report(finished_run, tmp_path):
+    qpath = tmp_path / "queries.yaml"
+    qpath.write_text(BOUNDARY_QUERY)
+    assert main(["monitor", finished_run, str(qpath)]) == 0
+    got = np.loadtxt(os.path.join(finished_run, "density_edge.csv"), delimiter=",",
+                     skiprows=1)
+    rep = monotonicity_report(load_trajectory(finished_run), DensityQuery(
+        P=np.zeros(3), T=0.25, location="boundary",
+        sample_times=[0.0, 0.002, 0.0035]), patch=None)
+    assert np.array_equal(got[:, 0], rep.times) and np.array_equal(got[:, 1], rep.values)
+
+
+@pytest.fixture(scope="module")
+def trough_run(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("trough") / "run")
+    assert main(["run", str(ROOT / "scenarios" / "trough_tilted.yaml"), "--out", out]) == 0
+    return out
+
+
+def test_cli_boundary_monitor_uses_the_runs_curved_patch(trough_run, tmp_path, capsys):
+    # kappa left out: the run's kappa 0.5 admits tau <= 1.45e-10 only
+    qpath = tmp_path / "queries.yaml"
+    qpath.write_text(BOUNDARY_QUERY)
+    assert main(["monitor", trough_run, str(qpath)]) == 3
+    assert "exceeds the admissible window" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(trough_run, "density_edge.csv"))
+
+
+def test_cli_monitor_refuses_kappa_below_the_runs(trough_run, tmp_path, capsys):
+    qpath = tmp_path / "queries.yaml"
+    qpath.write_text(BOUNDARY_QUERY + "  kappa: 0\n")
+    assert main(["monitor", trough_run, str(qpath)]) == 2
+    assert "(key: kappa)" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(trough_run, "density_edge.csv"))
 
 
 def test_cli_rescale(finished_run):
