@@ -49,6 +49,7 @@ def command_monitor(args):
     trajectory = load_trajectory(args.dir)
     patch = trajectory.snapshots[-1].patch
     queries = _parse_queries(args.query_file)
+    tables = []   # written only once every query has succeeded
     for k, q in enumerate(queries):
         name = q.get("name", f"q{k}")
         kind = q.get("type", "density")
@@ -64,21 +65,22 @@ def command_monitor(args):
                 r=float(q.get("r", np.inf)), kappa=kappa,
                 sample_times=[float(t) for t in q["sample_times"]])
             rep = monotonicity_report(trajectory, query, patch=patch)
-            path = os.path.join(args.dir, f"density_{name}.csv")
             rise = np.maximum(np.diff(rep.values, prepend=rep.values[:1]), 0.0)
-            write_csv(path, ("t", "value", "violation"),
-                      np.column_stack([rep.times, rep.values, rise]))
+            tables.append((f"density_{name}.csv", ("t", "value", "violation"),
+                           np.column_stack([rep.times, rep.values, rise])))
         elif kind == "scan":
             scan = singular_set_scan(trajectory, float(q["epsilon"]),
                                      [float(r) for r in q["r_grid"]])
-            path = os.path.join(args.dir, f"scan_{name}.csv")
             nr = len(scan.r_grid)
-            write_csv(path, ("px", "py", "pz", "r", "mass", "flagged"), np.column_stack([
-                np.repeat(scan.candidates, nr, axis=0),
-                np.tile(scan.r_grid, len(scan.candidates)),
-                scan.masses.ravel(), np.repeat(scan.flagged, nr)]))
+            tables.append((f"scan_{name}.csv", ("px", "py", "pz", "r", "mass", "flagged"),
+                           np.column_stack([np.repeat(scan.candidates, nr, axis=0),
+                                            np.tile(scan.r_grid, len(scan.candidates)),
+                                            scan.masses.ravel(), np.repeat(scan.flagged, nr)])))
         else:
             raise ScenarioError(f"unknown query type {kind!r}", key="type")
+    for fname, columns, rows in tables:
+        path = os.path.join(args.dir, fname)
+        write_csv(path, columns, rows)
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -166,7 +168,7 @@ def _report(err):
     if isinstance(err, (FileNotFoundError, ValueError)):
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    print(f"numerical abort: {err}", file=sys.stderr)
+    print(f"numerical abort: {type(err).__name__}: {err}", file=sys.stderr)
     return EXIT_NUMERICAL
 
 

@@ -270,6 +270,36 @@ _PAIRS = ((0, 0), (0, 1), (1, 1))
 _EYE3 = np.eye(3)   # dPhi of the flat chart Phi(Y) = Y, whose d2Phi is 0
 
 
+def _curved_chart(surface, y1, y2):
+    """X, the dPhi planes and the d2Phi pairs of a curved patch at the surface's nodes.
+
+    The static axes go in as (n1, 1) and (1, n2): see `chart_frames`.  Where
+    the profile ignores y3 -- its nu comes back on the (n1, 1) y1 axis -- every
+    plane but X_2 = u + y2 nu_2 is fixed by the grid.  Those planes are kept,
+    read-only, in the patch's `chart_memo` under the grid (h, r_dom, half), and
+    later calls only check the chart range and add the height.
+    """
+    U, patch = surface.u, surface.patch
+    key = (surface.h, surface.r_dom, surface.half)
+    planes = patch.chart_memo.get(key)
+    if planes is None:
+        fr = chart_frames(patch, y1, y2, U, order=2)
+        dPhi, d2Phi, nu = components(fr["dPhi"], 2), fr["d2Phi"], components(fr["nu"], 1)
+        if nu.shape[1:] != y1.shape:   # the profile reads y3: no plane is static
+            return fr["X"], dPhi, d2Phi
+        planes = (components(fr["X"], 1)[:2], y2 * nu[2], dPhi, d2Phi)
+        for a in (*planes[:3], *(c for pair in d2Phi.values() for c in pair)):
+            a.setflags(write=False)
+        patch.chart_memo[key] = planes
+    else:
+        _check_range(patch, y1, y2, U)
+    X01, y2nu2, dPhi, d2Phi = planes
+    X = np.empty((3,) + U.shape)
+    X[:2] = X01
+    np.add(U, y2nu2, out=X[2])   # chart_frames' q + d * nu[2], bit for bit
+    return trailing(X, 1), dPhi, d2Phi
+
+
 def fundamental_forms(surface):
     """Induced metric, second fundamental form, curvature, and quadrature data.
 
@@ -292,9 +322,7 @@ def fundamental_forms(surface):
         Y[0], Y[1], Y[2] = Y1, Y2, U
         X, dPhi, d2Phi = trailing(Y, 1), _EYE3, None
     else:
-        # the static axes go in as (n1, 1) and (1, n2): see chart_frames
-        fr = chart_frames(patch, Y1[:, :1], Y2[:1, :], U, order=2)
-        X, dPhi, d2Phi = fr["X"], components(fr["dPhi"], 2), fr["d2Phi"]
+        X, dPhi, d2Phi = _curved_chart(surface, Y1[:, :1], Y2[:1, :])
 
     T = [[dPhi[c, i] + dPhi[c, 2] * u[i] for c in range(3)] for i in range(2)]
     g = np.empty((2, 2) + U.shape)

@@ -76,10 +76,15 @@ def save_snapshot(path, surface):
              half=surface.half, patch=json.dumps(surface.patch.spec()))
 
 
-def load_snapshot(path):
+def load_snapshot(path, patches=None):
+    """A saved GraphSurface.  patches, a dict from stored patch spec to patch,
+    is filled and reused, so that snapshots of one spec share one patch."""
     d = np.load(path, allow_pickle=False)
-    patch = SupportPatch.from_spec(**json.loads(str(d["patch"])))
-    return GraphSurface(patch, float(d["h"]), float(d["r_dom"]), d["u"],
+    spec = str(d["patch"])
+    patches = {} if patches is None else patches
+    if spec not in patches:
+        patches[spec] = SupportPatch.from_spec(**json.loads(spec))
+    return GraphSurface(patches[spec], float(d["h"]), float(d["r_dom"]), d["u"],
                         float(d["t"]), bool(d["half"]))
 
 
@@ -125,7 +130,8 @@ def load_trajectory(outdir):
         meta = json.load(fh)
     if not meta["snapshots"]:   # a run that aborted before its first geometry
         raise ValueError(f"no snapshots in {outdir} (stop_reason: {meta['stop_reason']})")
-    snaps = [load_snapshot(os.path.join(outdir, rec["npz"]))
+    patches = {}   # one patch, and so one chart memo, per distinct stored spec
+    snaps = [load_snapshot(os.path.join(outdir, rec["npz"]), patches)
              for rec in meta["snapshots"]]
     monitors = {}
     mon_path = os.path.join(outdir, "monitors.csv")

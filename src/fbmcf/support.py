@@ -55,12 +55,17 @@ class FlatProfile:
         )
 
 
+def _spec_text(v):
+    """v as its %g text where that reads back as v, else as its exact repr."""
+    return f"{v:g}" if float(f"{v:g}") == v else repr(v)
+
+
 class ParaboloidProfile:
     """phi = a * y1**2 / 2 (a cylinder-like parabolic trough)."""
 
     def __init__(self, a):
         self.a = float(a)
-        self.name = f"paraboloid:{self.a:g}"
+        self.name = f"paraboloid:{_spec_text(self.a)}"
 
     def derivs(self, p, q):
         p = np.asarray(p, dtype=float)
@@ -80,7 +85,7 @@ class SphereCapProfile:
 
     def __init__(self, R):
         self.R = float(R)
-        self.name = f"sphere_cap:{self.R:g}"
+        self.name = f"sphere_cap:{_spec_text(self.R)}"
 
     def derivs(self, p, q):
         p = np.asarray(p, dtype=float)
@@ -132,12 +137,15 @@ class SupportPatch:
     """A kappa-graph patch of the support surface, base point at the origin.
 
     The orientation frame is fixed: base point O = 0 and nu(O) = (0, 1, 0).
+    `chart_memo` holds the height-free chart planes that
+    `geometry.fundamental_forms` keeps per grid; it lives and dies with the patch.
     """
 
     kind: str
     profile: object
     kappa: float
     chart_radius: float
+    chart_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kappa < 0:

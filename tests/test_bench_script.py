@@ -14,10 +14,11 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
         assert e2e["failed"] == 0 and e2e["attempted"] >= 3, name
         assert e2e["untraced_wall_s"]["unit"] == "s" and e2e["untraced_wall_s"]["value"] > 0
         assert rows["layers"]["geometry.fundamental_forms.calls"]["value"] > 0, name
-    # one chart evaluation per curved fundamental_forms call; none on a flat support
+    # one chart evaluation per trough run, whose later steps read the patch's
+    # chart memo; none on a flat support
     trough = report["workloads"]["trough-curved"]["layers"]
-    assert (trough["support.chart_frames.calls"]["value"]
-            == trough["geometry.fundamental_forms.calls"]["value"])
+    assert trough["support.chart_frames.calls"]["value"] == 1
+    assert trough["geometry.fundamental_forms.calls"]["value"] > 1
     assert 0 < trough["support.chart_frames.share_of_fundamental_forms"]["value"] < 1
     store = report["workloads"]["store-query"]["layers"]
     assert store["support.chart_frames.calls"]["value"] == 0

@@ -7,6 +7,7 @@ inverse on trailing axes, and the `Q` triple loop of `fundamental_forms`.
 The flat support runs through the same reference with a zero profile.
 """
 
+import dataclasses
 import json
 import re
 
@@ -235,19 +236,97 @@ def test_grid_axes_chart_matches_point_cloud_chart(name, half, monkeypatch):
     # fundamental_forms hands the chart the static axes as (n1, 1) and (1, n2)
     # arrays; the same kernel fed a chart evaluated at the full (n1, n2, 3)
     # node cloud must give every field bit for bit
-    s = curved_surface(PATCHES[name], half)
+    s = curved_surface(fresh(PATCHES[name]), half)
     got = fundamental_forms(s)
     Y = np.stack(grid_coords(s), axis=-1)
+    calls = []
 
     def point_cloud(patch, y1, y2, y3, order=2):
         assert np.array_equal(np.broadcast_to(y3, Y.shape[:-1]), Y[..., 2])
+        calls.append(patch)
         return chart_frames(patch, Y[..., 0], Y[..., 1], Y[..., 2], order=order)
 
     monkeypatch.setattr(geometry, "chart_frames", point_cloud)
-    want = fundamental_forms(s)
+    want = fundamental_forms(with_patch(s, fresh(s.patch)))   # no memo to read
+    assert len(calls) == 1
     for f in FIELDS:
         assert getattr(got, f).shape == getattr(want, f).shape, f
         assert np.array_equal(getattr(got, f), getattr(want, f)), f
+
+
+def fresh(patch):
+    """A copy of patch with the same profile and an empty chart memo."""
+    return dataclasses.replace(patch)
+
+
+def with_patch(s, patch):
+    return GraphSurface(patch, s.h, s.r_dom, s.u, s.t, s.half)
+
+
+def bit_equal(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def counting_chart(monkeypatch, full_nu=False):
+    """Record each chart evaluation of fundamental_forms; with full_nu, hand back
+    nu over the full node shape, so that no plane is kept and every call takes
+    the chart as evaluated on that surface."""
+    calls = []
+
+    def chart(patch, y1, y2, y3, order=2):
+        calls.append(patch)
+        fr = chart_frames(patch, y1, y2, y3, order=order)
+        if full_nu:
+            fr["nu"] = np.broadcast_to(fr["nu"], np.shape(y3) + (3,))
+        return fr
+
+    monkeypatch.setattr(geometry, "chart_frames", chart)
+    return calls
+
+
+@pytest.mark.parametrize("name, half", [
+    pytest.param("paraboloid:0.5", True, id="paraboloid:0.5"),
+    pytest.param("paraboloid:0.5", False, id="paraboloid:0.5 full disk"),
+    pytest.param("paraboloid:0.5 rescaled by 0.5", True, id="paraboloid:0.5 rescaled by 0.5")])
+def test_chart_memo_matches_fresh_chart_over_a_run(name, half, monkeypatch):
+    patch = fresh(PATCHES[name])
+    traj = run(curved_surface(patch, half), FlowConfig(t_end=0.002))
+    assert traj.stop_reason == "completed" and len(traj.snapshots) > 5
+    assert list(patch.chart_memo) == [(1 / 32, 0.5, half)]
+    calls = counting_chart(monkeypatch, full_nu=True)
+    reference = fresh(patch)
+    for s in traj.snapshots:
+        got, want = s.geometry(), fundamental_forms(with_patch(s, reference))
+        for f in FIELDS + ("mask",):
+            assert bit_equal(getattr(got, f), getattr(want, f)), (s.t, f)
+    assert len(calls) == len(traj.snapshots) and reference.chart_memo == {}
+
+
+@pytest.mark.parametrize("name", ["paraboloid:0.5", "sphere_cap:2"])
+def test_chart_frames_calls_per_run(name, monkeypatch):
+    # the trough's chart is evaluated once per run; the sphere cap's profile reads
+    # y3, so its chart is evaluated at every step and nothing is kept
+    calls = counting_chart(monkeypatch)
+    patch = fresh(PATCHES[name])
+    traj = run(curved_surface(patch), FlowConfig(t_end=0.002))
+    steps = len(traj.monitors["t"]) - 1
+    assert traj.stop_reason == "completed" and steps > 5
+    if name == "sphere_cap:2":
+        assert len(calls) == steps + 1 and patch.chart_memo == {}
+    else:
+        assert len(calls) == 1 and len(patch.chart_memo) == 1
+
+
+def test_chart_memo_keeps_the_range_check():
+    patch = fresh(PATCHES["paraboloid:0.5"])   # chart radius 2
+    s = GraphSurface.zero(patch, 1 / 32, 0.5)
+    fundamental_forms(s)
+    assert len(patch.chart_memo) == 1
+    high = s.with_height(np.full(s.u.shape, 1.9))   # the corner nodes lie at |Y| = 2.03
+    r = np.max(np.linalg.norm(np.stack(grid_coords(high), axis=-1), axis=-1))
+    with pytest.raises(ChartRangeError, match=re.escape(f"chart point |Y| = {r:g} outside radius 2")):
+        fundamental_forms(high)
 
 
 def test_trough_profile_evaluated_on_the_y1_axis(monkeypatch):

@@ -243,6 +243,29 @@ def test_snapshot_roundtrip(tmp_path):
     assert s2.patch.is_flat
 
 
+@pytest.mark.parametrize("phi", ["paraboloid:0.123456789", "paraboloid:0.1234564",
+                                 "sphere_cap:2.00000001"])
+def test_curved_patch_spec_roundtrip(phi, tmp_path):
+    # %g alone would write 0.123457 (refused on reload), 0.123456 (a different
+    # trough, reloaded silently) and 2 (refused)
+    patch = SupportPatch.from_spec(phi)
+    assert patch.spec()["phi"] == phi
+    outdir = str(tmp_path / "run")
+    save_trajectory(outdir, run(GraphSurface.zero(patch, 1 / 16, 0.25), FlowConfig(t_end=1e-3)))
+    back = load_trajectory(outdir).snapshots[0].patch
+    for key in ("a", "R"):
+        if hasattr(patch.profile, key):
+            assert getattr(back.profile, key).hex() == getattr(patch.profile, key).hex()
+    assert back.kappa.hex() == patch.kappa.hex()
+    assert back.chart_radius.hex() == patch.chart_radius.hex()
+
+
+def test_exact_spec_text_only_where_g_loses_the_value():
+    assert SupportPatch.from_spec("paraboloid:0.5").spec()["phi"] == "paraboloid:0.5"
+    assert SupportPatch.from_spec("sphere_cap:2").spec()["phi"] == "sphere_cap:2"
+    assert SupportPatch.sphere_cap(2.0).spec()["phi"] == "sphere_cap:2"
+
+
 def test_trajectory_roundtrip(tmp_path):
     s = GraphSurface.sphere_cap(1.0, 0.0625, 0.25)
     cfg = FlowConfig.for_sphere(1.0, 0.002, outer_bc="dirichlet-exact",
@@ -331,8 +354,28 @@ def test_cli_boundary_monitor_uses_the_runs_curved_patch(trough_run, tmp_path, c
     qpath = tmp_path / "queries.yaml"
     qpath.write_text(BOUNDARY_QUERY)
     assert main(["monitor", trough_run, str(qpath)]) == 3
-    assert "exceeds the admissible window" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numerical abort: TimeWindowError: ")
+    assert "exceeds the admissible window" in err
     assert not os.path.exists(os.path.join(trough_run, "density_edge.csv"))
+
+
+def test_cli_monitor_writes_nothing_when_a_later_query_fails(trough_run, tmp_path, capsys):
+    qpath = tmp_path / "queries.yaml"
+    qpath.write_text("- name: first\n  type: density\n  P: [0, 0, 0]\n  T: 0.25\n"
+                     "  sample_times: [0.0, 0.001, 0.002]\n" + BOUNDARY_QUERY)
+    assert main(["monitor", trough_run, str(qpath)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "TimeWindowError" in err
+    assert not [f for f in os.listdir(trough_run) if f.startswith("density_")]
+
+
+def test_reloaded_snapshots_share_one_patch(trough_run):
+    snaps = load_trajectory(trough_run).snapshots
+    assert len(snaps) > 1 and all(s.patch is snaps[0].patch for s in snaps)
+    for s in snaps:
+        s.geometry()
+    assert len(snaps[0].patch.chart_memo) == 1   # one chart memo for the whole run
 
 
 def test_cli_monitor_refuses_kappa_below_the_runs(trough_run, tmp_path, capsys):
