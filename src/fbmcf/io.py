@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,32 +18,75 @@ from .support import SupportPatch
 MONITOR_COLUMNS = ("t", "area", "perimeter", "energy", "max_H", "max_A")
 
 
-def _distinct_text(rows):
-    """The %.17g text of each value of rows, formatted once per distinct value.
+def _format(values):
+    """The %.17g text of each float in the list values."""
+    return ("%.17g\n" * len(values) % tuple(values)).splitlines()
+
+
+def _column_fields(column):
+    """How the values of one column go into a `%` template: (field, values).
 
     Values are told apart by their bit patterns, so -0.0 and 0.0 keep their
-    own text.  Returns None where more than half the values are distinct:
-    there the lookup costs more than formatting every value.
+    own text.  Where at most half the values are distinct, each distinct value
+    is formatted once and the pair is ("%s", the text of every value).
+    Otherwise the lookup costs more than formatting every value, and the pair
+    is ("%.17g", the floats).  Values are in C order.
     """
-    bits, inverse = np.unique(rows.view(np.int64), return_inverse=True)
-    if 2 * len(bits) > rows.size:
-        return None
-    text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
-    return text[inverse.ravel()].tolist()
+    column = np.ravel(column)
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    if 2 * len(bits) > column.size:
+        return "%.17g", column.tolist()
+    return "%s", np.array(_format(bits.view(float).tolist()), dtype=object)[inverse].tolist()
 
 
-def _rows_text(rows, head, sep):
-    """One line per row of the 2-D array rows: head, then its values as %.17g joined by sep."""
-    rows = np.ascontiguousarray(rows, dtype=float)
-    fmt, values = "%s", _distinct_text(rows)
-    if values is None:
-        fmt, values = "%.17g", rows.ravel().tolist()
-    line = head + sep.join([fmt] * rows.shape[1]) + "\n"
-    return (line * len(rows)) % tuple(values)
+def _column_text(column):
+    """The %.17g text of each value of column, in C order."""
+    field, values = _column_fields(column)
+    return values if field == "%s" else _format(values)
 
 
-def _vertex_lines(X):
-    return _rows_text(np.reshape(X, (-1, 3)), "v ", " ")
+def _interleave(texts):
+    """The items of equal-length lists, row by row: a0, b0, a1, b1, ..."""
+    return tuple(itertools.chain.from_iterable(zip(*texts)))
+
+
+class _LineTemplate(NamedTuple):
+    """Lines of %.17g text, one per row of an array (..., k), with some columns left open.
+
+    The columns flagged in `baked` are written into `text`; each other column
+    leaves a %s field per line, which `fill` completes from a table's values.
+    """
+
+    text: str
+    baked: tuple
+
+    @classmethod
+    def build(cls, tables, head, sep):
+        """The lines of tables[0], each head, then its values joined by sep.
+
+        tables is a list of arrays of one shape (..., k), such as the vertex
+        arrays of a trajectory's snapshots.  A column that every table keeps
+        bit for bit from the one before is formatted here, once; the others
+        are left open.  A single table is therefore written in full.
+        """
+        first = tables[0]
+        baked = tuple(all(np.array_equal(a[..., j].view(np.int64), b[..., j].view(np.int64))
+                          for a, b in zip(tables, tables[1:]))
+                      for j in range(first.shape[-1]))
+        fields, texts = [], []
+        for j, keep in enumerate(baked):
+            if keep:
+                field, values = _column_fields(first[..., j])
+                texts.append(values)
+            fields.append(field if keep else "%%s")
+        line = head + sep.join(fields) + "\n"
+        return cls((line * (first.size // len(baked))) % _interleave(texts), baked)
+
+    def fill(self, table):
+        """The lines of table, an array of the shape the template was built
+        from whose baked columns hold the values already written in."""
+        texts = [_column_text(table[..., j]) for j, keep in enumerate(self.baked) if not keep]
+        return self.text % _interleave(texts) if texts else self.text
 
 
 @functools.lru_cache(maxsize=8)
@@ -53,22 +98,27 @@ def _face_lines(n1, n2):
     return ("f %d %d %d\n" * (2 * len(a))) % tuple(faces.ravel().tolist())
 
 
-def write_obj(path, surface):
+def write_obj(path, surface, template=None):
     """ASCII mesh dump: `v x y z` per node, `f i j k` per triangle (1-based).
 
     A GraphSurface is written as its node grid with two triangles per cell,
     any other surface as the points of `samples()`, and an array of points
     as it is.  Coordinates are written with %.17g, so the output is exact:
-    float() of each field gives back the stored value.
+    float() of each field gives back the stored value.  template, a
+    `_LineTemplate` of vertex lines, already holds the coordinates that the
+    snapshots of one trajectory share (see `save_trajectory`).
     """
     if isinstance(surface, GraphSurface):
         X = surface.geometry().X
-        blocks = (_vertex_lines(X), _face_lines(*X.shape[:2]))
+        faces = _face_lines(*X.shape[:2])
     else:
-        blocks = (_vertex_lines(surface if isinstance(surface, np.ndarray)
-                                else surface.samples().X),)
+        X = np.asarray(surface if isinstance(surface, np.ndarray) else surface.samples().X,
+                       dtype=float)
+        faces = ""
+    if template is None:
+        template = _LineTemplate.build([X], "v ", " ")
     with open(path, "w") as fh:   # block by block: no joined copy of the text
-        fh.writelines(blocks)
+        fh.writelines((template.fill(X), faces))
 
 
 def save_snapshot(path, surface):
@@ -96,11 +146,15 @@ def write_csv(path, columns, rows):
     """
     rows = np.asarray(rows, dtype=float).reshape(-1, len(columns))
     with open(path, "w") as fh:
-        fh.writelines((",".join(columns) + "\n", _rows_text(rows, "", ",")))
+        fh.writelines((",".join(columns) + "\n", _LineTemplate.build([rows], "", ",").text))
 
 
 def save_trajectory(outdir, trajectory, scenario_echo=None):
-    """Persist monitors, OBJ dumps, and exact-round-trip snapshots."""
+    """Persist monitors, OBJ dumps, and exact-round-trip snapshots.
+
+    A vertex coordinate that no snapshot changes, such as y1 on a trough or
+    on the flat support, is formatted once for all the OBJ dumps.
+    """
     os.makedirs(outdir, exist_ok=True)
     files = []
     write_csv(os.path.join(outdir, "monitors.csv"), MONITOR_COLUMNS,
@@ -109,10 +163,12 @@ def save_trajectory(outdir, trajectory, scenario_echo=None):
     meta = {"stop_reason": trajectory.stop_reason, "snapshots": []}
     if scenario_echo is not None:
         meta["scenario"] = scenario_echo
+    Xs = [snap.geometry().X for snap in trajectory.snapshots]
+    template = _LineTemplate.build(Xs, "v ", " ") if len({X.shape for X in Xs}) == 1 else None
     for k, snap in enumerate(trajectory.snapshots):
         obj = f"snap_{k:05d}.obj"
         npz = f"snap_{k:05d}.npz"
-        write_obj(os.path.join(outdir, obj), snap)
+        write_obj(os.path.join(outdir, obj), snap, template)
         save_snapshot(os.path.join(outdir, npz), snap)
         meta["snapshots"].append({"t": snap.t, "obj": obj, "npz": npz})
         files += [obj, npz]

@@ -9,7 +9,7 @@ distance (positive on the inside).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -120,7 +120,7 @@ class ScaledProfile:
     def __init__(self, base, lam):
         self.base = base
         self.lam = float(lam)
-        self.name = f"{base.name}@/{self.lam:g}"
+        self.name = f"{base.name}@/{_spec_text(self.lam)}"
 
     def derivs(self, p, q):
         lam = self.lam
@@ -177,25 +177,41 @@ class SupportPatch:
 
     @classmethod
     def from_spec(cls, phi, kappa=None, chart_radius=None):
-        """Catalog lookup: 'flat', 'paraboloid:a', 'sphere_cap:R'.
+        """Catalog lookup: 'flat', 'paraboloid:a', 'sphere_cap:R', and
+        '<spec>@/lam', the name `rescale(lam)` gives the patch of <spec>.
 
-        A flat patch ignores kappa; a left-out value takes the constructor's default.
+        A flat patch ignores kappa; a left-out value takes the constructor's
+        default, or for '<spec>@/lam' the value of `from_spec(<spec>).rescale(lam)`.
         A curved patch refuses a kappa below that default, the profile's own
-        curvature |a| or 1/R: the chart radius 1/kappa could then reach the
-        support's focal line.
+        curvature |a| or 1/R, times lam when rescaled: the chart radius 1/kappa
+        could then reach the support's focal line.
         """
+        patch, curvature = cls._from_catalog(phi, kappa, chart_radius)
+        if patch.kappa < curvature:
+            raise PatchFieldError(
+                f"kappa must be >= {curvature:g}, the curvature of {phi}", "kappa")
+        return patch
+
+    @classmethod
+    def _from_catalog(cls, phi, kappa, chart_radius):
+        """The patch of the catalog entry phi and the curvature of its profile."""
+        if "@/" in phi:
+            spec, lam = phi.rsplit("@/", 1)
+            base, curvature = cls._from_catalog(spec, None, None)
+            lam = float(lam)
+            patch = base.rescale(lam)
+            return replace(patch, kappa=patch.kappa if kappa is None else float(kappa),
+                           chart_radius=(patch.chart_radius if chart_radius is None
+                                         else chart_radius)), lam * curvature
         if phi == "flat":
-            return cls.flat(10.0 if chart_radius is None else chart_radius)
+            return cls.flat(10.0 if chart_radius is None else chart_radius), 0.0
         if ":" in phi:
             base, arg = phi.split(":", 1)
             val = float(arg)
-            if base in ("paraboloid", "sphere_cap"):
-                patch = getattr(cls, base)(val, kappa=kappa, chart_radius=chart_radius)
-                curvature = abs(val) if base == "paraboloid" else 1.0 / val
-                if patch.kappa < curvature:
-                    raise PatchFieldError(
-                        f"kappa must be >= {curvature:g}, the curvature of {phi}", "kappa")
-                return patch
+            if base == "paraboloid":
+                return cls.paraboloid(val, kappa=kappa, chart_radius=chart_radius), abs(val)
+            if base == "sphere_cap":
+                return cls.sphere_cap(val, kappa=kappa, chart_radius=chart_radius), 1.0 / val
         raise ValueError(f"unknown phi catalog entry: {phi!r}")
 
     def spec(self):

@@ -3,15 +3,18 @@ import inspect
 import json
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import fbmcf.io as fbmcf_io
 from fbmcf.cli import main
-from fbmcf.errors import ScenarioError
-from fbmcf.flow import FlowConfig, run
+from fbmcf.errors import PatchFieldError, ScenarioError
+from fbmcf.flow import FlowConfig, Trajectory, run
 from fbmcf.geometry import GraphSurface
 from fbmcf.io import (
+    MONITOR_COLUMNS,
     load_snapshot,
     load_trajectory,
     save_snapshot,
@@ -233,6 +236,74 @@ def test_csv_without_rows_is_header_only(tmp_path):
     assert path.read_bytes() == b"t,value\n"
 
 
+def trough_trajectory():
+    """Tilted plane over the paraboloid trough at h = 1/32: 70 steps, 7 snapshots.
+    X0 and X1 come from the patch's chart memo."""
+    patch = SupportPatch.paraboloid(0.5, kappa=0.5, chart_radius=2.0)
+    return run(GraphSurface.from_height(lambda a, b: 0.1 * a, patch, 1 / 32, 0.5),
+               FlowConfig(t_end=6e-3, cfl=0.15, snapshot_stride=12))
+
+
+def flat_trajectory():
+    return run(GraphSurface.sphere_cap(1.0, 1 / 32, 0.25),
+               FlowConfig.for_sphere(1.0, 0.002, snapshot_stride=5))
+
+
+def hand_built_trajectory():
+    """Five flat snapshots with set vertex arrays: X0 flips between 0.0 and -0.0
+    at a few nodes, X1 moves by one ulp at one node, X2 never changes."""
+    snaps = []
+    for k in range(5):
+        s = GraphSurface.zero(SupportPatch.flat(), 0.125, 0.5)
+        X = np.stack(np.broadcast_arrays(0.0, 0.25, 0.5 * s.y1[:, None] + s.y2), axis=-1)
+        X[::4, ::2, 0] = -0.0 if k % 2 else 0.0
+        X[3, 2, 1] = np.nextafter(0.25, 1.0) if k in (2, 3) else 0.25
+        s.t, s._geom = 0.001 * k, SimpleNamespace(X=X)
+        snaps.append(s)
+    return Trajectory(snaps, {c: np.zeros(5) for c in MONITOR_COLUMNS})
+
+
+@pytest.mark.parametrize("make", [trough_trajectory, flat_trajectory, hand_built_trajectory],
+                         ids=["trough", "flat", "hand-built"])
+def test_saved_obj_bytes_match_per_node_writer(tmp_path, make):
+    traj = make()
+    Xs = [s.geometry().X for s in traj.snapshots]
+    bits = [[X[..., j].view(np.int64) for X in Xs] for j in range(3)]
+    kept = [all(np.array_equal(a, b) for a, b in zip(col, col[1:])) for col in bits]
+    assert len(Xs) > 2 and any(kept) and not all(kept)
+    if make is hand_built_trajectory:
+        assert kept == [False, False, True]
+        # as floats, X0 would be kept
+        assert all(np.array_equal(X[..., 0], Xs[0][..., 0]) for X in Xs)
+    outdir = tmp_path / "run"
+    save_trajectory(str(outdir), traj)
+    for k, X in enumerate(Xs):
+        assert (outdir / f"snap_{k:05d}.obj").read_bytes() == per_node_obj(X).encode(), k
+
+
+def test_save_trajectory_formats_kept_columns_once(tmp_path, monkeypatch):
+    traj = trough_trajectory()
+    Xs = [s.geometry().X for s in traj.snapshots]
+    assert len(Xs) == 7
+    calls = []
+    real = fbmcf_io._column_fields
+
+    def counted(column):
+        calls.append(np.ravel(column).view(np.int64).copy())
+        return real(column)
+
+    monkeypatch.setattr(fbmcf_io, "_column_fields", counted)
+    save_trajectory(str(tmp_path / "run"), traj)
+    vertex_calls = [c for c in calls if c.size == Xs[0][..., 0].size]
+
+    def count(j, X):
+        return sum(np.array_equal(c, np.ravel(X[..., j]).view(np.int64)) for c in vertex_calls)
+
+    assert count(0, Xs[0]) == 1 and count(1, Xs[0]) == 1
+    assert [count(2, X) for X in Xs] == [1] * 7
+    assert len(vertex_calls) == 2 + 7
+
+
 def test_snapshot_roundtrip(tmp_path):
     s = GraphSurface.sphere_cap(1.0, 0.0625, 0.25)
     path = str(tmp_path / "snap.npz")
@@ -264,6 +335,36 @@ def test_exact_spec_text_only_where_g_loses_the_value():
     assert SupportPatch.from_spec("paraboloid:0.5").spec()["phi"] == "paraboloid:0.5"
     assert SupportPatch.from_spec("sphere_cap:2").spec()["phi"] == "sphere_cap:2"
     assert SupportPatch.sphere_cap(2.0).spec()["phi"] == "sphere_cap:2"
+
+
+@pytest.mark.parametrize("lam", [0.5, 1 / 3], ids=["half", "third"])
+def test_rescaled_patch_run_reloads(lam, tmp_path):
+    patch = SupportPatch.from_spec("paraboloid:0.5").rescale(lam)
+    traj = run(GraphSurface.zero(patch, 1 / 16, 0.25), FlowConfig(t_end=1e-3))
+    outdir = str(tmp_path / "run")
+    save_trajectory(outdir, traj)
+    back = load_trajectory(outdir)
+    assert len(back.snapshots) == len(traj.snapshots)
+    for a, b in zip(traj.snapshots, back.snapshots):
+        assert a.u.tobytes() == b.u.tobytes()
+    got = back.snapshots[0].patch
+    assert got.profile.base.a == patch.profile.base.a == 0.5
+    assert got.profile.lam == patch.profile.lam == lam
+    assert got.kappa == patch.kappa and got.chart_radius == patch.chart_radius
+    qpath = tmp_path / "queries.yaml"
+    qpath.write_text("- name: center\n  type: density\n  P: [0, 0, 0]\n  T: 0.25\n"
+                     "  sample_times: [0.0, 0.0005, 0.001]\n")
+    assert main(["monitor", outdir, str(qpath)]) == 0
+
+
+def test_rescaled_spec_text():
+    patch = SupportPatch.from_spec("paraboloid:0.5")
+    assert patch.rescale(0.5).spec()["phi"] == "paraboloid:0.5@/0.5"
+    assert patch.rescale(1 / 3).spec()["phi"] == f"paraboloid:0.5@/{1 / 3!r}"
+    twice = SupportPatch.from_spec("sphere_cap:2").rescale(0.5).rescale(3)
+    assert SupportPatch.from_spec(**twice.spec()).spec() == twice.spec()
+    with pytest.raises(PatchFieldError, match="curvature"):   # below lam |a| = 0.25
+        SupportPatch.from_spec("paraboloid:0.5@/0.5", kappa=0.2)
 
 
 def test_trajectory_roundtrip(tmp_path):
