@@ -14,13 +14,13 @@ from fbmcf.support import (
     SupportPatch,
     chart_coords,
     project_and_distance,
-    pullback_metric_connection,
+    pullback_metric,
     reflect,
     tubular_map,
     verify_kappa_condition,
 )
 
-# a paraboloid bowl phi = 0.25 (y1^2 + y3^2), declared curvature bound 1
+# a parabolic trough phi = 0.25 y1^2, declared curvature bound 1
 patch = SupportPatch.paraboloid(0.5, kappa=1.0, chart_radius=1.0)
 
 Y = np.array([0.3, 0.2, -0.1])
@@ -41,7 +41,7 @@ print("double reflection error",
 
 # the pullback metric is orthonormal in the distance direction:
 # h_22 = 1 and h_12 = h_32 = 0 at every chart point
-h, Gamma = pullback_metric_connection(patch, Y)
+h = pullback_metric(patch, Y)
 print("h_22 =", h[1, 1], "  h_12 =", h[0, 1], "  h_32 =", h[2, 1])
 
 # the declared curvature bound is checked by sampling Hessians,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ChartRangeError, NewtonConvergenceError, PatchFieldError, SingularMetricError
+from .errors import ChartRangeError, NewtonConvergenceError, PatchFieldError
 
 # tangent slot a -> chart index (y1, y3)
 _TANGENT_IDX = (0, 2)
@@ -42,6 +42,7 @@ class FlatProfile:
     """phi == 0."""
 
     name = "flat"
+    curvature = 0.0
 
     def derivs(self, p, q):
         p = np.asarray(p, dtype=float)
@@ -65,6 +66,7 @@ class ParaboloidProfile:
 
     def __init__(self, a):
         self.a = float(a)
+        self.curvature = abs(self.a)
         self.name = f"paraboloid:{_spec_text(self.a)}"
 
     def derivs(self, p, q):
@@ -85,6 +87,7 @@ class SphereCapProfile:
 
     def __init__(self, R):
         self.R = float(R)
+        self.curvature = 1.0 / self.R
         self.name = f"sphere_cap:{_spec_text(self.R)}"
 
     def derivs(self, p, q):
@@ -120,6 +123,7 @@ class ScaledProfile:
     def __init__(self, base, lam):
         self.base = base
         self.lam = float(lam)
+        self.curvature = self.lam * base.curvature
         self.name = f"{base.name}@/{_spec_text(self.lam)}"
 
     def derivs(self, p, q):
@@ -152,6 +156,11 @@ class SupportPatch:
             raise PatchFieldError("kappa must be >= 0", "kappa")
         if self.kappa == 0 and self.kind != "flat":
             raise PatchFieldError("kappa = 0 is only admitted for flat patches", "kappa")
+        # below the profile's curvature the chart radius 1/kappa could reach the
+        # support's focal line
+        if self.kappa < self.profile.curvature:
+            raise PatchFieldError(f"kappa must be >= {self.profile.curvature:g}, the "
+                                  f"curvature of {self.profile.name}", "kappa")
         if self.kappa > 0 and self.chart_radius > 1.0 / self.kappa + 1e-12:
             raise PatchFieldError("chart_radius must be <= 1/kappa", "chart_radius")
 
@@ -182,36 +191,21 @@ class SupportPatch:
 
         A flat patch ignores kappa; a left-out value takes the constructor's
         default, or for '<spec>@/lam' the value of `from_spec(<spec>).rescale(lam)`.
-        A curved patch refuses a kappa below that default, the profile's own
-        curvature |a| or 1/R, times lam when rescaled: the chart radius 1/kappa
-        could then reach the support's focal line.
         """
-        patch, curvature = cls._from_catalog(phi, kappa, chart_radius)
-        if patch.kappa < curvature:
-            raise PatchFieldError(
-                f"kappa must be >= {curvature:g}, the curvature of {phi}", "kappa")
-        return patch
-
-    @classmethod
-    def _from_catalog(cls, phi, kappa, chart_radius):
-        """The patch of the catalog entry phi and the curvature of its profile."""
         if "@/" in phi:
             spec, lam = phi.rsplit("@/", 1)
-            base, curvature = cls._from_catalog(spec, None, None)
-            lam = float(lam)
-            patch = base.rescale(lam)
+            patch = cls.from_spec(spec).rescale(float(lam))
             return replace(patch, kappa=patch.kappa if kappa is None else float(kappa),
                            chart_radius=(patch.chart_radius if chart_radius is None
-                                         else chart_radius)), lam * curvature
+                                         else chart_radius))
         if phi == "flat":
-            return cls.flat(10.0 if chart_radius is None else chart_radius), 0.0
+            return cls.flat(10.0 if chart_radius is None else chart_radius)
         if ":" in phi:
             base, arg = phi.split(":", 1)
-            val = float(arg)
             if base == "paraboloid":
-                return cls.paraboloid(val, kappa=kappa, chart_radius=chart_radius), abs(val)
+                return cls.paraboloid(float(arg), kappa=kappa, chart_radius=chart_radius)
             if base == "sphere_cap":
-                return cls.sphere_cap(val, kappa=kappa, chart_radius=chart_radius), 1.0 / val
+                return cls.sphere_cap(float(arg), kappa=kappa, chart_radius=chart_radius)
         raise ValueError(f"unknown phi catalog entry: {phi!r}")
 
     def spec(self):
@@ -384,55 +378,16 @@ def in_complementary_ball(patch, P, r, X):
     return inside & in_ball
 
 
-def _inverse_sym3(h):
-    """Closed-form (adjugate) inverse of symmetric 3x3 matrices h[i, j] (component-first)."""
-    a, b, c, d, e, f = h[0, 0], h[0, 1], h[0, 2], h[1, 1], h[1, 2], h[2, 2]
-    cof = {(0, 0): d * f - e * e, (0, 1): c * e - b * f, (0, 2): b * e - c * d,
-           (1, 1): a * f - c * c, (1, 2): b * c - a * e, (2, 2): a * d - b * b}
-    det = a * cof[0, 0] + b * cof[0, 1] + c * cof[0, 2]
-    if np.any(det <= 0.0):
-        raise SingularMetricError("pull-back metric is degenerate (chart overreach)")
-    inv = np.empty_like(h)
-    for (i, j), v in cof.items():
-        inv[i, j] = inv[j, i] = v / det
-    return inv
-
-
-def metric_connection(frames):
-    """Pull-back metric h_ij and Gamma[k, i, j] from `chart_frames` output.
-
-    Component-first planes for the pull-back checks; the per-step kernel
-    `fundamental_forms` needs neither.  Raises SingularMetricError where det h <= 0.
-    """
-    dPhi, d2Phi = components(frames["dPhi"], 2), frames["d2Phi"]
+def pullback_metric(patch, Y):
+    """Pull-back metric h_ij = dPhi_i . dPhi_j at the chart points Y (..., 3)."""
+    Y = np.asarray(Y, dtype=float)
+    dPhi = components(chart_frames(patch, *components(Y, 1), order=1)["dPhi"], 2)
     h = np.empty((3,) + dPhi.shape[1:])
     for i in range(3):
         for j in range(i, 3):
             h[i, j] = h[j, i] = (dPhi[0, i] * dPhi[0, j] + dPhi[1, i] * dPhi[1, j]
                                  + dPhi[2, i] * dPhi[2, j])
-    hinv = _inverse_sym3(h)
-    # flat ambient: d2Phi_ij lies in span(dPhi), so Gamma^k_ij = h^{kl} d2Phi_ij . dPhi_l
-    Gamma = np.empty((3,) + h.shape)
-    for i in range(3):
-        for j in range(i, 3):
-            pair = d2Phi.get((i, j), (0.0, 0.0, 0.0))   # d2Phi_11 = 0
-            first = [pair[0] * dPhi[0, l] + pair[1] * dPhi[1, l] + pair[2] * dPhi[2, l]
-                     for l in range(3)]
-            for k in range(3):
-                Gamma[k, i, j] = Gamma[k, j, i] = (hinv[k, 0] * first[0] + hinv[k, 1] * first[1]
-                                                   + hinv[k, 2] * first[2])
-    return h, Gamma
-
-
-def pullback_metric_connection(patch, Y):
-    """Pull-back metric h_ij and Levi-Civita coefficients Gamma[k, i, j]."""
-    Y = np.asarray(Y, dtype=float)
-    if patch.is_flat:
-        shape = Y.shape[:-1]
-        h = np.broadcast_to(np.eye(3), shape + (3, 3)).copy()
-        return h, np.zeros(shape + (3, 3, 3))
-    h, Gamma = metric_connection(chart_frames(patch, *components(Y, 1), order=2))
-    return trailing(h, 2), trailing(Gamma, 3)
+    return trailing(h, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +400,6 @@ class KappaReport:
     max_third: float
     lipschitz_third: float
     min_mean_curvature: float
-    metric_deviation_constant: float
     kappa: float
     passed: bool = field(init=False)
 
@@ -465,12 +419,12 @@ def _tangent_lattice(patch, n=65):
     ax = np.linspace(-cr, cr, n)
     P, Q = np.meshgrid(ax, ax, indexing="ij")
     mask = P**2 + Q**2 < cr**2 * (1.0 - 1e-12)
-    return P[mask], Q[mask], ax[1] - ax[0]
+    return P[mask], Q[mask]
 
 
 def verify_kappa_condition(patch, n=65):
     """Check the derivative bounds of the graph condition on a sample lattice."""
-    p, q, dx = _tangent_lattice(patch, n)
+    p, q = _tangent_lattice(patch, n)
     phi, g1, g2, g3 = patch.profile.derivs(p, q)
 
     hess_norm = np.linalg.norm(g2, ord=2, axis=(-2, -1))
@@ -498,23 +452,10 @@ def verify_kappa_condition(patch, n=65):
         + (1.0 + g1[..., 0] ** 2) * g2[..., 1, 1]
     ) / W2**1.5
 
-    # measured constant in |h_ij - delta_ij| <= C * kappa * |Y|
-    dev_const = 0.0
-    if patch.kappa > 0:
-        rng = np.random.default_rng(0)
-        m = 200
-        R = 0.8 * patch.chart_radius
-        Y = rng.uniform(-R / 2, R / 2, size=(m, 3))
-        h, _ = pullback_metric_connection(patch, Y)
-        dev = np.max(np.abs(h - np.eye(3)), axis=(-2, -1))
-        norms = np.linalg.norm(Y, axis=-1)
-        dev_const = float(np.max(dev / (patch.kappa * norms)))
-
     return KappaReport(
         max_hess=float(np.max(hess_norm)),
         max_third=float(np.max(third_norm)),
         lipschitz_third=lip,
         min_mean_curvature=float(np.min(H)),
-        metric_deviation_constant=dev_const,
         kappa=patch.kappa,
     )

@@ -1,9 +1,9 @@
 """The component-first geometry kernel against the einsum implementation it replaced.
 
 The reference below is the earlier trailing-axis code: profile derivatives
-stacked on the last axes, `chart_frames` and `pullback_metric_connection`
-through `np.einsum`, `np.linalg.inv` on the 3x3 pull-back metric, the 2x2
-inverse on trailing axes, and the `Q` triple loop of `fundamental_forms`.
+stacked on the last axes, `chart_frames`, the pull-back metric and its
+connection through `np.einsum`, `np.linalg.inv` on the 3x3 pull-back metric,
+the 2x2 inverse on trailing axes, and the `Q` triple loop of `fundamental_forms`.
 The flat support runs through the same reference with a zero profile.
 """
 
@@ -26,8 +26,7 @@ from fbmcf.support import (
     SphereCapProfile,
     SupportPatch,
     chart_frames,
-    metric_connection,
-    pullback_metric_connection,
+    pullback_metric,
 )
 
 _TANGENT_IDX = (0, 2)
@@ -360,32 +359,33 @@ def test_broadcast_chart_point_out_of_range():
 
 
 @pytest.mark.parametrize("name", sorted(PATCHES))
-def test_pullback_metric_connection_matches_einsum_reference(name):
+def test_pullback_metric_matches_einsum_reference(name):
     patch = PATCHES[name]
     s = curved_surface(patch)
     Y = np.stack([*np.meshgrid(s.y1, s.y2, indexing="ij"), s.u], axis=-1)
-    h, Gamma = pullback_metric_connection(patch, Y)
-    _, _, h_ref, Gamma_ref = ref_pullback(patch, Y)
-    assert h.shape == h_ref.shape and Gamma.shape == Gamma_ref.shape
+    h = pullback_metric(patch, Y)
+    _, _, h_ref, _ = ref_pullback(patch, Y)
+    assert h.shape == h_ref.shape
     assert rel_err(h, h_ref) <= 1e-12
-    assert rel_err(Gamma, Gamma_ref) <= 1e-12
 
 
 def test_single_point_pullback_shapes():
-    h, Gamma = pullback_metric_connection(PATCHES["sphere_cap:2"], np.array([0.1, 0.2, -0.3]))
-    assert h.shape == (3, 3) and Gamma.shape == (3, 3, 3)
+    h = pullback_metric(PATCHES["sphere_cap:2"], np.array([0.1, 0.2, -0.3]))
+    assert h.shape == (3, 3)
     assert np.allclose(h, h.T)
 
 
-# A paraboloid of curvature a = 2 declared with kappa = 1/4: its focal line,
-# distance 1/a = 0.5 above the axis, lies inside the declared chart radius 4.
-OVERREACH = SupportPatch.paraboloid(2.0, kappa=0.25, chart_radius=4.0)
+class UncheckedPatch(SupportPatch):
+    """A patch that skips the construction checks, to reach past a focal line."""
+
+    def __post_init__(self):
+        pass
 
 
-def test_metric_connection_singular_at_focal_point():
-    frames = chart_frames(OVERREACH, 0.0, 0.5, 0.0)
-    with pytest.raises(SingularMetricError):
-        metric_connection(frames)
+# A paraboloid of curvature a = 2 declared with kappa = 1/4, which SupportPatch
+# refuses: its focal line, distance 1/a = 0.5 above the axis, lies inside the
+# declared chart radius 4.
+OVERREACH = UncheckedPatch.paraboloid(2.0, kappa=0.25, chart_radius=4.0)
 
 
 def test_fundamental_forms_singular_metric_raises():
@@ -425,7 +425,7 @@ SHORT_CHART = ("patch:\n  phi: paraboloid:2\n  chart_radius: 0.5\n"
 
 
 def test_cli_singular_metric_is_numerical_abort(tmp_path, capsys):
-    # a scenario cannot declare OVERREACH's kappa (from_spec refuses it), so the
+    # a scenario cannot declare OVERREACH's kappa (SupportPatch refuses it), so the
     # CLI half checks that a chart-range abort is a numerical abort too
     path = tmp_path / "short_chart.yaml"
     path.write_text("name: short-chart\n" + SHORT_CHART)

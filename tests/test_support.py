@@ -7,7 +7,7 @@ from fbmcf.support import (
     chart_coords,
     in_complementary_ball,
     project_and_distance,
-    pullback_metric_connection,
+    pullback_metric,
     reflect,
     tubular_map,
     verify_kappa_condition,
@@ -109,13 +109,11 @@ def test_complementary_ball_outside_domain(flat):
 
 
 def test_pullback_flat(flat):
-    h, G = pullback_metric_connection(flat, np.array([0.3, 0.2, -0.1]))
-    assert np.allclose(h, np.eye(3))
-    assert np.allclose(G, 0.0)
+    assert np.array_equal(pullback_metric(flat, np.array([0.3, 0.2, -0.1])), np.eye(3))
 
 
 def test_pullback_paraboloid_h11(parab):
-    h, _ = pullback_metric_connection(parab, np.array([0.2, 0.0, 0.0]))
+    h = pullback_metric(parab, np.array([0.2, 0.0, 0.0]))
     assert abs(h[0, 0] - 1.04) < 1e-12
 
 
@@ -123,29 +121,10 @@ def test_metric_normalization(cap):
     # h_22 = 1 and h_12 = h_32 = 0: the distance direction is orthonormal
     rng = np.random.default_rng(2)
     Y = rng.uniform(-0.2, 0.2, size=(30, 3))
-    h, _ = pullback_metric_connection(cap, Y)
+    h = pullback_metric(cap, Y)
     assert np.max(np.abs(h[:, 1, 1] - 1.0)) < 1e-9
     assert np.max(np.abs(h[:, 0, 1])) < 1e-9
     assert np.max(np.abs(h[:, 2, 1])) < 1e-9
-
-
-def test_connection_matches_metric_derivatives(cap):
-    # Gamma^k_ij = 1/2 h^{kl} (d_i h_jl + d_j h_il - d_l h_ij), via central FD
-    Y0 = np.array([0.1, 0.05, -0.08])
-    h0, G0 = pullback_metric_connection(cap, Y0)
-    eps = 1e-6
-    dh = np.zeros((3, 3, 3))
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = eps
-        hp, _ = pullback_metric_connection(cap, Y0 + e)
-        hm, _ = pullback_metric_connection(cap, Y0 - e)
-        dh[k] = (hp - hm) / (2 * eps)
-    hinv = np.linalg.inv(h0)
-    # T[i,j,l] = d_i h_jl + d_j h_il - d_l h_ij
-    T = dh + dh.transpose(1, 0, 2) - dh.transpose(1, 2, 0)
-    G_ref = 0.5 * np.einsum("kl,ijl->kij", hinv, T)
-    assert np.max(np.abs(G0 - G_ref)) < 1e-6
 
 
 def test_scaling_commutes(cap):
@@ -167,9 +146,16 @@ def test_kappa_condition_flat(flat):
     assert verify_kappa_condition(flat).passed
 
 
+class UncheckedPatch(SupportPatch):
+    """A patch that skips the construction checks, to declare too small a kappa."""
+
+    def __post_init__(self):
+        pass
+
+
 def test_kappa_condition_fail():
-    # |Hess phi| = 1 exceeds the declared kappa = 0.5
-    patch = SupportPatch.paraboloid(1.0, kappa=0.5, chart_radius=1.0)
+    # |Hess phi| = 1 exceeds the declared kappa = 0.5, which SupportPatch refuses
+    patch = UncheckedPatch.paraboloid(1.0, kappa=0.5, chart_radius=1.0)
     rep = verify_kappa_condition(patch)
     assert not rep.passed
     assert rep.max_hess > 0.5
@@ -198,3 +184,36 @@ def test_from_spec_refuses_kappa_below_curvature(phi, kappa, curvature):
     assert exc.value.field == "kappa"
     assert SupportPatch.from_spec(phi, kappa=curvature).kappa == curvature
     assert SupportPatch.from_spec(phi).kappa == curvature
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SupportPatch.paraboloid(2.0, kappa=0.25, chart_radius=0.45),
+    lambda: SupportPatch.sphere_cap(2.0, kappa=0.4),
+], ids=["paraboloid", "sphere_cap"])
+def test_patch_refuses_kappa_below_curvature(build):
+    # not only from_spec: any patch whose chart radius 1/kappa could reach the focal line
+    with pytest.raises(PatchFieldError, match="kappa must be >=") as exc:
+        build()
+    assert exc.value.field == "kappa"
+
+
+ADMITTED = {
+    "flat": SupportPatch.flat(),
+    "flat r=3": SupportPatch.flat(chart_radius=3.0),
+    "paraboloid:0.5": SupportPatch.paraboloid(0.5),
+    "paraboloid:-2": SupportPatch.paraboloid(-2.0),
+    "sphere_cap:2": SupportPatch.sphere_cap(2.0),
+    "paraboloid:2 kappa=curvature": SupportPatch.paraboloid(2.0, kappa=2.0, chart_radius=0.45),
+    "paraboloid:0.5 kappa=1": SupportPatch.paraboloid(0.5, kappa=1.0, chart_radius=1.0),
+    "sphere_cap:2 kappa=1": SupportPatch.sphere_cap(2.0, kappa=1.0, chart_radius=0.5),
+}
+
+
+@pytest.mark.parametrize("rescaled", [False, True], ids=["as built", "rescaled by 0.5"])
+@pytest.mark.parametrize("name", sorted(ADMITTED))
+def test_admitted_patch_rebuilds_from_its_spec(name, rescaled):
+    patch = ADMITTED[name].rescale(0.5) if rescaled else ADMITTED[name]
+    back = SupportPatch.from_spec(**patch.spec())
+    assert back.kind == patch.kind
+    assert back.spec() == patch.spec()
+    assert back.profile.curvature == patch.profile.curvature <= patch.kappa
