@@ -28,7 +28,7 @@ for snap, area, max_H in zip(trajectory.snapshots,
                              trajectory.monitors["max_H"][
                                  ::config.snapshot_stride]):
     R = shrinking_radius(R0, snap.t)
-    Y1, Y2 = np.meshgrid(snap.y1, snap.y2, indexing="ij")
+    Y1, Y2 = snap.grid.nodes
     exact = np.sqrt(R**2 - Y1**2 - Y2**2)
     err = np.max(np.abs(snap.u - exact)[snap.geometry().mask])
     print(f"{snap.t:8.4f} {R:10.6f} {err:10.2e} {area:10.6f} {max_H:8.4f}")

@@ -1,4 +1,4 @@
-"""Write BENCH_<pr>.json: end-to-end and chart-kernel layer rows from perfbench.
+"""Write BENCH_<pr>.json: end-to-end and per-layer rows from perfbench.
 
 Usage, from the root of a checkout:
 
@@ -14,10 +14,12 @@ reads it as it is and keeps:
   (``trace.untraced_wall_s``), the mean with tracing, and the counts of
   attempted and failed repetitions;
 - layer rows: calls, total_s and self_s (medians over the traced
-  repetitions) and milliseconds per call of the chart kernel
-  (``geometry.fundamental_forms``, ``support.chart_frames``), the writers
-  (``io.write_obj``, ``io.save_trajectory``) and the analytic quadrature
-  (``analytic.AnalyticSurface.integral``), and the share of
+  repetitions) and milliseconds per call of the explicit step
+  (``flow.step``), the chart kernel (``geometry.fundamental_forms``,
+  ``support.chart_frames``), the density and scan monitors
+  (``monitors.monotonicity_report``, ``monitors.singular_set_scan``), the
+  writers (``io.write_obj``, ``io.save_trajectory``) and the analytic
+  quadrature (``analytic.AnalyticSurface.integral``), and the share of
   ``fundamental_forms`` time spent in ``chart_frames``.
 
 Nothing under ``perfbench/`` is changed.
@@ -35,7 +37,8 @@ from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("geometry.fundamental_forms", "support.chart_frames", "io.write_obj",
+LAYERS = ("flow.step", "geometry.fundamental_forms", "support.chart_frames",
+          "monitors.monotonicity_report", "monitors.singular_set_scan", "io.write_obj",
           "io.save_trajectory", "analytic.AnalyticSurface.integral")
 END_TO_END = (("untraced_wall_s", "trace.untraced_wall_s"), ("traced_wall_s", "trace.wall_s"))
 SEED = 1  # perfbench/run.py's own default

@@ -24,7 +24,6 @@ from .flow import (
 from .geometry import (
     GraphSurface,
     gauss_bonnet_identity,
-    grid_nodes,
     integrate,
     modified_area_ratio,
 )
@@ -72,7 +71,7 @@ def _sphere_error(h_inv):
     traj = _sphere_run(h_inv, 0.01, 10**6)
     surf = traj.snapshots[-1]
     R = shrinking_radius(1.0, surf.t)
-    Y1, Y2 = grid_nodes(surf.h, surf.r_dom, surf.half)
+    Y1, Y2 = surf.grid.nodes
     exact = np.sqrt(R**2 - Y1**2 - Y2**2)
     mask = surf.geometry().mask
     return float(np.max(np.abs(surf.u - exact)[mask])), traj.stop_reason

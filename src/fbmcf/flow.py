@@ -9,7 +9,6 @@ window is an artifact of the graph parametrization and carries Dirichlet
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from .errors import (
     PastSingularityError,
     ReflectionConditionError,
 )
-from .geometry import _derivative_planes, grid_nodes, integrate, perimeter
+from .geometry import _derivative_planes, integrate, perimeter
 from .support import components, trailing
 
 MAX_STEPS = 10**6   # hard bound on the steps of one run
@@ -103,24 +102,13 @@ class Trajectory:
 # Stepping
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
-def _active_mask(h, r_dom, half):
-    """Read-only mask of the grid nodes strictly inside the footprint radius."""
-    Y1, Y2 = grid_nodes(h, r_dom, half)
-    act = np.hypot(Y1, Y2) < r_dom - 1e-12 * r_dom
-    act.setflags(write=False)
-    return act
-
-
 def _apply_rim(u_new, surface, config, t_new):
-    act = _active_mask(surface.h, surface.r_dom, surface.half)
+    grid = surface.grid
     if config.outer_bc == "dirichlet-exact":
-        Y1, Y2 = grid_nodes(surface.h, surface.r_dom, surface.half)
-        rim = np.asarray(config.rim_values(Y1, Y2, t_new), dtype=float)
-        u_new = np.where(act, u_new, rim)
+        rim = np.asarray(config.rim_values(*grid.nodes, t_new), dtype=float)
     else:
-        u_new = np.where(act, u_new, surface.u)
-    return u_new
+        rim = surface.u
+    return np.where(grid.active, u_new, rim)
 
 
 def _contract(a, b):
@@ -141,7 +129,7 @@ def _stability_bound(surface, config):
 def _stability_maxima(surface):
     """max eig(g^{ij}) over the active nodes."""
     a = components(surface.geometry().ginv, 2)
-    act = _active_mask(surface.h, surface.r_dom, surface.half)
+    act = surface.grid.active
     tr = a[0, 0] + a[1, 1]
     dsc = np.sqrt((a[0, 0] - a[1, 1]) ** 2 + 4.0 * a[0, 1] ** 2)
     return float(np.max((0.5 * (tr + dsc))[act]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,36 +60,44 @@ def circle_box_area(R, x0, x1, y0, y1):
 
 
 def disk_cell_weights(y1, y2, h, R, half):
-    """Per-node overlap areas of the dual cells with the footprint disk.
-
-    Memoised per (grid, h, R, half); the returned array is read-only.
-    """
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    return _cell_weights(y1.tobytes(), y2.tobytes(), float(h), float(R), bool(half))
-
-
-@functools.lru_cache(maxsize=32)
-def _cell_weights(y1, y2, h, R, half):
-    y1, y2 = np.frombuffer(y1), np.frombuffer(y2)
+    """Per-node overlap areas of the dual cells with the footprint disk of radius R."""
     X0, Y0 = np.meshgrid(y1 - 0.5 * h, y2 - 0.5 * h, indexing="ij")
     X1, Y1 = np.meshgrid(y1 + 0.5 * h, y2 + 0.5 * h, indexing="ij")
     if half:
         Y0 = np.maximum(Y0, 0.0)  # clip at the free-boundary edge
-    w = circle_box_area(R, X0, X1, Y0, Y1)
-    w.setflags(write=False)
-    return w
+    return circle_box_area(R, X0, X1, Y0, Y1)
 
 
-@functools.lru_cache(maxsize=32)
-def grid_nodes(h, r_dom, half):
-    """Read-only node coordinates (Y1, Y2) of the grid of spacing h over r_dom."""
-    m = int(round(r_dom / h))
-    lo = 0 if half else -m
-    nodes = np.meshgrid(h * np.arange(-m, m + 1), h * np.arange(lo, m + 1), indexing="ij")
-    for a in nodes:
-        a.setflags(write=False)
-    return tuple(nodes)
+class Grid(NamedTuple):
+    """Static data of the node grid of spacing h over the (half-)disk of radius r_dom.
+
+    `Grid.of` builds one Grid per (h, r_dom, half) and hands the same one out
+    after that; every array is read-only.
+    """
+
+    key: tuple            # (h, r_dom, half)
+    y1: np.ndarray        # node axes
+    y2: np.ndarray
+    nodes: tuple          # (Y1, Y2) node planes
+    weights: np.ndarray   # footprint cell overlap areas
+    mask: np.ndarray      # weights > 0
+    active: np.ndarray    # nodes strictly inside r_dom: the nodes a step moves
+
+    @classmethod
+    @functools.lru_cache(maxsize=32)
+    def of(cls, h, r_dom, half):
+        m = int(round(r_dom / h))
+        if abs(m * h - r_dom) > 1e-9 * r_dom:
+            raise ValueError("grid spacing must divide the footprint radius")
+        y1 = h * np.arange(-m, m + 1)
+        y2 = h * np.arange(0 if half else -m, m + 1)
+        nodes = tuple(np.meshgrid(y1, y2, indexing="ij"))
+        weights = disk_cell_weights(y1, y2, h, r_dom, half)
+        grid = cls((h, r_dom, half), y1, y2, nodes, weights, weights > 0,
+                   np.hypot(*nodes) < r_dom - 1e-12 * r_dom)
+        for a in (y1, y2, *nodes, weights, grid.mask, grid.active):
+            a.setflags(write=False)
+        return grid
 
 
 # ---------------------------------------------------------------------------
@@ -148,27 +157,14 @@ class GraphSurface:
     _maxima: object = field(default=None, repr=False, compare=False)   # see flow._stability_bound
 
     def __post_init__(self):
-        m = self.m
-        if abs(m * self.h - self.r_dom) > 1e-9 * self.r_dom:
-            raise ValueError("grid spacing must divide the footprint radius")
-        n2 = m + 1 if self.half else 2 * m + 1
-        if self.u.shape != (2 * m + 1, n2):
+        if self.u.shape != self.grid.nodes[0].shape:
             raise ValueError(f"height array shape {self.u.shape} does not match grid")
         if not np.all(np.isfinite(self.u)):
             raise ValueError("non-finite height samples")
 
     @property
-    def m(self):
-        return int(round(self.r_dom / self.h))
-
-    @property
-    def y1(self):
-        return self.h * np.arange(-self.m, self.m + 1)
-
-    @property
-    def y2(self):
-        lo = 0 if self.half else -self.m
-        return self.h * np.arange(lo, self.m + 1)
+    def grid(self):
+        return Grid.of(self.h, self.r_dom, self.half)
 
     def neumann_residual(self):
         """One-sided discrete normal derivative along the free-boundary edge."""
@@ -186,12 +182,12 @@ class GraphSurface:
 
     @classmethod
     def zero(cls, patch, h, r_dom, half=True):
-        return cls(patch, h, r_dom, np.zeros(grid_nodes(h, r_dom, half)[0].shape), 0.0, half)
+        return cls(patch, h, r_dom, np.zeros(Grid.of(h, r_dom, half).nodes[0].shape), 0.0, half)
 
     @classmethod
     def from_height(cls, fn, patch, h, r_dom, t=0.0, half=True):
         """Heights fn(Y1, Y2) at the grid nodes; the node arrays are shared and read-only."""
-        return cls(patch, h, r_dom, np.array(fn(*grid_nodes(h, r_dom, half)), dtype=float),
+        return cls(patch, h, r_dom, np.array(fn(*Grid.of(h, r_dom, half).nodes), dtype=float),
                    t, half)
 
     @classmethod
@@ -260,28 +256,27 @@ class SurfaceGeometry:
     H: np.ndarray
     A2: np.ndarray      # |A|^2
     sqrtg: np.ndarray
-    wcell: np.ndarray   # footprint cell overlap areas
-    dA: np.ndarray      # sqrt(det g) * wcell
+    dA: np.ndarray      # sqrt(det g) * the grid's footprint weights
     coeff_f: np.ndarray  # g^{ij} N.d2Phi(T~_i, T~_j) / (N.dPhi_2) = g^{ij}(Gamma^2_ij + Q_ij)
-    mask: np.ndarray    # wcell > 0
+    mask: np.ndarray    # the grid's mask: footprint weight > 0
 
 
 _PAIRS = ((0, 0), (0, 1), (1, 1))
 _EYE3 = np.eye(3)   # dPhi of the flat chart Phi(Y) = Y, whose d2Phi is 0
 
 
-def _curved_chart(surface, y1, y2):
+def _curved_chart(surface, grid):
     """X, the dPhi planes and the d2Phi pairs of a curved patch at the surface's nodes.
 
-    The static axes go in as (n1, 1) and (1, n2): see `chart_frames`.  Where
+    The grid's axes go in as (n1, 1) and (1, n2): see `chart_frames`.  Where
     the profile ignores y3 -- its nu comes back on the (n1, 1) y1 axis -- every
     plane but X_2 = u + y2 nu_2 is fixed by the grid.  Those planes are kept,
-    read-only, in the patch's `chart_memo` under the grid (h, r_dom, half), and
-    later calls only check the chart range and add the height.
+    read-only, in the patch's `chart_memo` under the grid's key (h, r_dom, half),
+    and later calls only check the chart range and add the height.
     """
     U, patch = surface.u, surface.patch
-    key = (surface.h, surface.r_dom, surface.half)
-    planes = patch.chart_memo.get(key)
+    y1, y2 = grid.y1[:, None], grid.y2[None, :]
+    planes = patch.chart_memo.get(grid.key)
     if planes is None:
         fr = chart_frames(patch, y1, y2, U, order=2)
         dPhi, d2Phi, nu = components(fr["dPhi"], 2), fr["d2Phi"], components(fr["nu"], 1)
@@ -290,7 +285,7 @@ def _curved_chart(surface, y1, y2):
         planes = (components(fr["X"], 1)[:2], y2 * nu[2], dPhi, d2Phi)
         for a in (*planes[:3], *(c for pair in d2Phi.values() for c in pair)):
             a.setflags(write=False)
-        patch.chart_memo[key] = planes
+        patch.chart_memo[grid.key] = planes
     else:
         _check_range(patch, y1, y2, U)
     X01, y2nu2, dPhi, d2Phi = planes
@@ -315,14 +310,14 @@ def fundamental_forms(surface):
     """
     U, patch = surface.u, surface.patch
     u, d2u = _derivative_planes(U, surface.h, surface.half)
-    Y1, Y2 = grid_nodes(surface.h, surface.r_dom, surface.half)
+    grid = surface.grid
     if patch.is_flat:
-        _check_range(patch, Y1[:, :1], Y2[:1, :], U)
+        _check_range(patch, grid.y1[:, None], grid.y2[None, :], U)
         Y = np.empty((3,) + U.shape)
-        Y[0], Y[1], Y[2] = Y1, Y2, U
+        Y[0], Y[1], Y[2] = *grid.nodes, U
         X, dPhi, d2Phi = trailing(Y, 1), _EYE3, None
     else:
-        X, dPhi, d2Phi = _curved_chart(surface, Y1[:, :1], Y2[:1, :])
+        X, dPhi, d2Phi = _curved_chart(surface, grid)
 
     T = [[dPhi[c, i] + dPhi[c, 2] * u[i] for c in range(3)] for i in range(2)]
     g = np.empty((2, 2) + U.shape)
@@ -361,12 +356,10 @@ def fundamental_forms(surface):
     GA = [[ginv[i, 0] * A[0, j] + ginv[i, 1] * A[1, j] for j in range(2)] for i in range(2)]
     A2 = GA[0][0] * GA[0][0] + 2.0 * GA[0][1] * GA[1][0] + GA[1][1] * GA[1][1]
 
-    wcell = disk_cell_weights(surface.y1, surface.y2, surface.h, surface.r_dom,
-                              surface.half)
     sqrtg = np.sqrt(det)
     return SurfaceGeometry(X, trailing(N, 1), trailing(u, 1), trailing(d2u, 2),
                            trailing(g, 2), trailing(ginv, 2), trailing(A, 2), Hcur, A2,
-                           sqrtg, wcell, sqrtg * wcell, coeff_f, wcell > 0)
+                           sqrtg, sqrtg * grid.weights, coeff_f, grid.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +376,8 @@ def integrate(surface, field, radius=None):
     if radius is None:
         w = g.dA
     else:
-        w = g.sqrtg * disk_cell_weights(surface.y1, surface.y2, surface.h,
-                                        radius, surface.half)
+        grid = surface.grid
+        w = g.sqrtg * disk_cell_weights(grid.y1, grid.y2, surface.h, radius, surface.half)
     return float(np.sum(np.asarray(field) * w))
 
 

@@ -91,11 +91,16 @@ class _LineTemplate(NamedTuple):
 
 @functools.lru_cache(maxsize=8)
 def _face_lines(n1, n2):
-    """Two triangles per cell of an n1 x n2 node grid; node (i, j) is i * n2 + j + 1."""
-    a = (np.arange(n1 - 1)[:, None] * n2 + np.arange(n2 - 1)[None, :] + 1).ravel()
+    """Two triangles per cell of an n1 x n2 node grid; node (i, j) is i * n2 + j + 1.
+
+    The text is built one row of cells at a time, so only one row's indices
+    are Python ints at once.
+    """
+    a = np.arange(1, n2)
     b = a + n2
-    faces = np.stack([a, b, a + 1, b, b + 1, a + 1], axis=-1)
-    return ("f %d %d %d\n" * (2 * len(a))) % tuple(faces.ravel().tolist())
+    row = np.stack([a, b, a + 1, b, b + 1, a + 1], axis=-1).ravel()
+    line = "f %d %d %d\n" * (2 * len(a))
+    return "".join(line % tuple((row + i * n2).tolist()) for i in range(n1 - 1))
 
 
 def write_obj(path, surface, template=None):

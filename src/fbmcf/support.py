@@ -143,6 +143,10 @@ class SupportPatch:
     The orientation frame is fixed: base point O = 0 and nu(O) = (0, 1, 0).
     `chart_memo` holds the height-free chart planes that
     `geometry.fundamental_forms` keeps per grid; it lives and dies with the patch.
+
+    Construction compares kappa only with the profile's curvature at the base
+    point, while `verify_kappa_condition` checks the derivative bounds over the
+    whole chart disk: `sphere_cap(R)` with its defaults is built, yet fails that check.
     """
 
     kind: str

@@ -35,3 +35,10 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
             assert rows[f"{layer}.ms_per_call"]["value"] > 0, layer
             assert rows[f"{layer}.ms_per_call"]["unit"] == "ms", layer
     assert store["analytic.AnalyticSurface.integral.ms_per_call"]["value"] > 0
+    # the trough steps; the store run queries two densities from `fbmcf monitor`
+    # and one analytic series, and scans once
+    assert trough["flow.step.calls"]["value"] > 0
+    assert trough["flow.step.ms_per_call"]["value"] > 0
+    assert store["monitors.singular_set_scan.calls"]["value"] == 1
+    assert store["monitors.monotonicity_report.calls"]["value"] == 3
+    assert store["monitors.monotonicity_report.ms_per_call"]["value"] > 0

@@ -30,8 +30,7 @@ from fbmcf.support import (
 )
 
 _TANGENT_IDX = (0, 2)
-FIELDS = ("X", "N", "du", "d2u", "g", "ginv", "A", "H", "A2", "sqrtg", "wcell", "dA",
-          "coeff_f")
+FIELDS = ("X", "N", "du", "d2u", "g", "ginv", "A", "H", "A2", "sqrtg", "dA", "coeff_f")
 
 
 def ref_derivs(profile, p, q):
@@ -153,7 +152,7 @@ def ref_grad_hess(U, h, half):
 def ref_fundamental_forms(surface):
     U = surface.u
     du, d2u = ref_grad_hess(U, surface.h, surface.half)
-    Y1, Y2 = np.meshgrid(surface.y1, surface.y2, indexing="ij")
+    Y1, Y2 = surface.grid.nodes
     X, dPhi, hm, Gam = ref_pullback(surface.patch, np.stack([Y1, Y2, U], axis=-1))
     g = np.empty(U.shape + (2, 2))
     for i in range(2):
@@ -179,7 +178,7 @@ def ref_fundamental_forms(surface):
     A = np.einsum("...c,...c->...", dPhi[..., :, 2], N)[..., None, None] * (low + d2u)
     ginv, det = ref_inv2x2(g)
     GA = np.einsum("...ik,...kj->...ij", ginv, A)
-    wcell = disk_cell_weights(surface.y1, surface.y2, surface.h, surface.r_dom, surface.half)
+    wcell = disk_cell_weights(Y1[:, 0], Y2[0], surface.h, surface.r_dom, surface.half)
     return {"X": X, "N": N, "du": du, "d2u": d2u, "g": g, "ginv": ginv, "A": A,
             "H": np.einsum("...ij,...ij->...", ginv, A),
             "A2": np.einsum("...ij,...ji->...", GA, GA), "sqrtg": np.sqrt(det),
@@ -208,7 +207,7 @@ def curved_surface(patch, half=True):
 
 def grid_coords(s):
     """Chart coordinates (y1, y2, y3) of every node, each of the full (n1, n2) shape."""
-    return (*np.meshgrid(s.y1, s.y2, indexing="ij"), s.u)
+    return (*s.grid.nodes, s.u)
 
 
 # the half-disk cases keep the bare patch name as their id
@@ -362,7 +361,7 @@ def test_broadcast_chart_point_out_of_range():
 def test_pullback_metric_matches_einsum_reference(name):
     patch = PATCHES[name]
     s = curved_surface(patch)
-    Y = np.stack([*np.meshgrid(s.y1, s.y2, indexing="ij"), s.u], axis=-1)
+    Y = np.stack([*s.grid.nodes, s.u], axis=-1)
     h = pullback_metric(patch, Y)
     _, _, h_ref, _ = ref_pullback(patch, Y)
     assert h.shape == h_ref.shape

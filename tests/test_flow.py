@@ -52,7 +52,7 @@ def test_first_step_matches_forcing_term():
     cap = GraphSurface.sphere_cap(1.0, 1 / 32, 0.5)
     for s in (tilted, cap):
         g = s.geometry()
-        act = np.hypot(*np.meshgrid(s.y1, s.y2, indexing="ij")) < s.r_dom
+        act = np.hypot(*s.grid.nodes) < s.r_dom
         if s is tilted:
             assert np.max(np.abs(g.coeff_f[act])) > 0.01   # 0.018 at h = 1/32
         else:
@@ -73,7 +73,7 @@ def test_for_sphere_rim_is_the_exact_sphere():
     cfg = FlowConfig.for_sphere(1.0, 0.01)
     assert cfg.outer_bc == "dirichlet-exact"
     s = GraphSurface.sphere_cap(1.0, 1 / 16, 0.5, t=0.004)
-    Y1, Y2 = np.meshgrid(s.y1, s.y2, indexing="ij")
+    Y1, Y2 = s.grid.nodes
     assert np.array_equal(cfg.rim_values(Y1, Y2, 0.004), s.u)
     assert FlowConfig.for_sphere(1.0, 0.01, outer_bc="frozen").outer_bc == "frozen"
 
@@ -155,7 +155,7 @@ def test_manufactured_solution_convergence():
         traj = sphere_run(hi, 0.005)
         f = traj.snapshots[-1]
         R = shrinking_radius(1.0, f.t)
-        Y1, Y2 = np.meshgrid(f.y1, f.y2, indexing="ij")
+        Y1, Y2 = f.grid.nodes
         errs[hi] = np.max(np.abs(f.u - np.sqrt(R**2 - Y1**2 - Y2**2))
                           [f.geometry().mask])
         assert traj.stop_reason == "completed"
@@ -247,7 +247,7 @@ def test_temporal_probe_refinement_stable():
     qs = {}
     for hi in (16, 32):
         traj = sphere_run(hi, 0.004, stride=4)
-        m = traj.snapshots[0].m
+        m = traj.snapshots[0].u.shape[0] // 2   # the node row y1 = 0
         qs[hi] = temporal_regularity_probe(traj, (m, m // 2), (0.0, 1.0))
     assert qs[16] > 0.0
     assert 0.8 <= qs[16] / qs[32] <= 1.25

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from fbmcf import geometry
 from fbmcf.analytic import AnalyticSurface
 from fbmcf.errors import FbmcfError
+from fbmcf.flow import FlowConfig, run
 from fbmcf.geometry import (
     GraphSurface,
+    Grid,
     area_ratio_profile,
     circle_box_area,
     gauss_bonnet_identity,
@@ -76,11 +79,33 @@ def test_integrate_zero_field():
     assert integrate(s, np.zeros_like(s.u)) == 0.0
 
 
+def test_grid_data_is_built_once_per_grid(monkeypatch):
+    calls = []
+    weights = geometry.disk_cell_weights
+
+    def counted(*args):
+        calls.append(args)
+        return weights(*args)
+
+    Grid.of.cache_clear()
+    monkeypatch.setattr(geometry, "disk_cell_weights", counted)
+    patch = SupportPatch.paraboloid(0.5, kappa=0.5, chart_radius=2.0)
+    s = GraphSurface.from_height(lambda a, b: 0.1 * a, patch, 1 / 32, 0.5)
+    traj = run(s, FlowConfig(t_end=0.01, cfl=0.15))
+    assert traj.stop_reason == "completed" and len(traj.monitors["t"]) > 50
+    assert len(calls) == 1   # the cache was cleared above: the one build of this grid
+    assert s.with_height(2.0 * s.u).grid is s.grid
+    assert traj.snapshots[-1].grid is s.grid
+    grid = s.grid
+    for a in (grid.y1, grid.y2, *grid.nodes, grid.weights, grid.mask, grid.active):
+        assert not a.flags.writeable
+
+
 def test_quadrature_refinement_order():
     vals = {}
     for hi in (16, 32, 64):
         s = GraphSurface.zero(FLAT, 1.0 / hi, 1.0)
-        Y1, Y2 = np.meshgrid(s.y1, s.y2, indexing="ij")
+        Y1, Y2 = s.grid.nodes
         vals[hi] = integrate(s, np.cos(2 * Y1 + Y2))
     ratio = (vals[16] - vals[32]) / (vals[32] - vals[64])
     assert 3.0 <= ratio <= 5.0

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import os
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -217,6 +218,19 @@ def test_obj_bytes_match_per_node_writer_on_edge_values(tmp_path):
     assert np.array_equal(_signbits(back), _signbits(EDGE_ROWS))
 
 
+def test_face_text_is_built_a_row_at_a_time():
+    # the 129 x 65 face text is 272 KB; formatted from all 98,304 indices as
+    # Python ints at once, it peaks at 3.0 MB
+    tracemalloc.start()
+    try:
+        text = fbmcf_io._face_lines.__wrapped__(129, 65)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 272_401
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize("rows", [EDGE_ROWS, np.random.default_rng(5).random((7, 3))],
                          ids=["repeated", "distinct"])
 def test_csv_bytes_match_per_row_writer(tmp_path, rows):
@@ -255,7 +269,7 @@ def hand_built_trajectory():
     snaps = []
     for k in range(5):
         s = GraphSurface.zero(SupportPatch.flat(), 0.125, 0.5)
-        X = np.stack(np.broadcast_arrays(0.0, 0.25, 0.5 * s.y1[:, None] + s.y2), axis=-1)
+        X = np.stack(np.broadcast_arrays(0.0, 0.25, 0.5 * s.grid.y1[:, None] + s.grid.y2), axis=-1)
         X[::4, ::2, 0] = -0.0 if k % 2 else 0.0
         X[3, 2, 1] = np.nextafter(0.25, 1.0) if k in (2, 3) else 0.25
         s.t, s._geom = 0.001 * k, SimpleNamespace(X=X)
