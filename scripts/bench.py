@@ -20,7 +20,13 @@ reads it as it is and keeps:
   (``monitors.monotonicity_report``, ``monitors.singular_set_scan``), the
   writers (``io.write_obj``, ``io.save_trajectory``) and the analytic
   quadrature (``analytic.AnalyticSurface.integral``), and the share of
-  ``fundamental_forms`` time spent in ``chart_frames``.
+  ``fundamental_forms`` time spent in ``chart_frames``;
+- run memory rows (``run_memory``), one per stride-1 run of the tilted plane
+  u = 0.1 y1 over ``paraboloid:0.5`` at h = 1/grid with the default cfl,
+  each in a fresh process, to t_end 5e-4, 2e-3 and 4e-3 (71, 284 and 567
+  steps at h = 1/128): its step count, ``ru_maxrss`` and wall time.  Peak
+  memory that grows with the step count shows here; the benchmark's
+  ``trough-curved`` stores 7 snapshots and does not see it.
 
 Nothing under ``perfbench/`` is changed.
 """
@@ -31,8 +37,10 @@ import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
+import time
 from importlib.metadata import version
 from pathlib import Path
 
@@ -42,6 +50,8 @@ LAYERS = ("flow.step", "geometry.fundamental_forms", "support.chart_frames",
           "io.save_trajectory", "analytic.AnalyticSurface.integral")
 END_TO_END = (("untraced_wall_s", "trace.untraced_wall_s"), ("traced_wall_s", "trace.wall_s"))
 SEED = 1  # perfbench/run.py's own default
+MEMORY_T_ENDS = (5e-4, 2e-3, 4e-3)
+ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def _parse(argv):
@@ -50,6 +60,8 @@ def _parse(argv):
     p.add_argument("--seconds", type=float, default=55.0)
     p.add_argument("--grid", type=int, default=128, help="inverse grid spacing 1/h")
     p.add_argument("--out", default=str(ROOT), help="directory of BENCH_<pr>.json")
+    p.add_argument("--memory-probe", type=float, metavar="T_END",
+                   help="run one run-memory probe to T_END in this process and print its row")
     return p.parse_args(argv)
 
 
@@ -84,15 +96,55 @@ def rows(result):
     return {"end_to_end": end_to_end, "layers": layers}
 
 
+def memory_probe(t_end, grid):
+    """One stride-1 run in this process: its steps, ru_maxrss (MB) and wall time."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from fbmcf.flow import FlowConfig, run
+    from fbmcf.geometry import GraphSurface
+    from fbmcf.support import SupportPatch
+
+    initial = GraphSurface.from_height(lambda a, b: 0.1 * a, SupportPatch.paraboloid(0.5),
+                                       1.0 / grid, 0.5)
+    t0 = time.perf_counter()
+    traj = run(initial, FlowConfig(t_end=t_end))
+    wall = time.perf_counter() - t0
+    if traj.error is not None:
+        sys.exit(f"bench: memory probe stopped: {traj.stop_reason}")
+    # ru_maxrss is in KiB on Linux
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return {"t_end": {"value": t_end, "unit": "sim_t"},
+            "steps": {"value": len(traj.monitors["t"]) - 1, "unit": "count"},
+            "peak_rss_mb": {"value": rss, "unit": "MB"},
+            "wall_s": {"value": wall, "unit": "s"}}
+
+
+def run_memory(args):
+    """The memory probe rows, each from a fresh process of this script."""
+    probes = []
+    for t_end in MEMORY_T_ENDS:
+        cmd = [sys.executable, __file__, "--pr", str(args.pr), "--grid", str(args.grid),
+               "--memory-probe", repr(t_end)]
+        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600,
+                              env={**os.environ, **ONE_THREAD})
+        if proc.returncode != 0:
+            sys.exit(f"bench: memory probe {t_end:g} failed\n{proc.stderr}")
+        probes.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    return probes
+
+
 def main(argv=None):
     args = _parse(argv)
+    if args.memory_probe is not None:
+        print(json.dumps(memory_probe(args.memory_probe, args.grid)))
+        return 0
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
     report = {"pr": args.pr, "seconds_per_workload": args.seconds, "seed": SEED,
               "grid": args.grid,
               "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                        "numpy": version("numpy"), "machine": platform.machine()},
-              "workloads": {name: rows(run_traced(name, args)) for name in names}}
+              "workloads": {name: rows(run_traced(name, args)) for name in names},
+              "run_memory": run_memory(args)}
     path = Path(args.out) / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {path}")

@@ -159,7 +159,10 @@ def run(initial, config):
 
     An FbmcfError from the geometry or the step ends the run with what it has
     recorded so far.  The surface only advances once its geometry exists, so
-    every stored snapshot can be written out.
+    every stored snapshot can be written out.  When it advances, the old
+    surface drops its memoised geometry: a stored snapshot carries its heights,
+    and `geometry()` on it rebuilds the same geometry from them on demand, so a
+    run holds one geometry at a time.
     """
     surface = initial
     mon = {k: [] for k in ("t", "area", "perimeter", "energy", "max_H", "max_A")}
@@ -188,6 +191,7 @@ def run(initial, config):
             dt = min(_stability_bound(surface, config), config.t_end - surface.t)
             new = step(surface, dt, config)
             g = new.geometry()
+            surface._geom = surface._maxima = None
             surface = new
             step_count += 1
             if step_count % config.snapshot_stride == 0:
@@ -279,22 +283,3 @@ def extension_residual(surface):
     _, d2u = _derivative_planes(ubar, surface.h, half=False)
     return _contract(components(abar, 2), d2u) + fbar
 
-
-# ---------------------------------------------------------------------------
-# Temporal regularity diagnostic
-# ---------------------------------------------------------------------------
-
-def temporal_regularity_probe(trajectory, node, window):
-    """Sup of |Du(x,t) - Du(x,t')| / |t - t'|^{1/2} at a grid node."""
-    t0, t1 = window
-    snaps = [s for s in trajectory.snapshots if t0 <= s.t <= t1]
-    if len(snaps) < 3:
-        raise FbmcfError("insufficient-snapshots: need at least 3 in the window")
-    i, j = node
-    grads = np.array([s.geometry().du[i, j] for s in snaps])
-    times = np.array([s.t for s in snaps])
-    dt = np.abs(times[:, None] - times[None, :])
-    dg = np.linalg.norm(grads[:, None, :] - grads[None, :, :], axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(dt > 0, dg / np.sqrt(dt), 0.0)
-    return float(np.max(q))

@@ -208,6 +208,14 @@ class GraphSurface:
             self._geom = fundamental_forms(self)
         return self._geom
 
+    def positions(self):
+        """The (n1, n2, 3) node positions X, bit-equal to `geometry().X`.
+
+        The memoised geometry's X if there is one, else the chart's X alone:
+        no kernel runs, and nothing is memoised.
+        """
+        return self._geom.X if self._geom is not None else _chart(self, order=1)[0]
+
     # -- surface protocol (shared with AnalyticSurface and FrameSurface) ----
 
     is_compact = True
@@ -232,7 +240,7 @@ class GraphSurface:
         """Length of the free-boundary curve, the edge row y2 = 0."""
         if not self.half:
             raise ValueError("surface has no free-boundary edge")
-        Xe = self.geometry().X[:, 0, :]
+        Xe = self.positions()[:, 0, :]
         return float(np.sum(np.linalg.norm(np.diff(Xe, axis=0), axis=-1)))
 
 
@@ -265,22 +273,30 @@ _PAIRS = ((0, 0), (0, 1), (1, 1))
 _EYE3 = np.eye(3)   # dPhi of the flat chart Phi(Y) = Y, whose d2Phi is 0
 
 
-def _curved_chart(surface, grid):
-    """X, the dPhi planes and the d2Phi pairs of a curved patch at the surface's nodes.
+def _chart(surface, order=2):
+    """X, the dPhi planes and the d2Phi pairs of the surface's chart at its nodes.
 
-    The grid's axes go in as (n1, 1) and (1, n2): see `chart_frames`.  Where
-    the profile ignores y3 -- its nu comes back on the (n1, 1) y1 axis -- every
+    A flat support has X = Y, dPhi = I and d2Phi None.  On a curved patch the
+    grid's axes go in as (n1, 1) and (1, n2): see `chart_frames`.  Where the
+    profile ignores y3 -- its nu comes back on the (n1, 1) y1 axis -- every
     plane but X_2 = u + y2 nu_2 is fixed by the grid.  Those planes are kept,
     read-only, in the patch's `chart_memo` under the grid's key (h, r_dom, half),
-    and later calls only check the chart range and add the height.
+    and later calls only check the chart range and add the height.  order 1,
+    which `GraphSurface.positions` asks for, skips d2Phi where no memo exists
+    (d2Phi is then None) and leaves the memo as it is.
     """
-    U, patch = surface.u, surface.patch
+    U, patch, grid = surface.u, surface.patch, surface.grid
     y1, y2 = grid.y1[:, None], grid.y2[None, :]
+    if patch.is_flat:
+        _check_range(patch, y1, y2, U)
+        Y = np.empty((3,) + U.shape)
+        Y[0], Y[1], Y[2] = *grid.nodes, U
+        return trailing(Y, 1), _EYE3, None
     planes = patch.chart_memo.get(grid.key)
     if planes is None:
-        fr = chart_frames(patch, y1, y2, U, order=2)
-        dPhi, d2Phi, nu = components(fr["dPhi"], 2), fr["d2Phi"], components(fr["nu"], 1)
-        if nu.shape[1:] != y1.shape:   # the profile reads y3: no plane is static
+        fr = chart_frames(patch, y1, y2, U, order=order)
+        dPhi, d2Phi, nu = components(fr["dPhi"], 2), fr.get("d2Phi"), components(fr["nu"], 1)
+        if d2Phi is None or nu.shape[1:] != y1.shape:   # order 1, or no plane is static
             return fr["X"], dPhi, d2Phi
         planes = (components(fr["X"], 1)[:2], y2 * nu[2], dPhi, d2Phi)
         for a in (*planes[:3], *(c for pair in d2Phi.values() for c in pair)):
@@ -308,16 +324,9 @@ def fundamental_forms(surface):
     (y1, y2, u) leaves the chart radius.  A flat support has X = Y, dPhi = I,
     d2Phi = 0.
     """
-    U, patch = surface.u, surface.patch
+    U = surface.u
     u, d2u = _derivative_planes(U, surface.h, surface.half)
-    grid = surface.grid
-    if patch.is_flat:
-        _check_range(patch, grid.y1[:, None], grid.y2[None, :], U)
-        Y = np.empty((3,) + U.shape)
-        Y[0], Y[1], Y[2] = *grid.nodes, U
-        X, dPhi, d2Phi = trailing(Y, 1), _EYE3, None
-    else:
-        X, dPhi, d2Phi = _curved_chart(surface, grid)
+    X, dPhi, d2Phi = _chart(surface)
 
     T = [[dPhi[c, i] + dPhi[c, 2] * u[i] for c in range(3)] for i in range(2)]
     g = np.empty((2, 2) + U.shape)
@@ -356,7 +365,7 @@ def fundamental_forms(surface):
     GA = [[ginv[i, 0] * A[0, j] + ginv[i, 1] * A[1, j] for j in range(2)] for i in range(2)]
     A2 = GA[0][0] * GA[0][0] + 2.0 * GA[0][1] * GA[1][0] + GA[1][1] * GA[1][1]
 
-    sqrtg = np.sqrt(det)
+    sqrtg, grid = np.sqrt(det), surface.grid
     return SurfaceGeometry(X, trailing(N, 1), trailing(u, 1), trailing(d2u, 2),
                            trailing(g, 2), trailing(ginv, 2), trailing(A, 2), Hcur, A2,
                            sqrtg, sqrtg * grid.weights, coeff_f, grid.mask)
@@ -366,19 +375,9 @@ def fundamental_forms(surface):
 # Integrals and boundary length
 # ---------------------------------------------------------------------------
 
-def integrate(surface, field, radius=None):
-    """Sum field * sqrt(det g) * cell-overlap over the footprint.
-
-    radius restricts the footprint to a smaller concentric disk (used for
-    material-cap area tracking).
-    """
-    g = surface.geometry()
-    if radius is None:
-        w = g.dA
-    else:
-        grid = surface.grid
-        w = g.sqrtg * disk_cell_weights(grid.y1, grid.y2, surface.h, radius, surface.half)
-    return float(np.sum(np.asarray(field) * w))
+def integrate(surface, field):
+    """Sum field * sqrt(det g) * cell-overlap over the footprint."""
+    return float(np.sum(np.asarray(field) * surface.geometry().dA))
 
 
 def perimeter(surface):
@@ -428,18 +427,6 @@ def modified_area_ratio(surface, P, r, include_reflection=None):
     Yp = chart_coords(surface.patch, P)
     partial = bool(np.hypot(Yp[0], Yp[1]) + r > surface.r_dom + 0.5 * surface.h)
     return AreaRatio((area1 + area2) / (np.pi * r**2), area1, area2, partial)
-
-
-def area_ratio_profile(surface, P, r_list, C=0.0, Lambda=0.0, kappa=0.0,
-                       include_reflection=None):
-    """Weighted ratio series e^{C(Lambda+kappa)r} * ratio with violation."""
-    vals = []
-    for r in r_list:
-        ar = modified_area_ratio(surface, P, r, include_reflection)
-        vals.append(np.exp(C * (Lambda + kappa) * r) * ar.ratio)
-    vals = np.array(vals)
-    violation = float(np.max(np.maximum(vals[:-1] - vals[1:], 0.0), initial=0.0))
-    return vals, violation
 
 
 # ---------------------------------------------------------------------------

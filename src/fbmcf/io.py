@@ -107,14 +107,15 @@ def write_obj(path, surface, template=None):
     """ASCII mesh dump: `v x y z` per node, `f i j k` per triangle (1-based).
 
     A GraphSurface is written as its node grid with two triangles per cell,
-    any other surface as the points of `samples()`, and an array of points
-    as it is.  Coordinates are written with %.17g, so the output is exact:
-    float() of each field gives back the stored value.  template, a
-    `_LineTemplate` of vertex lines, already holds the coordinates that the
-    snapshots of one trajectory share (see `save_trajectory`).
+    at its `positions()`, which run no kernel; any other surface as the
+    points of `samples()`, and an array of points as it is.  Coordinates
+    are written with %.17g, so the output is exact: float() of each field
+    gives back the stored value.  template, a `_LineTemplate` of vertex
+    lines, already holds the coordinates that the snapshots of one
+    trajectory share (see `save_trajectory`).
     """
     if isinstance(surface, GraphSurface):
-        X = surface.geometry().X
+        X = surface.positions()
         faces = _face_lines(*X.shape[:2])
     else:
         X = np.asarray(surface if isinstance(surface, np.ndarray) else surface.samples().X,
@@ -168,7 +169,7 @@ def save_trajectory(outdir, trajectory, scenario_echo=None):
     meta = {"stop_reason": trajectory.stop_reason, "snapshots": []}
     if scenario_echo is not None:
         meta["scenario"] = scenario_echo
-    Xs = [snap.geometry().X for snap in trajectory.snapshots]
+    Xs = [snap.positions() for snap in trajectory.snapshots]
     template = _LineTemplate.build(Xs, "v ", " ") if len({X.shape for X in Xs}) == 1 else None
     for k, snap in enumerate(trajectory.snapshots):
         obj = f"snap_{k:05d}.obj"

@@ -42,3 +42,12 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
     assert store["monitors.singular_set_scan.calls"]["value"] == 1
     assert store["monitors.monotonicity_report.calls"]["value"] == 3
     assert store["monitors.monotonicity_report.ms_per_call"]["value"] > 0
+    # one fresh-process stride-1 run per t_end, on the same grid
+    memory = report["run_memory"]
+    assert [row["t_end"]["value"] for row in memory] == [5e-4, 2e-3, 4e-3]
+    units = {"t_end": "sim_t", "steps": "count", "peak_rss_mb": "MB", "wall_s": "s"}
+    for row in memory:
+        assert {key: row[key]["unit"] for key in units} == units
+        assert all(row[key]["value"] > 0 for key in units)
+    steps = [row["steps"]["value"] for row in memory]
+    assert steps == sorted(steps) and steps[0] < steps[-1]

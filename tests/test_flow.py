@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from fbmcf import flow
 from fbmcf.errors import (
     ChartRangeError,
     CflViolationError,
-    FbmcfError,
     NonFiniteError,
     PastSingularityError,
 )
@@ -20,7 +21,6 @@ from fbmcf.flow import (
     run,
     shrinking_radius,
     step,
-    temporal_regularity_probe,
 )
 from fbmcf.geometry import GraphSurface
 from fbmcf.support import SupportPatch
@@ -228,29 +228,30 @@ def test_extension_residual_even():
     assert np.max(np.abs(res - res[:, ::-1])) < 1e-10 * (1 + np.max(np.abs(res)))
 
 
-def test_temporal_probe_stationary_zero():
-    s = GraphSurface.zero(FLAT, 1 / 16, 0.5)
-    cfg = FlowConfig(t_end=10 * 0.2 / 16**2, outer_bc="frozen")
-    traj = run(s, cfg)
-    q = temporal_regularity_probe(traj, (8, 4), (0.0, 1.0))
-    assert q == 0.0
+def _traced_stride_one_run(t_end):
+    """A stride-1 trough run at h = 1/64 and its tracemalloc peak."""
+    s = GraphSurface.from_height(lambda a, b: 0.1 * a, SupportPatch.paraboloid(0.5),
+                                 1 / 64, 0.5)
+    s.geometry()   # fills the patch's chart memo before tracing starts
+    tracemalloc.start()
+    try:
+        traj = run(s, FlowConfig(t_end=t_end))
+        return traj, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
-def test_temporal_probe_needs_snapshots():
-    s = GraphSurface.zero(FLAT, 1 / 16, 0.5)
-    traj = run(s, FlowConfig(t_end=0.2 / 16**2, outer_bc="frozen"))
-    with pytest.raises(FbmcfError):
-        temporal_regularity_probe(traj, (8, 4), (0.0, 1e-9))
-
-
-def test_temporal_probe_refinement_stable():
-    qs = {}
-    for hi in (16, 32):
-        traj = sphere_run(hi, 0.004, stride=4)
-        m = traj.snapshots[0].u.shape[0] // 2   # the node row y1 = 0
-        qs[hi] = temporal_regularity_probe(traj, (m, m // 2), (0.0, 1.0))
-    assert qs[16] > 0.0
-    assert 0.8 <= qs[16] / qs[32] <= 1.25
+def test_run_holds_one_geometry_at_a_time():
+    traj, peak = _traced_stride_one_run(0.008)
+    traj2, peak2 = _traced_stride_one_run(0.016)
+    n, n2 = len(traj.snapshots), len(traj2.snapshots)
+    assert traj2.stop_reason == "completed" and 250 <= n and 2 * n - 5 <= n2 <= 2 * n + 5
+    for t in (traj, traj2):
+        kept = [k for k, snap in enumerate(t.snapshots) if snap._geom is not None]
+        assert kept == [len(t.snapshots) - 1]
+    # each stored snapshot adds its heights and no more; a memoised
+    # geometry would add about 30 times as much
+    assert peak2 - peak <= 1.2 * (n2 - n) * traj.snapshots[0].u.nbytes
 
 
 def test_exact_trajectory_monitors():

@@ -8,7 +8,6 @@ from fbmcf.flow import FlowConfig, run
 from fbmcf.geometry import (
     GraphSurface,
     Grid,
-    area_ratio_profile,
     circle_box_area,
     gauss_bonnet_identity,
     integrate,
@@ -101,6 +100,25 @@ def test_grid_data_is_built_once_per_grid(monkeypatch):
         assert not a.flags.writeable
 
 
+@pytest.mark.parametrize("half", [True, False], ids=["half-disk", "full-disk"])
+@pytest.mark.parametrize("phi", ["flat", "paraboloid:0.5", "sphere_cap:2",
+                                 "paraboloid:0.5@/0.5"])
+def test_positions_bit_equal_to_kernel_positions(phi, half):
+    patch = SupportPatch.from_spec(phi)
+    s = GraphSurface.from_height(lambda a, b: 0.1 * a + 0.2 * b * b, patch, 1 / 32, 0.25,
+                                 half=half)
+    before = s.positions()   # no chart memo yet on a fresh patch
+    assert s._geom is None and not patch.chart_memo
+    X = geometry.fundamental_forms(s).X
+    # the kernel keeps the chart planes of a profile that ignores y3
+    assert bool(patch.chart_memo) == phi.startswith("paraboloid")
+    after = s.with_height(s.u).positions()
+    for Y in (before, after):
+        assert Y.shape == X.shape and np.array_equal(Y.view(np.int64), X.view(np.int64))
+    g = s.geometry()
+    assert s.positions() is g.X   # the memoised geometry's own array
+
+
 def test_quadrature_refinement_order():
     vals = {}
     for hi in (16, 32, 64):
@@ -163,16 +181,6 @@ def test_area_ratio_partial_flag():
     s = GraphSurface.zero(FLAT, 1 / 32, 0.5)
     assert modified_area_ratio(s, O, 0.8).partial
     assert not modified_area_ratio(s, O, 0.3).partial
-
-
-def test_area_ratio_profile_flat():
-    s = GraphSurface.zero(FLAT, 1 / 64, 1.0)
-    r_list = [0.2, 0.3, 0.4, 0.5]
-    vals, violation = area_ratio_profile(s, O, r_list)
-    assert np.max(np.abs(vals - 1.0)) <= 3 * s.h / r_list[0]
-    assert violation <= 3 * s.h / r_list[0]
-    vals1, violation1 = area_ratio_profile(s, O, [0.3])
-    assert violation1 == 0.0 and len(vals1) == 1
 
 
 def test_gauss_bonnet_hemisphere_and_sphere():

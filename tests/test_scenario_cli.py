@@ -318,6 +318,27 @@ def test_save_trajectory_formats_kept_columns_once(tmp_path, monkeypatch):
     assert len(vertex_calls) == 2 + 7
 
 
+def sphere_cap_trajectory():
+    """A run over a profile that reads y3, whose chart is never memoised."""
+    patch = SupportPatch.sphere_cap(2.0)
+    return run(GraphSurface.from_height(lambda a, b: 0.1 * a, patch, 1 / 32, 0.5),
+               FlowConfig(t_end=2e-3, snapshot_stride=10))
+
+
+@pytest.mark.parametrize("make", [trough_trajectory, flat_trajectory, sphere_cap_trajectory],
+                         ids=["trough", "flat", "sphere-cap"])
+def test_saved_files_do_not_depend_on_memoised_geometry(tmp_path, make):
+    traj = make()
+    n = len(traj.snapshots)
+    assert n > 2 and [s._geom is None for s in traj.snapshots] == [True] * (n - 1) + [False]
+    save_trajectory(str(tmp_path / "lean"), traj)
+    for s in traj.snapshots:
+        s.geometry()
+    files = save_trajectory(str(tmp_path / "full"), traj)
+    for name in files:
+        assert (tmp_path / "lean" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
 def test_snapshot_roundtrip(tmp_path):
     s = GraphSurface.sphere_cap(1.0, 0.0625, 0.25)
     path = str(tmp_path / "snap.npz")
