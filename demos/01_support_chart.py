@@ -44,8 +44,9 @@ print("double reflection error",
 h = pullback_metric(patch, Y)
 print("h_22 =", h[1, 1], "  h_12 =", h[0, 1], "  h_32 =", h[2, 1])
 
-# the declared curvature bound is checked by sampling Hessians,
-# third derivatives, and the mean convexity of the profile
+# the declared curvature bound is checked against the profile's closed-form
+# sups of |Hess phi|, |D^3 phi| and Lip D^3 phi over the chart disk, and
+# against the least mean curvature of the profile there
 report = verify_kappa_condition(patch)
 print("curvature bound verified:", report.passed,
       " max |Hess phi| =", round(report.max_hess, 4),

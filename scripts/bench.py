@@ -26,7 +26,15 @@ reads it as it is and keeps:
   each in a fresh process, to t_end 5e-4, 2e-3 and 4e-3 (71, 284 and 567
   steps at h = 1/128): its step count, ``ru_maxrss`` and wall time.  Peak
   memory that grows with the step count shows here; the benchmark's
-  ``trough-curved`` stores 7 snapshots and does not see it.
+  ``trough-curved`` stores 7 snapshots and does not see it;
+- chart kernel rows (``chart_kernel``), one per support ``flat``,
+  ``paraboloid:0.5`` and ``sphere_cap:2`` with its catalog defaults: the
+  median milliseconds per call, over 50 calls in this process, of
+  ``chart_frames`` on the grid's axes and of ``fundamental_forms``, for the
+  tilted plane u = 0.1 y1 at h = 1/grid.  On the trough every
+  ``fundamental_forms`` call after the first reads the patch's chart memo,
+  as the steps of a run do; the flat support evaluates no chart there.
+  No benchmark workload runs a sphere cap, so these rows are its only timing.
 
 Nothing under ``perfbench/`` is changed.
 """
@@ -38,6 +46,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -51,6 +60,8 @@ LAYERS = ("flow.step", "geometry.fundamental_forms", "support.chart_frames",
 END_TO_END = (("untraced_wall_s", "trace.untraced_wall_s"), ("traced_wall_s", "trace.wall_s"))
 SEED = 1  # perfbench/run.py's own default
 MEMORY_T_ENDS = (5e-4, 2e-3, 4e-3)
+CHART_PHIS = ("flat", "paraboloid:0.5", "sphere_cap:2")
+CHART_CALLS = 50
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -118,6 +129,31 @@ def memory_probe(t_end, grid):
             "wall_s": {"value": wall, "unit": "s"}}
 
 
+def chart_kernel(grid):
+    """The chart kernel rows: median ms per call of chart_frames and fundamental_forms."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from fbmcf.geometry import GraphSurface, fundamental_forms
+    from fbmcf.support import SupportPatch, chart_frames
+
+    def median_ms(fn, *args):
+        times = []
+        for _ in range(CHART_CALLS):
+            t0 = time.perf_counter()
+            fn(*args)
+            times.append(time.perf_counter() - t0)
+        return {"value": 1e3 * statistics.median(times), "unit": "ms"}
+
+    rows = []
+    for phi in CHART_PHIS:
+        s = GraphSurface.from_height(lambda a, b: 0.1 * a, SupportPatch.from_spec(phi),
+                                     1.0 / grid, 0.5)
+        rows.append({"phi": phi,
+                     "chart_frames_ms": median_ms(chart_frames, s.patch, s.grid.y1[:, None],
+                                                  s.grid.y2[None, :], s.u),
+                     "fundamental_forms_ms": median_ms(fundamental_forms, s)})
+    return rows
+
+
 def run_memory(args):
     """The memory probe rows, each from a fresh process of this script."""
     probes = []
@@ -144,7 +180,8 @@ def main(argv=None):
               "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                        "numpy": version("numpy"), "machine": platform.machine()},
               "workloads": {name: rows(run_traced(name, args)) for name in names},
-              "run_memory": run_memory(args)}
+              "run_memory": run_memory(args),
+              "chart_kernel": chart_kernel(args.grid)}
     path = Path(args.out) / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {path}")

@@ -24,6 +24,7 @@ from .flow import (
 from .geometry import (
     GraphSurface,
     disk_cell_weights,
+    fundamental_forms,
     gauss_bonnet_identity,
     modified_area_ratio,
 )
@@ -73,7 +74,7 @@ def _sphere_error(h_inv):
     R = shrinking_radius(1.0, surf.t)
     Y1, Y2 = surf.grid.nodes
     exact = np.sqrt(R**2 - Y1**2 - Y2**2)
-    mask = surf.geometry().mask
+    mask = surf.grid.mask
     return float(np.max(np.abs(surf.u - exact)[mask])), traj.stop_reason
 
 
@@ -97,7 +98,7 @@ def criterion_3():
     areas, ih2s, times = [], [], []
     for snap in traj.snapshots:
         # the cap's footprint weights, computed once for both integrands
-        g, grid = snap.geometry(), snap.grid
+        g, grid = fundamental_forms(snap), snap.grid   # not memoised on the cached run
         w = g.sqrtg * disk_cell_weights(grid.y1, grid.y2, snap.h,
                                         0.4 * shrinking_radius(1.0, snap.t), snap.half)
         areas.append(float(np.sum(w)))

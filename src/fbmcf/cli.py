@@ -37,12 +37,41 @@ def command_run(args):
     return EXIT_OK if trajectory.error is None else _report(trajectory.error)
 
 
+# the numbers each query type needs: 0 for one number, n for n numbers and
+# -1 for a non-empty list of numbers
+_QUERY_FIELDS = {"density": {"P": 3, "T": 0, "sample_times": -1},
+                 "scan": {"epsilon": 0, "r_grid": -1}}
+
+
 def _parse_queries(path):
+    """The queries of a query file, each checked before any of them runs;
+    a bad entry raises ScenarioError keyed by its index and field, as in `[0].P`."""
     with open(path) as fh:
         data = yaml.safe_load(fh)
     if not isinstance(data, list):
         raise ScenarioError("query file must contain a list of queries")
+    for k, q in enumerate(data):
+        if not isinstance(q, dict):
+            raise ScenarioError(f"query {k} must be a mapping", key=f"[{k}]")
+        kind = q.get("type", "density")
+        if kind not in tuple(_QUERY_FIELDS):   # a tuple: kind may be unhashable
+            raise ScenarioError(f"unknown query type {kind!r}", key=f"[{k}].type")
+        if q.get("location", "interior") not in ("interior", "boundary"):
+            raise ScenarioError("location must be interior or boundary", key=f"[{k}].location")
+        for name, size in _QUERY_FIELDS[kind].items():
+            if not _holds_numbers(q, name, size):
+                want = {0: "a number", -1: "a non-empty list"}.get(size, f"{size} numbers")
+                raise ScenarioError(f"{kind} query {k} needs {name}: {want}", key=f"[{k}].{name}")
     return data
+
+
+def _holds_numbers(q, name, size):
+    """Whether q[name] holds the numbers that size in _QUERY_FIELDS asks for."""
+    try:
+        v = np.asarray(q[name], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        return False
+    return v.ndim == 0 if size == 0 else v.ndim == 1 and v.size > 0 and size in (-1, v.size)
 
 
 def command_monitor(args):
@@ -68,7 +97,7 @@ def command_monitor(args):
             rise = np.maximum(np.diff(rep.values, prepend=rep.values[:1]), 0.0)
             tables.append((f"density_{name}.csv", ("t", "value", "violation"),
                            np.column_stack([rep.times, rep.values, rise])))
-        elif kind == "scan":
+        else:   # "scan"; _parse_queries admits no other type
             scan = singular_set_scan(trajectory, float(q["epsilon"]),
                                      [float(r) for r in q["r_grid"]])
             nr = len(scan.r_grid)
@@ -76,8 +105,6 @@ def command_monitor(args):
                            np.column_stack([np.repeat(scan.candidates, nr, axis=0),
                                             np.tile(scan.r_grid, len(scan.candidates)),
                                             scan.masses.ravel(), np.repeat(scan.flagged, nr)])))
-        else:
-            raise ScenarioError(f"unknown query type {kind!r}", key="type")
     for fname, columns, rows in tables:
         path = os.path.join(args.dir, fname)
         write_csv(path, columns, rows)

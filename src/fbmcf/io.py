@@ -62,17 +62,23 @@ class _LineTemplate(NamedTuple):
 
     @classmethod
     def build(cls, tables, head, sep):
-        """The lines of tables[0], each head, then its values joined by sep.
+        """The lines of the first table, each head, then its values joined by sep.
 
-        tables is a list of arrays of one shape (..., k), such as the vertex
-        arrays of a trajectory's snapshots.  A column that every table keeps
-        bit for bit from the one before is formatted here, once; the others
-        are left open.  A single table is therefore written in full.
+        tables is an iterable of arrays of one shape (..., k), such as the
+        vertex arrays of a trajectory's snapshots, read one at a time: each is
+        compared with the one before, so at most three are held at once.  A
+        column that every table keeps bit for bit from the one before is
+        formatted here, once; the others are left open.  A single table is
+        therefore written in full.
         """
-        first = tables[0]
-        baked = tuple(all(np.array_equal(a[..., j].view(np.int64), b[..., j].view(np.int64))
-                          for a, b in zip(tables, tables[1:]))
-                      for j in range(first.shape[-1]))
+        tables = iter(tables)
+        first = prev = next(tables)
+        baked = [True] * first.shape[-1]
+        for table in tables:
+            baked = [keep and np.array_equal(prev[..., j].view(np.int64),
+                                              table[..., j].view(np.int64))
+                     for j, keep in enumerate(baked)]
+            prev = table
         fields, texts = [], []
         for j, keep in enumerate(baked):
             if keep:
@@ -80,7 +86,7 @@ class _LineTemplate(NamedTuple):
                 texts.append(values)
             fields.append(field if keep else "%%s")
         line = head + sep.join(fields) + "\n"
-        return cls((line * (first.size // len(baked))) % _interleave(texts), baked)
+        return cls((line * (first.size // len(baked))) % _interleave(texts), tuple(baked))
 
     def fill(self, table):
         """The lines of table, an array of the shape the template was built
@@ -159,7 +165,8 @@ def save_trajectory(outdir, trajectory, scenario_echo=None):
     """Persist monitors, OBJ dumps, and exact-round-trip snapshots.
 
     A vertex coordinate that no snapshot changes, such as y1 on a trough or
-    on the flat support, is formatted once for all the OBJ dumps.
+    on the flat support, is formatted once for all the OBJ dumps.  Vertex
+    arrays are made one snapshot at a time, and at most three are held at once.
     """
     os.makedirs(outdir, exist_ok=True)
     files = []
@@ -169,9 +176,10 @@ def save_trajectory(outdir, trajectory, scenario_echo=None):
     meta = {"stop_reason": trajectory.stop_reason, "snapshots": []}
     if scenario_echo is not None:
         meta["scenario"] = scenario_echo
-    Xs = [snap.positions() for snap in trajectory.snapshots]
-    template = _LineTemplate.build(Xs, "v ", " ") if len({X.shape for X in Xs}) == 1 else None
-    for k, snap in enumerate(trajectory.snapshots):
+    snaps = trajectory.snapshots
+    template = (_LineTemplate.build((snap.positions() for snap in snaps), "v ", " ")
+                if len({snap.u.shape for snap in snaps}) == 1 else None)
+    for k, snap in enumerate(snaps):
         obj = f"snap_{k:05d}.obj"
         npz = f"snap_{k:05d}.npz"
         write_obj(os.path.join(outdir, obj), snap, template)

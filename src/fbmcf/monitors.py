@@ -270,6 +270,8 @@ def singular_set_scan(trajectory, epsilon, r_grid):
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     r_grid = np.sort(np.asarray(r_grid, dtype=float))
+    if r_grid.size == 0 or r_grid[0] <= 0.0:
+        raise ValueError("r_grid must hold at least one radius, all positive")
     snap = trajectory.snapshots[-1]
     total = energy(snap)
     if total < epsilon:   # also every non-compact surface, whose energy reads 0

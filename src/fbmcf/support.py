@@ -4,19 +4,19 @@ The support surface sits in ambient coordinates (x1, x2, x3) as the graph
 x2 = phi(x1, x3) through the origin, with unit inward normal (0, 1, 0) at
 the base point.  Chart coordinates are Y = (y1, y2, y3): (y1, y3) are
 tangent coordinates of the projection onto the surface and y2 is the signed
-distance (positive on the inside).
+distance (positive on the inside).  Each catalog profile states its chart
+Phi(Y) = (y1, phi, y3) + y2 nu(y1, y3), with its first and second
+derivatives, and its kappa-graph bounds over a disk in closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ChartRangeError, NewtonConvergenceError, PatchFieldError
-
-# tangent slot a -> chart index (y1, y3)
-_TANGENT_IDX = (0, 2)
 
 
 # Arrays of chart data keep the public shape (..., 3, 3), with component axes
@@ -35,25 +35,39 @@ def components(a, k):
 
 
 # ---------------------------------------------------------------------------
-# Height profiles phi(y1, y3) with derivatives up to third order
+# Height profiles phi(y1, y3): the chart and the kappa-graph bounds
 # ---------------------------------------------------------------------------
+#
+# `chart(p, d, q, order)` returns the component-first X, dPhi, nu and, for
+# order >= 2, d2Phi (else None) of `chart_frames` at float arrays (y1, y2, y3).
+# A d2Phi pair with the distance y2 is d_a nu; a tangent pair is
+# y2 d_ab nu + d_ab (y1, phi, y3).
+#
+# `bounds(rho)` returns (sup |D^2 phi|, sup |D^3 phi|, Lip D^3 phi, inf H)
+# over the disk |(y1, y3)| <= rho: the Hessian's spectral norm, the largest
+# entry of D^3 phi and its Lipschitz constant, and the mean curvature of the
+# graph with respect to the inward normal.
 
 class FlatProfile:
-    """phi == 0."""
+    """phi == 0: the chart is the identity."""
 
     name = "flat"
     curvature = 0.0
 
-    def derivs(self, p, q):
-        p = np.asarray(p, dtype=float)
-        z = np.zeros_like(p)
-        shape = p.shape
-        return (
-            z,
-            np.zeros(shape + (2,)),
-            np.zeros(shape + (2, 2)),
-            np.zeros(shape + (2, 2, 2)),
-        )
+    def chart(self, p, d, q, order=2):
+        shape = np.broadcast_shapes(p.shape, d.shape, q.shape)
+        X = np.empty((3,) + shape)
+        X[0], X[1], X[2] = p, d, q
+        dPhi = np.zeros((3, 3) + shape)
+        dPhi[0, 0] = dPhi[1, 1] = dPhi[2, 2] = 1.0
+        nu = np.zeros((3,) + p.shape)
+        nu[1] = 1.0
+        z = np.zeros(p.shape)
+        d2Phi = dict.fromkeys(((0, 0), (0, 1), (0, 2), (1, 2), (2, 2)), (z, z, z))
+        return X, dPhi, nu, d2Phi if order >= 2 else None
+
+    def bounds(self, rho):
+        return 0.0, 0.0, 0.0, 0.0
 
 
 def _spec_text(v):
@@ -69,17 +83,38 @@ class ParaboloidProfile:
         self.curvature = abs(self.a)
         self.name = f"paraboloid:{_spec_text(self.a)}"
 
-    def derivs(self, p, q):
-        p = np.asarray(p, dtype=float)
-        shape = p.shape
+    def chart(self, p, d, q, order=2):
+        # nu = (-s, 1, 0)/W with s = a y1 and W = sqrt(1 + s^2) depends on y1 only:
+        # d1 nu = -a (1, s, 0)/W^3 and d1^2 nu = a^2 (3s, 2s^2 - 1, 0)/W^5
+        a, shape = self.a, np.broadcast_shapes(p.shape, d.shape, q.shape)
+        s = a * p
+        W = np.sqrt(s * s + 1.0)
+        nu = np.zeros((3,) + p.shape)
+        nu[0], nu[1] = -s / W, 1.0 / W
+        X = np.empty((3,) + shape)
+        X[0] = p + d * nu[0]
+        X[1] = 0.5 * a * p**2 + d * nu[1]
+        X[2] = q + d * nu[2]   # the kernel's chart memo adds y2 nu_2 to the height alike
+        k = -a / W**3
+        dPhi = np.zeros((3, 3) + shape)
+        dPhi[0, 0] = 1.0 + d * k
+        dPhi[1, 0] = s + d * (k * s)
+        dPhi[:, 1] = nu
+        dPhi[2, 2] = 1.0
+        if order < 2:
+            return X, dPhi, nu, None
+        m = a * a / W**5
+        z = np.zeros(p.shape)
+        d2Phi = {(0, 0): (d * (3.0 * m * s), a + d * (m * (2.0 * s * s - 1.0)), z),
+                 (0, 1): (k, k * s, z), (0, 2): (z, z, z), (1, 2): (z, z, z),
+                 (2, 2): (z, z, z)}
+        return X, dPhi, nu, d2Phi
+
+    def bounds(self, rho):
+        # D^2 phi is constant; H = a/(1 + a^2 y1^2)^(3/2) is least at the rim
+        # for a >= 0 and on the axis for a < 0
         a = self.a
-        phi = 0.5 * a * p**2
-        d1 = np.zeros((2,) + shape)
-        d1[0] = a * p
-        d2 = np.zeros((2, 2) + shape)
-        d2[0, 0] = a
-        d3 = np.zeros((2, 2, 2) + shape)
-        return phi, trailing(d1, 1), trailing(d2, 2), trailing(d3, 3)
+        return abs(a), 0.0, 0.0, (a / (1.0 + (a * rho) ** 2) ** 1.5 if a >= 0 else a)
 
 
 class SphereCapProfile:
@@ -90,35 +125,48 @@ class SphereCapProfile:
         self.curvature = 1.0 / self.R
         self.name = f"sphere_cap:{_spec_text(self.R)}"
 
-    def derivs(self, p, q):
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        R = self.R
-        w2 = R**2 - p**2 - q**2
+    def chart(self, p, d, q, order=2):
+        # with centre C = (0, R, 0) and support point S = (y1, phi, y3):
+        # nu = (C - S)/R and Phi = S + y2 nu = C + t (S - C) with t = 1 - y2/R,
+        # so d_a Phi = t d_a S, d_a nu = -d_a S/R and d_ab Phi = t d_ab S
+        R, shape = self.R, np.broadcast_shapes(p.shape, d.shape, q.shape)
+        w2 = R * R - p * p - q * q
         if np.any(w2 <= 0.0):
             raise ChartRangeError("sphere-cap profile evaluated outside its disk")
         w = np.sqrt(w2)
-        w3, w5 = w**3, w**5
-        shape = np.shape(w)
-        phi = R - w
-        d1 = np.empty((2,) + shape)
-        d1[0] = p / w
-        d1[1] = q / w
-        d2 = np.empty((2, 2) + shape)
-        d2[0, 0] = 1.0 / w + p * p / w3
-        d2[0, 1] = d2[1, 0] = p * q / w3
-        d2[1, 1] = 1.0 / w + q * q / w3
-        # d3_{abc} = (delta_ab y_c + delta_ac y_b + delta_bc y_a)/w^3 + 3 y_a y_b y_c / w^5
-        d3 = np.empty((2, 2, 2) + shape)
-        d3[0, 0, 0] = (p + p + p) / w3 + 3.0 * (p * p * p) / w5
-        d3[0, 0, 1] = d3[0, 1, 0] = d3[1, 0, 0] = q / w3 + 3.0 * (p * p * q) / w5
-        d3[0, 1, 1] = d3[1, 0, 1] = d3[1, 1, 0] = p / w3 + 3.0 * (p * q * q) / w5
-        d3[1, 1, 1] = (q + q + q) / w3 + 3.0 * (q * q * q) / w5
-        return phi, trailing(d1, 1), trailing(d2, 2), trailing(d3, 3)
+        nu = np.empty((3,) + w.shape)
+        nu[0], nu[1], nu[2] = -p / R, w / R, -q / R
+        X = np.empty((3,) + shape)
+        X[0] = p + d * nu[0]
+        X[1] = (R - w) + d * nu[1]
+        X[2] = q + d * nu[2]
+        t = 1.0 - d / R
+        g0, g1 = p / w, q / w   # D phi: d_1 S = (1, g0, 0) and d_3 S = (0, g1, 1)
+        dPhi = np.zeros((3, 3) + shape)
+        dPhi[0, 0] = dPhi[2, 2] = t
+        dPhi[1, 0], dPhi[1, 2] = t * g0, t * g1
+        dPhi[:, 1] = nu
+        if order < 2:
+            return X, dPhi, nu, None
+        w3 = w2 * w
+        z, r = np.zeros(w.shape), np.full(w.shape, -1.0 / R)
+        d2Phi = {(0, 1): (r, -g0 / R, z), (1, 2): (z, -g1 / R, r),
+                 (0, 0): (z, t * ((R * R - q * q) / w3), z), (0, 2): (z, t * (p * q / w3), z),
+                 (2, 2): (z, t * ((R * R - p * p) / w3), z)}
+        return X, dPhi, nu, d2Phi
+
+    def bounds(self, rho):
+        # phi is radial and every bound is reached at the rim, w = sqrt(R^2 - rho^2)
+        R = self.R
+        if rho >= R:   # the cap's graph ends at the equator
+            return math.inf, math.inf, math.inf, 2.0 / R
+        w = math.sqrt(R * R - rho * rho)
+        return (R * R / w**3, 3.0 * rho * R * R / w**5,
+                3.0 * R * R * (R * R + 4.0 * rho * rho) / w**7, 2.0 / R)
 
 
 class ScaledProfile:
-    """phi^lam(y) = phi(lam*y)/lam, the profile of Gamma/lam."""
+    """phi^lam(y) = phi(lam*y)/lam, the profile of Gamma/lam: Phi^lam(Y) = Phi(lam Y)/lam."""
 
     def __init__(self, base, lam):
         self.base = base
@@ -126,10 +174,17 @@ class ScaledProfile:
         self.curvature = self.lam * base.curvature
         self.name = f"{base.name}@/{_spec_text(self.lam)}"
 
-    def derivs(self, p, q):
+    def chart(self, p, d, q, order=2):
         lam = self.lam
-        phi, d1, d2, d3 = self.base.derivs(lam * np.asarray(p, float), lam * np.asarray(q, float))
-        return phi / lam, d1, lam * d2, lam**2 * d3
+        X, dPhi, nu, d2Phi = self.base.chart(lam * p, lam * d, lam * q, order)
+        if d2Phi is not None:
+            d2Phi = {ab: tuple(lam * c for c in pair) for ab, pair in d2Phi.items()}
+        return X / lam, dPhi, nu, d2Phi
+
+    def bounds(self, rho):
+        lam = self.lam
+        b2, b3, b4, H = self.base.bounds(lam * rho)
+        return lam * b2, lam**2 * b3, lam**3 * b4, lam * H
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +200,9 @@ class SupportPatch:
     `geometry.fundamental_forms` keeps per grid; it lives and dies with the patch.
 
     Construction compares kappa only with the profile's curvature at the base
-    point, while `verify_kappa_condition` checks the derivative bounds over the
-    whole chart disk: `sphere_cap(R)` with its defaults is built, yet fails that check.
+    point, while `verify_kappa_condition` checks the profile's closed-form
+    derivative bounds over the whole chart disk: `sphere_cap(R)` with its
+    defaults is built, yet fails that check.
     """
 
     kind: str
@@ -257,66 +313,14 @@ def chart_frames(patch, y1, y2, y3, order=2):
     component-first views (see `trailing`), 'nu' (..., 3) and, for order >= 2,
     'd2Phi', mapping the chart pairs (0, 0), (0, 1), (0, 2), (1, 2) and (2, 2)
     to their three ambient components; d2Phi_11 = 0, as y2 is a distance.
+    The profile states them in closed form (see its `chart`).
     """
     p, d, q = (np.asarray(y, dtype=float) for y in (y1, y2, y3))
     _check_range(patch, p, d, q)
-    phi, g1, g2, g3 = patch.profile.derivs(p, q)
-    g1, g2 = components(g1, 1), components(g2, 2)
-    shape = np.broadcast_shapes(p.shape, d.shape, q.shape)
-
-    # Unnormalised inward normal n = (-g1_0, 1, -g1_1) and nu = n / |n|.  Ambient
-    # components c = 0, 2 carry profile slot k (c = _TANGENT_IDX[k]); n_1 is constant.
-    n = (-g1[0], 1.0, -g1[1])
-    W = np.sqrt(g1[0] * g1[0] + 1.0 + g1[1] * g1[1])
-    nu = np.empty((3,) + W.shape)
-    for c in range(3):
-        nu[c] = n[c] / W
-
-    # derivatives along tangent slot a: d n_c = -g2[k, a] and dW = (n . dn) / W
-    n_dn = [g1[0] * g2[0, a] + g1[1] * g2[1, a] for a in range(2)]
-    dW = [n_dn[a] / W for a in range(2)]
-    W2 = W**2
-    s = [dW[a] / W2 for a in range(2)]
-    dnu = [[-s[a] for a in range(2)] for _ in range(3)]
-    for k, c in enumerate(_TANGENT_IDX):
-        dnu[c] = [-g2[k, a] / W - n[c] * s[a] for a in range(2)]
-
-    X = np.empty((3,) + shape)
-    X[0] = p + d * nu[0]
-    X[1] = phi + d * nu[1]
-    X[2] = q + d * nu[2]
-    # d Phi / d y_a = dc_a + d * dnu_a with c = (y1, phi, y3); d Phi / d y2 = nu
-    dPhi = np.empty((3, 3) + shape)
-    dPhi[0, 0] = 1.0 + d * dnu[0][0]
-    dPhi[1, 0] = g1[0] + d * dnu[1][0]
-    dPhi[2, 0] = d * dnu[2][0]
-    dPhi[0, 2] = d * dnu[0][1]
-    dPhi[1, 2] = g1[1] + d * dnu[1][1]
-    dPhi[2, 2] = 1.0 + d * dnu[2][1]
-    dPhi[:, 1] = nu
-
+    X, dPhi, nu, d2Phi = patch.profile.chart(p, d, q, order)
     out = {"X": trailing(X, 1), "dPhi": trailing(dPhi, 2), "nu": trailing(nu, 1)}
-    if order < 2:
-        return out
-
-    g3 = components(g3, 3)
-    W3 = W**3
-    # a pair with the distance y2 is dnu_a; a tangent pair is y2 * d2nu_ab + d2c_ab
-    d2Phi = {(0, 1): (dnu[0][0], dnu[1][0], dnu[2][0]),
-             (1, 2): (dnu[0][1], dnu[1][1], dnu[2][1])}
-    for a, b in ((0, 0), (0, 1), (1, 1)):
-        ddW = ((g2[0, a] * g2[0, b] + g2[1, a] * g2[1, b]
-                + g1[0] * g3[0, a, b] + g1[1] * g3[1, a, b]) / W
-               - n_dn[a] * n_dn[b] / W3)
-        tail = ddW / W2 - 2.0 * (dW[a] * dW[b] / W3)
-        # second derivatives of nu; d2 n_c = -g3[k, a, b] and d2 n_1 = 0
-        ddnu = [-tail] * 3
-        for k, c in enumerate(_TANGENT_IDX):
-            ddnu[c] = (-n[c] * tail - g3[k, a, b] / W
-                       + g2[k, b] * s[a] + g2[k, a] * s[b])
-        d2Phi[_TANGENT_IDX[a], _TANGENT_IDX[b]] = (d * ddnu[0], d * ddnu[1] + g2[a, b],
-                                                   d * ddnu[2])
-    out["d2Phi"] = d2Phi
+    if d2Phi is not None:
+        out["d2Phi"] = d2Phi
     return out
 
 
@@ -408,58 +412,13 @@ class KappaReport:
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        k = self.kappa
-        tol = 1e-10
-        bounds_ok = (
-            self.max_hess <= k + tol
-            and self.max_third <= k**2 + tol
-            and self.lipschitz_third <= k**3 + tol
-        )
-        self.passed = bounds_ok and self.min_mean_curvature >= -1e-8
+        k, tol = self.kappa, 1e-10
+        self.passed = (self.max_hess <= k + tol and self.max_third <= k**2 + tol
+                       and self.lipschitz_third <= k**3 + tol
+                       and self.min_mean_curvature >= -1e-8)
 
 
-def _tangent_lattice(patch, n=65):
-    cr = patch.chart_radius
-    ax = np.linspace(-cr, cr, n)
-    P, Q = np.meshgrid(ax, ax, indexing="ij")
-    mask = P**2 + Q**2 < cr**2 * (1.0 - 1e-12)
-    return P[mask], Q[mask]
-
-
-def verify_kappa_condition(patch, n=65):
-    """Check the derivative bounds of the graph condition on a sample lattice."""
-    p, q = _tangent_lattice(patch, n)
-    phi, g1, g2, g3 = patch.profile.derivs(p, q)
-
-    hess_norm = np.linalg.norm(g2, ord=2, axis=(-2, -1))
-    third_norm = np.max(np.abs(g3).reshape(g3.shape[0], -1), axis=-1)
-
-    # Lipschitz constant of the third derivative, estimated from lattice pairs
-    lip = 0.0
-    if patch.kind != "flat":
-        pts = np.stack([p, q], axis=-1)
-        flat3 = g3.reshape(g3.shape[0], -1)
-        # compare each sample against a strided subset to bound pair count
-        stride = max(1, len(p) // 800)
-        sub = slice(None, None, stride)
-        dp = np.linalg.norm(pts[:, None, :] - pts[None, sub, :], axis=-1)
-        dv = np.max(np.abs(flat3[:, None, :] - flat3[None, sub, :]), axis=-1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratios = np.where(dp > 0, dv / dp, 0.0)
-        lip = float(np.max(ratios))
-
-    # mean curvature of the graph with respect to the inward (upward) normal
-    W2 = 1.0 + np.sum(g1**2, axis=-1)
-    H = (
-        (1.0 + g1[..., 1] ** 2) * g2[..., 0, 0]
-        - 2.0 * g1[..., 0] * g1[..., 1] * g2[..., 0, 1]
-        + (1.0 + g1[..., 0] ** 2) * g2[..., 1, 1]
-    ) / W2**1.5
-
-    return KappaReport(
-        max_hess=float(np.max(hess_norm)),
-        max_third=float(np.max(third_norm)),
-        lipschitz_third=lip,
-        min_mean_curvature=float(np.min(H)),
-        kappa=patch.kappa,
-    )
+def verify_kappa_condition(patch):
+    """The derivative bounds of the graph condition over the chart disk, from
+    the profile's closed forms (see its `bounds`)."""
+    return KappaReport(*patch.profile.bounds(patch.chart_radius), kappa=patch.kappa)

@@ -9,7 +9,7 @@ so the full pass/fail table is visible in the pytest output.
 
 import pytest
 
-from fbmcf.acceptance import CRITERIA, run_all
+from fbmcf.acceptance import CRITERIA, _sphere_run, criterion_3, run_all
 
 
 @pytest.fixture(scope="module")
@@ -26,3 +26,12 @@ def test_criterion(results, num, name, capsys):
     with capsys.disabled():
         print(f"\ncriterion {num} {verdict}: {name} -- {r['detail']}")
     assert r["passed"], f"criterion {num} ({name}): {r['detail']}"
+
+
+def test_criterion_3_keeps_no_geometry_on_the_cached_run():
+    # criterion 3 reads the geometry of every snapshot of the cached sphere run;
+    # a stored snapshot keeps only its heights, and at most the last one the
+    # geometry the run ended with
+    assert criterion_3()[0]
+    snaps = _sphere_run(64, 0.02, 5).snapshots
+    assert len(snaps) > 2 and all(s._geom is None for s in snaps[:-1])

@@ -51,3 +51,9 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
         assert all(row[key]["value"] > 0 for key in units)
     steps = [row["steps"]["value"] for row in memory]
     assert steps == sorted(steps) and steps[0] < steps[-1]
+    # in-process chart kernel timings on each support
+    kernel = report["chart_kernel"]
+    assert [row["phi"] for row in kernel] == ["flat", "paraboloid:0.5", "sphere_cap:2"]
+    for row in kernel:
+        for key in ("chart_frames_ms", "fundamental_forms_ms"):
+            assert row[key]["unit"] == "ms" and row[key]["value"] > 0, (row["phi"], key)

@@ -1,10 +1,13 @@
 """The component-first geometry kernel against the einsum implementation it replaced.
 
-The reference below is the earlier trailing-axis code: profile derivatives
-stacked on the last axes, `chart_frames`, the pull-back metric and its
-connection through `np.einsum`, `np.linalg.inv` on the 3x3 pull-back metric,
-the 2x2 inverse on trailing axes, and the `Q` triple loop of `fundamental_forms`.
-The flat support runs through the same reference with a zero profile.
+The reference below is the earlier trailing-axis code: profile derivatives up
+to D^3 phi stacked on the last axes, the generic `chart_frames` that builds nu
+and its derivatives from them, the pull-back metric and its connection through
+`np.einsum`, `np.linalg.inv` on the 3x3 pull-back metric, the 2x2 inverse on
+trailing axes, and the `Q` triple loop of `fundamental_forms`.  The flat
+support runs through the same reference with a zero profile.  The same
+derivatives, sampled on a lattice, are the oracle of each profile's
+closed-form kappa-graph bounds.
 """
 
 import dataclasses
@@ -13,6 +16,9 @@ import re
 
 import numpy as np
 import pytest
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbmcf import geometry
 from fbmcf.cli import main
@@ -197,6 +203,7 @@ PATCHES = {
     "sphere_cap:2": SupportPatch.sphere_cap(2.0),
     "paraboloid:0.5 rescaled by 0.5": SupportPatch.paraboloid(
         0.5, kappa=0.5, chart_radius=2.0).rescale(0.5),
+    "sphere_cap:2 rescaled by 0.5": SupportPatch.sphere_cap(2.0).rescale(0.5),
 }
 
 
@@ -208,6 +215,87 @@ def curved_surface(patch, half=True):
 def grid_coords(s):
     """Chart coordinates (y1, y2, y3) of every node, each of the full (n1, n2) shape."""
     return (*s.grid.nodes, s.u)
+
+
+def d2Phi_array(d2Phi, shape):
+    """The d2Phi pairs of chart_frames as the reference's symmetric (..., 3, 3, 3) array."""
+    out = np.zeros(shape + (3, 3, 3))
+    for (i, j), pair in d2Phi.items():
+        for c in range(3):
+            out[..., c, i, j] = out[..., c, j, i] = pair[c]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PATCHES))
+def test_profile_chart_matches_generic_reference(name):
+    # each profile's closed-form chart, on the grid's axes as the kernel calls it,
+    # against the generic chart built from D^3 phi
+    s = curved_surface(PATCHES[name])
+    X, dPhi, d2Phi = ref_chart_frames(s.patch, np.stack(grid_coords(s), axis=-1))
+    fr = chart_frames(s.patch, s.grid.y1[:, None], s.grid.y2[None, :], s.u)
+    assert rel_err(fr["X"], X) <= 1e-15
+    assert rel_err(fr["dPhi"], dPhi) <= 1e-15
+    assert rel_err(np.broadcast_to(fr["nu"], X.shape), dPhi[..., 1]) <= 1e-15
+    assert rel_err(d2Phi_array(fr["d2Phi"], s.u.shape), d2Phi) <= 1e-15
+
+
+def derivative_samples(profile, p, q):
+    """|D^2 phi|, |D^3 phi|, D^3 phi and H from ref_derivs at the points (p, q).
+
+    |D^2 phi| is the Hessian's spectral norm, |D^3 phi| the largest entry of
+    D^3 phi, and H the graph's mean curvature with respect to the inward normal.
+    """
+    _, g1, g2, g3 = ref_derivs(profile, p, q)
+    third = g3.reshape(len(p), -1)
+    W2 = 1.0 + np.sum(g1**2, axis=-1)
+    H = ((1.0 + g1[:, 1] ** 2) * g2[:, 0, 0] - 2.0 * g1[:, 0] * g1[:, 1] * g2[:, 0, 1]
+         + (1.0 + g1[:, 0] ** 2) * g2[:, 1, 1]) / W2**1.5
+    return np.linalg.norm(g2, ord=2, axis=(-2, -1)), np.max(np.abs(third), axis=-1), third, H
+
+
+def lattice_samples(profile, rho, n=33):
+    """derivative_samples at the points of an n x n lattice strictly inside the
+    disk of radius rho, with the Lipschitz quotients of D^3 phi in place of D^3 phi.
+
+    Each point is paired with a strided subset of the points, and a quotient
+    is the largest entry of the change of D^3 phi over the distance.
+    """
+    ax = np.linspace(-rho, rho, n)
+    P, Q = np.meshgrid(ax, ax, indexing="ij")
+    inside = P**2 + Q**2 < rho**2 * (1.0 - 1e-12)
+    p, q = P[inside], Q[inside]
+    hess, third, D3, H = derivative_samples(profile, p, q)
+    sub = slice(None, None, max(1, len(p) // 200))
+    pts = np.stack([p, q], axis=-1)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, sub, :], axis=-1)
+    change = np.max(np.abs(D3[:, None, :] - D3[None, sub, :]), axis=-1)
+    return hess, third, change[dist > 0] / dist[dist > 0], H
+
+
+BASES = st.one_of(st.just(FlatProfile()),
+                  st.builds(ParaboloidProfile, st.floats(-4.0, 4.0)),
+                  st.builds(SphereCapProfile, st.floats(0.25, 20.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=BASES, lam=st.none() | st.floats(0.25, 4.0), frac=st.floats(0.02, 0.95))
+def test_closed_form_bounds_hold_on_the_lattice(base, lam, frac):
+    # rho reaches a fraction of the way to a sphere cap's equator
+    profile = base if lam is None else ScaledProfile(base, lam)
+    rho = frac * getattr(base, "R", 4.0) / (lam or 1.0)
+    b2, b3, b4, inf_H = profile.bounds(rho)
+    hess, third, lip, H = lattice_samples(profile, rho)
+    tol = 1.0 + 1e-12
+    assert np.max(hess) <= b2 * tol and np.max(third) <= b3 * tol and np.max(lip) <= b4 * tol
+    assert inf_H <= np.min(H) + 1e-12 * np.max(np.abs(H))
+    # each bound is reached: |D^2 phi| and |D^3 phi| at the rim point (rho, 0),
+    # Lip D^3 phi as the radial difference quotient there, H there or at the base point
+    p = np.array([rho, rho * (1.0 - 1e-7), 0.0])
+    hess, third, D3, H = derivative_samples(profile, p, np.zeros(3))
+    assert np.isclose(hess[0], b2, rtol=1e-12, atol=0.0)
+    assert np.isclose(third[0], b3, rtol=1e-12, atol=0.0)
+    assert np.isclose(np.max(np.abs(D3[0] - D3[1])) / (p[0] - p[1]), b4, rtol=1e-4, atol=0.0)
+    assert np.isclose(min(H[0], H[2]), inf_H, rtol=1e-12, atol=0.0)
 
 
 # the half-disk cases keep the bare patch name as their id
@@ -331,13 +419,13 @@ def test_trough_profile_evaluated_on_the_y1_axis(monkeypatch):
     # the trough's profile depends on y1 alone, so one step costs O(n1) profile work
     patch = SupportPatch.paraboloid(0.5, kappa=0.5, chart_radius=2.0)
     s = curved_surface(patch)
-    derivs, shapes = patch.profile.derivs, []
+    chart, shapes = patch.profile.chart, []
 
-    def recording(p, q):
+    def recording(p, d, q, order=2):
         shapes.append(np.shape(p))
-        return derivs(p, q)
+        return chart(p, d, q, order)
 
-    monkeypatch.setattr(patch.profile, "derivs", recording)
+    monkeypatch.setattr(patch.profile, "chart", recording)
     fundamental_forms(s)
     assert shapes == [(s.u.shape[0], 1)]
 

@@ -173,6 +173,10 @@ def test_scan_validation():
     short = exact_trajectory("sphere", [0.0], R0=1.0)
     with pytest.raises(ValueError):
         singular_set_scan(short, epsilon=1.0, r_grid=[0.1])
+    # a radius of 0 made a zero candidate spacing; a negative one an empty scan
+    for r_grid in ([], [0.0, 0.1], [-0.1]):
+        with pytest.raises(ValueError, match="r_grid"):
+            singular_set_scan(traj, epsilon=1.0, r_grid=r_grid)
 
 
 def dense_reference_scan(trajectory, epsilon, r_grid):

@@ -318,6 +318,25 @@ def test_save_trajectory_formats_kept_columns_once(tmp_path, monkeypatch):
     assert len(vertex_calls) == 2 + 7
 
 
+def test_save_trajectory_memory_does_not_grow_with_snapshots(tmp_path):
+    # stride 1 over the trough at h = 1/32; the vertex arrays are made one
+    # snapshot at a time, so 80 snapshots peak about where 10 do
+    patch = SupportPatch.paraboloid(0.5, kappa=0.5, chart_radius=2.0)
+    traj = run(GraphSurface.from_height(lambda a, b: 0.1 * a, patch, 1 / 32, 0.5),
+               FlowConfig(t_end=7.5e-3, cfl=0.15, snapshot_stride=1))
+    assert traj.stop_reason == "completed" and len(traj.snapshots) >= 80
+    peaks = {}
+    for n in (10, 80):
+        part = Trajectory(traj.snapshots[:n], traj.monitors)
+        tracemalloc.start()
+        try:
+            save_trajectory(str(tmp_path / f"run{n}"), part)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[80] <= 1.5 * peaks[10], peaks
+
+
 def sphere_cap_trajectory():
     """A run over a profile that reads y3, whose chart is never memoised."""
     patch = SupportPatch.sphere_cap(2.0)
@@ -520,6 +539,39 @@ def test_cli_monitor_refuses_kappa_below_the_runs(trough_run, tmp_path, capsys):
     assert main(["monitor", trough_run, str(qpath)]) == 2
     assert "(key: kappa)" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(trough_run, "density_edge.csv"))
+
+
+@pytest.mark.parametrize("text, key", [
+    ("- type: density\n  P: [0, 0, 0]\n  T: 0.25\n  sample_times: []\n", "[0].sample_times"),
+    ("- type: density\n  T: 0.25\n  sample_times: [0.0]\n", "[0].P"),
+    ("- type: density\n  P: [0, 0]\n  T: 0.25\n  sample_times: [0.0]\n", "[0].P"),
+    ("- type: density\n  P: [0, 0, 0]\n  T: [0.25]\n  sample_times: [0.0]\n", "[0].T"),
+    ("- type: density\n  P: [0, 0, 0]\n  T: 0.25\n  sample_times: [0.0]\n"
+     "  location: rim\n", "[0].location"),
+    ("- type: scan\n  epsilon: 1.0\n  r_grid: [0.1]\n- not a mapping\n", "[1]"),
+    ("- type: scan\n  epsilon: 1.0\n  r_grid: []\n", "[0].r_grid"),
+    ("- type: scan\n  r_grid: [0.1]\n", "[0].epsilon"),
+    ("- type: curvature\n", "[0].type"),
+    ("- type: [scan]\n", "[0].type"),
+], ids=["empty-sample_times", "density-without-P", "P-of-two", "T-list", "bad-location",
+        "item-not-a-mapping", "empty-r_grid", "scan-without-epsilon", "unknown-type",
+        "type-list"])
+def test_cli_monitor_malformed_query_is_validation_error(trough_run, tmp_path, capsys, text, key):
+    # every entry is checked before any query runs: exit 2, keyed, no traceback
+    qpath = tmp_path / "queries.yaml"
+    qpath.write_text(text)
+    assert main(["monitor", trough_run, str(qpath)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("validation error: ") and f"(key: {key})" in err
+    assert not [f for f in os.listdir(trough_run) if f.endswith(".csv") and f != "monitors.csv"]
+
+
+def test_cli_scan_radius_must_be_positive(trough_run, tmp_path, capsys):
+    # a radius of 0 gave a zero candidate spacing; a negative one an empty scan
+    qpath = tmp_path / "queries.yaml"
+    qpath.write_text("- type: scan\n  epsilon: 1.0e-6\n  r_grid: [0.1, 0.0]\n")
+    assert main(["monitor", trough_run, str(qpath)]) == 2
+    assert "r_grid must hold at least one radius, all positive" in capsys.readouterr().err
 
 
 def test_cli_rescale(finished_run):

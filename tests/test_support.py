@@ -167,6 +167,32 @@ def test_kappa_condition_sphere_cap(cap):
     assert rep.min_mean_curvature > 0.0
 
 
+def test_sphere_cap_defaults_fail_the_kappa_condition():
+    # kappa 0.5 and chart radius 1.8: the exact sups at the rim, w = sqrt(4 - 1.8^2)
+    rep = verify_kappa_condition(SupportPatch.sphere_cap(2.0))
+    assert (round(rep.max_hess, 2), round(rep.max_third, 1), round(rep.lipschitz_third)) == (
+        6.04, 42.9, 532)
+    assert rep.min_mean_curvature == 1.0 and not rep.passed
+
+
+def test_sphere_cap_chart_disk_reaching_the_equator_fails():
+    # chart radius R = 1/kappa: the cap's graph ends at the rim, where D^2 phi blows up
+    rep = verify_kappa_condition(SupportPatch.sphere_cap(2.0, kappa=0.5, chart_radius=2.0))
+    assert rep.max_hess == rep.max_third == rep.lipschitz_third == np.inf
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("kappa_R, passed", [(2.2195, False), (2.2574, True)])
+@pytest.mark.parametrize("R", [0.5, 2.0, 20.0])
+def test_sphere_cap_passes_from_kappa_R_2_2574(R, kappa_R, passed):
+    # with chart radius 1/kappa the bounds depend on kappa R alone; Lip D^3 phi binds
+    rep = verify_kappa_condition(SupportPatch.sphere_cap(R, kappa=kappa_R / R,
+                                                         chart_radius=R / kappa_R))
+    assert rep.passed is passed
+    assert (rep.lipschitz_third <= rep.kappa**3) is passed
+    assert rep.max_hess < rep.kappa and rep.max_third < rep.kappa**2
+
+
 @pytest.mark.parametrize("phi", ["paraboloid:0.5", "sphere_cap:2"])
 def test_curved_patch_refuses_kappa_zero(phi):
     # a scenario's `kappa: 0` reaches from_spec as it is; no default radius 1/0
