@@ -34,7 +34,16 @@ reads it as it is and keeps:
   tilted plane u = 0.1 y1 at h = 1/grid.  On the trough every
   ``fundamental_forms`` call after the first reads the patch's chart memo,
   as the steps of a run do; the flat support evaluates no chart there.
-  No benchmark workload runs a sphere cap, so these rows are its only timing.
+  No benchmark workload runs a sphere cap, so these rows are its only timing;
+- monitor memory rows (``monitor_memory``): ``fbmcf monitor`` with the
+  ``store-query`` query file (two density series over all 21 snapshots and a
+  scan) on that workload's stored 21-snapshot run at h = 1/grid, each in a
+  fresh process: its ``ru_maxrss`` and wall time;
+- scan kernel rows (``scan_kernel``): the median milliseconds per call, over
+  ``SCAN_CALLS`` calls in this process, of ``singular_set_scan`` on the last
+  ``store-query`` snapshot, which holds its geometry, at h = 1/grid with
+  r_grid [0.1, 0.15, 0.2] and [0.05, 0.2], at h = 2/grid with [0.05, 0.4] and
+  at h = 4/grid with [0.1, 0.15, 0.2] (h at most 1/8).
 
 Nothing under ``perfbench/`` is changed.
 """
@@ -42,6 +51,8 @@ Nothing under ``perfbench/`` is changed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -49,6 +60,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from importlib.metadata import version
 from pathlib import Path
@@ -62,6 +74,9 @@ SEED = 1  # perfbench/run.py's own default
 MEMORY_T_ENDS = (5e-4, 2e-3, 4e-3)
 CHART_PHIS = ("flat", "paraboloid:0.5", "sphere_cap:2")
 CHART_CALLS = 50
+MONITOR_PROCESSES = 3
+SCAN_SHAPES = ((1, [0.1, 0.15, 0.2]), (1, [0.05, 0.2]), (2, [0.05, 0.4]), (4, [0.1, 0.15, 0.2]))
+SCAN_CALLS = 5
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -73,6 +88,10 @@ def _parse(argv):
     p.add_argument("--out", default=str(ROOT), help="directory of BENCH_<pr>.json")
     p.add_argument("--memory-probe", type=float, metavar="T_END",
                    help="run one run-memory probe to T_END in this process and print its row")
+    p.add_argument("--monitor-probe", nargs=2, metavar=("DIR", "QUERIES"),
+                   help="run `fbmcf monitor DIR QUERIES` in this process and print its row")
+    p.add_argument("--store-run", metavar="WORKDIR",
+                   help="save the store-query run and query file under WORKDIR")
     return p.parse_args(argv)
 
 
@@ -154,24 +173,96 @@ def chart_kernel(grid):
     return rows
 
 
+def monitor_probe(run_dir, query_path):
+    """`fbmcf monitor` in this process: its ru_maxrss (MB) and wall time."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from fbmcf.cli import main
+
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["monitor", run_dir, query_path])
+    wall = time.perf_counter() - t0
+    if rc != 0:
+        sys.exit(f"bench: fbmcf monitor exited with {rc}")
+    return {"peak_rss_mb": {"value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                            "unit": "MB"},
+            "wall_s": {"value": wall, "unit": "s"}}
+
+
+def store_run(workdir, grid):
+    """Save the store-query run and its query file under workdir; returns its row part."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from fbmcf.io import save_trajectory
+    from workloads import StoreQuery
+
+    store = StoreQuery(SEED, 1.0 / grid, workdir)
+    save_trajectory(os.path.join(workdir, "run"), store.trajectory, store.echo)
+    return {"snapshots": {"value": len(store.trajectory.snapshots), "unit": "count"}}
+
+
+def _script_row(args, *flags):
+    """The JSON row this script prints when run with flags in a fresh process.
+
+    A child's ru_maxrss starts from its parent's peak, so the probes are
+    started while this process is still small: before `chart_kernel` and
+    `scan_kernel`, which build surfaces here.
+    """
+    cmd = [sys.executable, __file__, "--pr", str(args.pr), "--grid", str(args.grid), *flags]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600,
+                          env={**os.environ, **ONE_THREAD})
+    if proc.returncode != 0:
+        sys.exit(f"bench: {' '.join(flags)} failed\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def monitor_memory(args):
+    """The monitor probe rows: one process stores the run, then each probe is a fresh one."""
+    with tempfile.TemporaryDirectory() as workdir:
+        stored = _script_row(args, "--store-run", workdir)
+        return [{**stored, **_script_row(args, "--monitor-probe", os.path.join(workdir, "run"),
+                                         os.path.join(workdir, "queries.yaml"))}
+                for _ in range(MONITOR_PROCESSES)]
+
+
+def scan_kernel(grid):
+    """The scan kernel rows: median ms per call of singular_set_scan at each shape."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from fbmcf.flow import Trajectory
+    from fbmcf.geometry import GraphSurface
+    from fbmcf.monitors import singular_set_scan
+
+    rows = []
+    for coarsen, r_grid in SCAN_SHAPES:
+        n = max(grid // coarsen, 8)
+        last = GraphSurface.sphere_cap(1.0, 1.0 / n, 0.5, t=0.1)   # store-query's last snapshot
+        last.geometry()
+        traj = Trajectory([last, last])   # the scan reads the last snapshot only
+        times = []
+        for _ in range(SCAN_CALLS):
+            t0 = time.perf_counter()
+            scan = singular_set_scan(traj, 1.0, r_grid)
+            times.append(time.perf_counter() - t0)
+        rows.append({"grid": {"value": n, "unit": "1/h"}, "r_grid": r_grid,
+                     "candidates": {"value": len(scan.candidates), "unit": "count"},
+                     "scan_ms": {"value": 1e3 * statistics.median(times), "unit": "ms"}})
+    return rows
+
+
 def run_memory(args):
     """The memory probe rows, each from a fresh process of this script."""
-    probes = []
-    for t_end in MEMORY_T_ENDS:
-        cmd = [sys.executable, __file__, "--pr", str(args.pr), "--grid", str(args.grid),
-               "--memory-probe", repr(t_end)]
-        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600,
-                              env={**os.environ, **ONE_THREAD})
-        if proc.returncode != 0:
-            sys.exit(f"bench: memory probe {t_end:g} failed\n{proc.stderr}")
-        probes.append(json.loads(proc.stdout.strip().splitlines()[-1]))
-    return probes
+    return [_script_row(args, "--memory-probe", repr(t_end)) for t_end in MEMORY_T_ENDS]
 
 
 def main(argv=None):
     args = _parse(argv)
     if args.memory_probe is not None:
         print(json.dumps(memory_probe(args.memory_probe, args.grid)))
+        return 0
+    if args.monitor_probe is not None:
+        print(json.dumps(monitor_probe(*args.monitor_probe)))
+        return 0
+    if args.store_run is not None:
+        print(json.dumps(store_run(args.store_run, args.grid)))
         return 0
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
@@ -181,7 +272,9 @@ def main(argv=None):
                        "numpy": version("numpy"), "machine": platform.machine()},
               "workloads": {name: rows(run_traced(name, args)) for name in names},
               "run_memory": run_memory(args),
-              "chart_kernel": chart_kernel(args.grid)}
+              "monitor_memory": monitor_memory(args),
+              "chart_kernel": chart_kernel(args.grid),
+              "scan_kernel": scan_kernel(args.grid)}
     path = Path(args.out) / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {path}")

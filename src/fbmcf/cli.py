@@ -17,7 +17,8 @@ import yaml
 from .errors import FbmcfError, ScenarioError
 from .flow import run as flow_run
 from .io import load_trajectory, save_trajectory, write_csv, write_manifest, write_obj
-from .monitors import DensityQuery, monotonicity_report, singular_set_scan
+from .monitors import DensityQuery, monotonicity_reports, singular_set_scan
+from .monitors import monotonicity_report  # noqa: F401 -- perfbench/tracing.py wraps this binding
 from .rescaling import normalized_frame, parabolic_rescale, planarity_multiplicity
 from .scenario import load_scenario
 
@@ -38,18 +39,20 @@ def command_run(args):
 
 
 # the numbers each query type needs: 0 for one number, n for n numbers and
-# -1 for a non-empty list of numbers
-_QUERY_FIELDS = {"density": {"P": 3, "T": 0, "sample_times": -1},
+# -1 for a non-empty list of numbers; a field in _OPTIONAL may be left out
+_QUERY_FIELDS = {"density": {"P": 3, "T": 0, "sample_times": -1, "r": 0, "kappa": 0},
                  "scan": {"epsilon": 0, "r_grid": -1}}
+_OPTIONAL = ("r", "kappa")
 
 
-def _parse_queries(path):
-    """The queries of a query file, each checked before any of them runs;
-    a bad entry raises ScenarioError keyed by its index and field, as in `[0].P`."""
+def _parse_queries(path, kappa):   # kappa: the run's patch kappa
+    """The queries of a query file, each checked and named (`q<index>` by default) before
+    any of them runs; a bad entry raises ScenarioError keyed as in `[0].P`."""
     with open(path) as fh:
         data = yaml.safe_load(fh)
     if not isinstance(data, list):
         raise ScenarioError("query file must contain a list of queries")
+    names = set()
     for k, q in enumerate(data):
         if not isinstance(q, dict):
             raise ScenarioError(f"query {k} must be a mapping", key=f"[{k}]")
@@ -59,9 +62,18 @@ def _parse_queries(path):
         if q.get("location", "interior") not in ("interior", "boundary"):
             raise ScenarioError("location must be interior or boundary", key=f"[{k}].location")
         for name, size in _QUERY_FIELDS[kind].items():
-            if not _holds_numbers(q, name, size):
+            if (name in q or name not in _OPTIONAL) and not _holds_numbers(q, name, size):
                 want = {0: "a number", -1: "a non-empty list"}.get(size, f"{size} numbers")
                 raise ScenarioError(f"{kind} query {k} needs {name}: {want}", key=f"[{k}].{name}")
+        # a boundary kernel is only admissible for the run's own kappa or above
+        if kind == "density" and float(q.setdefault("kappa", kappa)) < kappa:
+            raise ScenarioError(f"kappa {q['kappa']:g} is below the run's patch kappa "
+                                f"{kappa:g}", key="kappa")
+        name = q.setdefault("name", f"q{k}")   # it names a file in the run's directory
+        if not isinstance(name, str) or name in ("", *names) or os.path.basename(name) != name:
+            raise ScenarioError(f"query {k} needs a name of its own, with no path separator",
+                                key=f"[{k}].name")
+        names.add(name)
     return data
 
 
@@ -71,37 +83,34 @@ def _holds_numbers(q, name, size):
         v = np.asarray(q[name], dtype=float)
     except (KeyError, TypeError, ValueError):
         return False
-    return v.ndim == 0 if size == 0 else v.ndim == 1 and v.size > 0 and size in (-1, v.size)
+    return not np.isnan(v).any() and (   # NaN also stands for a null, which float() refuses
+        v.ndim == 0 if size == 0 else v.ndim == 1 and v.size > 0 and size in (-1, v.size))
 
 
 def command_monitor(args):
     trajectory = load_trajectory(args.dir)
     patch = trajectory.snapshots[-1].patch
-    queries = _parse_queries(args.query_file)
+    queries = _parse_queries(args.query_file, patch.kappa)
+    scans = [q for q in queries if q.get("type", "density") == "scan"]
+    # one pass over the snapshots: the densities at each, the scans at the last
+    reports = monotonicity_reports(trajectory, [DensityQuery(
+        P=np.asarray(q["P"], dtype=float), T=float(q["T"]), location=q.get("location", "interior"),
+        r=float(q.get("r", np.inf)), kappa=float(q["kappa"]),
+        sample_times=[float(t) for t in q["sample_times"]]) for q in queries if q not in scans],
+        patch=patch, final=(lambda tr: [singular_set_scan(tr, float(q["epsilon"]), [
+            float(r) for r in q["r_grid"]]) for q in scans]) if scans else None)
+    scanned, reports = iter(reports.pop() if scans else []), iter(reports)
     tables = []   # written only once every query has succeeded
-    for k, q in enumerate(queries):
-        name = q.get("name", f"q{k}")
-        kind = q.get("type", "density")
-        if kind == "density":
-            # a boundary kernel is only admissible for the run's own kappa or above
-            kappa = float(q.get("kappa", patch.kappa))
-            if kappa < patch.kappa:
-                raise ScenarioError(f"kappa {kappa:g} is below the run's patch kappa "
-                                    f"{patch.kappa:g}", key="kappa")
-            query = DensityQuery(
-                P=np.asarray(q["P"], dtype=float), T=float(q["T"]),
-                location=q.get("location", "interior"),
-                r=float(q.get("r", np.inf)), kappa=kappa,
-                sample_times=[float(t) for t in q["sample_times"]])
-            rep = monotonicity_report(trajectory, query, patch=patch)
+    for q in queries:
+        if q.get("type", "density") == "density":
+            rep = next(reports)
             rise = np.maximum(np.diff(rep.values, prepend=rep.values[:1]), 0.0)
-            tables.append((f"density_{name}.csv", ("t", "value", "violation"),
+            tables.append((f"density_{q['name']}.csv", ("t", "value", "violation"),
                            np.column_stack([rep.times, rep.values, rise])))
-        else:   # "scan"; _parse_queries admits no other type
-            scan = singular_set_scan(trajectory, float(q["epsilon"]),
-                                     [float(r) for r in q["r_grid"]])
+        else:
+            scan = next(scanned)
             nr = len(scan.r_grid)
-            tables.append((f"scan_{name}.csv", ("px", "py", "pz", "r", "mass", "flagged"),
+            tables.append((f"scan_{q['name']}.csv", ("px", "py", "pz", "r", "mass", "flagged"),
                            np.column_stack([np.repeat(scan.candidates, nr, axis=0),
                                             np.tile(scan.r_grid, len(scan.candidates)),
                                             scan.masses.ravel(), np.repeat(scan.flagged, nr)])))

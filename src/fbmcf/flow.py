@@ -191,7 +191,7 @@ def run(initial, config):
             dt = min(_stability_bound(surface, config), config.t_end - surface.t)
             new = step(surface, dt, config)
             g = new.geometry()
-            surface._geom = surface._maxima = None
+            surface.drop_geometry()
             surface = new
             step_count += 1
             if step_count % config.snapshot_stride == 0:

@@ -11,6 +11,7 @@ condition holds.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -208,6 +209,10 @@ class GraphSurface:
             self._geom = fundamental_forms(self)
         return self._geom
 
+    def drop_geometry(self):
+        """Forget the memoised geometry and stability maxima; `geometry()` rebuilds them."""
+        self._geom = self._maxima = None
+
     def positions(self):
         """The (n1, n2, 3) node positions X, bit-equal to `geometry().X`.
 
@@ -220,6 +225,8 @@ class GraphSurface:
 
     is_compact = True
     topology = None   # no grid surface is tagged; gauss_bonnet_identity refuses it
+
+    holds_geometry = property(lambda self: self._geom is not None)   # a geometry is memoised
 
     def samples(self, m=None, focus=None, extent=None):
         """Footprint nodes as a FieldSample (positions, dA weights, N, H, |A|^2).
@@ -385,6 +392,29 @@ def perimeter(surface):
     return surface.perimeter()
 
 
+def label_components(mask, full=False):
+    """(labels, n) of a boolean array as `scipy.ndimage.label` gives them, with the
+    cross structure, or the full 3^d one if full.  Each cell starts with its
+    C-order index and takes the least of its neighbours' and of the one its
+    index names until none changes; the components are numbered in that order.
+    """
+    steps = [o for o in itertools.product((-1, 0, 1), repeat=mask.ndim)
+             if any(o) and (full or sum(map(abs, o)) == 1)]
+    cut = [[tuple(slice(max(a, 0), n + min(a, 0)) for a, n in zip(sign * np.array(o), mask.shape))
+            for o in steps] for sign in (1, -1)]
+    new, lab = np.where(mask, np.arange(mask.size).reshape(mask.shape), mask.size), None
+    while not np.array_equal(new, lab):
+        lab, new = new, new.copy()
+        for src, dst in zip(*cut):
+            np.minimum(new[dst], lab[src], out=new[dst])
+        new[~mask] = mask.size
+        new[mask] = np.minimum(new[mask], new.ravel()[new[mask]])
+    roots, index = np.unique(lab[mask], return_inverse=True)
+    labels = np.zeros(mask.shape, np.int32)
+    labels[mask] = index.ravel() + 1
+    return labels, len(roots)
+
+
 # ---------------------------------------------------------------------------
 # Area ratios
 # ---------------------------------------------------------------------------
@@ -414,9 +444,7 @@ def modified_area_ratio(surface, P, r, include_reflection=None):
     if np.any(in_ball):
         masked = np.where(g.mask, dist, np.inf)
         seed = np.unravel_index(np.argmin(masked), dist.shape)
-        from scipy import ndimage   # on first use: at import time it doubled start-up
-
-        labels, _ = ndimage.label(in_ball)
+        labels, _ = label_components(in_ball)
         if labels[seed] != 0:
             comp = labels == labels[seed]
             area1 = float(np.sum(g.dA[comp]))

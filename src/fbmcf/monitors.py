@@ -10,12 +10,14 @@ kappa = 0 makes the modification trivial.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FbmcfError, TimeWindowError
 from .geometry import integrate  # noqa: F401 -- perfbench/tracing.py wraps this binding
+from .geometry import label_components
 from .support import reflect as patch_reflect
 from .support import signed_distance
 
@@ -124,27 +126,45 @@ class DensityReport:
     offsets: np.ndarray
 
 
+@contextmanager
+def _visiting(snap):
+    """A block reading snap; a snapshot that held no geometry drops the one built in it."""
+    held = snap.holds_geometry
+    try:
+        yield
+    finally:
+        if not held:
+            snap.drop_geometry()
+
+
+def monotonicity_reports(trajectory, queries, patch=None, final=None):
+    """The DensityReport of each query, from one pass over the snapshots in time order:
+    each is visited once, and holds a geometry only while visited.  `final(trajectory)`,
+    if given, runs on the last snapshot's visit; its result follows the reports."""
+    near = [[trajectory.snapshot_at(t) for t in q.sample_times] for q in queries]
+    last = trajectory.snapshots[-1]
+    visits = {id(s): s for pairs in near for s, _ in pairs} | ({id(last): last} if final else {})
+    values, extra = [np.empty(len(pairs)) for pairs in near], []
+    for snap in sorted(visits.values(), key=lambda s: s.t):
+        with _visiting(snap):
+            for q, pairs, v in zip(queries, near, values):
+                for i in (i for i, (s, _) in enumerate(pairs) if s is snap):
+                    v[i] = (interior_density_value(snap, q.P, q.T, q.r, d_gamma=q.d_gamma)
+                            if q.location == "interior" else
+                            boundary_density_value(snap, q.P, q.T, q.kappa, patch=patch))
+            if final and snap is last:
+                energy(snap)   # builds a grid snapshot's geometry here, for all of final to share
+                extra.append(final(trajectory))
+    return [DensityReport(np.array([s.t for s, _ in pairs]), v,
+                          float(np.max(np.maximum(np.diff(v), 0.0), initial=0.0)), float(v[-1]),
+                          bool(len(v) > 1 and np.max(np.abs(np.diff(v[-3:]))) < 1e-3),
+                          np.array([off for _, off in pairs]))
+            for pairs, v in zip(near, values)] + extra
+
+
 def monotonicity_report(trajectory, query, patch=None):
     """Density series along a trajectory with its monotonicity violation."""
-    times, values, offsets = [], [], []
-    for t in query.sample_times:
-        snap, off = trajectory.snapshot_at(t)
-        if query.location == "interior":
-            v = interior_density_value(snap, query.P, query.T, query.r,
-                                       d_gamma=query.d_gamma)
-        else:
-            v = boundary_density_value(snap, query.P, query.T, query.kappa,
-                                       patch=patch)
-        times.append(snap.t)
-        values.append(v)
-        offsets.append(off)
-    values = np.array(values)
-    diffs = np.diff(values)
-    violation = float(np.max(np.maximum(diffs, 0.0), initial=0.0))
-    tail = values[-3:]
-    slope_flat = bool(len(tail) >= 2 and np.max(np.abs(np.diff(tail))) < 1e-3)
-    return DensityReport(np.array(times), values, violation,
-                         float(values[-1]), slope_flat, np.array(offsets))
+    return monotonicity_reports(trajectory, [query], patch)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -228,39 +248,43 @@ class SingularScan:
     total_energy: float
 
 
-# Candidate-node pairs held at once: bounds memory however large r_grid[-1] is.
-_PAIR_CAP = 1 << 20
-
-
-def _ball_masses(cand, X, wA2, r_grid):
-    """masses[k, j] = sum of wA2 over the nodes with |cand[k] - X|^2 < r_grid[j]^2.
-
-    Only candidate-node pairs within the largest radius are visited. A k-d
-    tree finds them within a slightly padded radius; each pair's d2 is then
-    recomputed bit for bit as (dx^2 + dy^2) + dz^2, and the strict test
-    decides, so the padding never does. Candidates go in blocks of
-    _PAIR_CAP // len(X), so a block never holds more than _PAIR_CAP pairs.
-    """
-    from scipy.spatial import cKDTree
-
-    masses = np.zeros((len(cand), len(r_grid)))
-    nodes = cKDTree(X)
-    reach = r_grid[-1] * (1.0 + 1e-9)
-    block = max(1, _PAIR_CAP // len(X))
-    for k0 in range(0, len(cand), block):
-        c = cand[k0:k0 + block]
-        pairs = cKDTree(c).sparse_distance_matrix(nodes, reach, output_type="ndarray")
-        i, j = pairs["i"], pairs["j"]
-        d2 = np.zeros(len(pairs))
-        for a in range(3):
-            d = c[:, a][i] - X[:, a][j]
-            d2 += d * d
-        w = wA2[j]
-        for col, r in enumerate(r_grid):
-            inside = d2 < r**2
-            masses[k0:k0 + block, col] = np.bincount(i[inside], weights=w[inside],
-                                                     minlength=len(c))
-    return masses
+def _lattice_masses(axes, spacing, X, wA2, r_grid):
+    """masses[k, j] = sum of wA2 over the nodes with |cand[k] - X|^2 < r_grid[j]^2, cand
+    the lattice axes[0] x axes[1] x axes[2] in C order.  Each node visits the lattice
+    points around its cell (axes padded with inf), looping over x and y offsets, the z
+    offsets at once; no partial sum of d2 = (dx^2 + dy^2) + dz^2 exceeds it, so pruning
+    on one drops no pair the strict test keeps.  A pair adds its weight at the least
+    radius it lies within; cumulative sums over the radii give the masses."""
+    shape, nr, r2 = [len(a) for a in axes], len(r_grid), r_grid ** 2
+    reach = int(np.ceil(r_grid[-1] / spacing)) + 1   # one offset more, for rounding
+    ax, ay, az = (np.pad(a, reach, constant_values=np.inf) for a in axes)
+    cell = np.floor((X - [a[0] for a in axes]) / spacing).astype(np.intp) + reach
+    offsets = np.arange(-reach, reach + 1)
+    dz2 = (az[cell[:, 2, None] + offsets] - X[:, 2, None]) ** 2
+    sums = np.zeros(np.prod(shape) * nr)   # the pair (k, j) adds to sums[k nr + j]
+    for ox in offsets:
+        dx2 = (ax[cell[:, 0] + ox] - X[:, 0]) ** 2
+        n0 = np.flatnonzero(dx2 < r2[-1])
+        dx2 = dx2[n0]
+        for oy in offsets:
+            iy = cell[n0, 1] + oy
+            dxy = dx2 + (ay[iy] - X[n0, 1]) ** 2
+            near = np.flatnonzero(dxy < r2[-1])
+            if near.size == 0:
+                continue
+            n1, dxy = n0[near], dxy[near]
+            rz = int(np.ceil(np.sqrt(r2[-1] - dxy.min()) / spacing)) + 1
+            oz = slice(reach - rz, reach + rz + 1)
+            d2 = dz2[n1, oz] + dxy[:, None]
+            pair = d2 < r2[-1]
+            k = ((cell[n1, 0] + ox - reach) * shape[1] + iy[near] - reach) * shape[2] \
+                + cell[n1, 2] - reach
+            k, d2 = (nr * (k[:, None] + offsets[oz]))[pair], d2[pair]
+            for j in range(nr - 1):
+                k += d2 >= r2[j]
+            sums += np.bincount(k, weights=np.repeat(wA2[n1], np.count_nonzero(pair, axis=1)),
+                                minlength=sums.size)
+    return np.cumsum(sums.reshape(-1, nr), axis=1)
 
 
 def singular_set_scan(trajectory, epsilon, r_grid):
@@ -273,34 +297,21 @@ def singular_set_scan(trajectory, epsilon, r_grid):
     if r_grid.size == 0 or r_grid[0] <= 0.0:
         raise ValueError("r_grid must hold at least one radius, all positive")
     snap = trajectory.snapshots[-1]
-    total = energy(snap)
-    if total < epsilon:   # also every non-compact surface, whose energy reads 0
-        return SingularScan(epsilon, r_grid, snap.t, np.zeros((0, 3)),
-                            np.zeros((0, len(r_grid))), np.zeros(0, bool),
-                            np.zeros((0, 3)), total)
-    s = snap.samples()
+    with _visiting(snap):
+        total = energy(snap)
+        s = snap.samples() if total >= epsilon else None
+    if s is None:   # also every non-compact surface, whose energy reads 0
+        return SingularScan(epsilon, r_grid, snap.t, np.zeros((0, 3)), np.zeros((0, len(r_grid))),
+                            np.zeros(0, bool), np.zeros((0, 3)), total)
 
     spacing = 0.5 * r_grid[0]
-    lo = s.X.min(axis=0) - r_grid[0]
-    hi = s.X.max(axis=0) + r_grid[0]
+    lo, hi = s.X.min(axis=0) - r_grid[0], s.X.max(axis=0) + r_grid[0]
     axes = [np.arange(lo[d], hi[d] + spacing, spacing) for d in range(3)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    shape = grid[0].shape
-    cand = np.stack([g.ravel() for g in grid], axis=-1)
-
-    masses = _ball_masses(cand, s.X, s.w * s.A2, r_grid)
-
+    cand = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    masses = _lattice_masses(axes, spacing, s.X, s.w * s.A2, r_grid)
     flagged = np.all(masses >= epsilon, axis=-1)
-    flag_grid = flagged.reshape(shape)
-    from scipy import ndimage   # on first use: at import time it doubled start-up
-
-    labels, n = ndimage.label(flag_grid, structure=np.ones((3, 3, 3), dtype=int))
-    clusters = []
-    lab_flat = labels.ravel()
-    w0 = masses[:, 0]
-    for lbl in range(1, n + 1):
-        sel = lab_flat == lbl
-        clusters.append(np.average(cand[sel], axis=0, weights=w0[sel]))
-    clusters = np.array(clusters) if clusters else np.zeros((0, 3))
+    labels, n = label_components(flagged.reshape([len(a) for a in axes]), full=True)
+    clusters = np.array([np.average(cand[sel], axis=0, weights=masses[sel, 0]) for sel in
+                         (labels.ravel() == lbl for lbl in range(1, n + 1))]).reshape(-1, 3)
     return SingularScan(epsilon, r_grid, snap.t, cand, masses, flagged,
                         clusters, total)

@@ -31,6 +31,7 @@ class FrameSurface:
 
     is_compact = True
     topology = None   # untagged, like the grid surface it came from
+    holds_geometry = True   # the samples are the geometry: nothing is dropped
 
     @property
     def point(self):

@@ -39,8 +39,10 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
     # and one analytic series, and scans once
     assert trough["flow.step.calls"]["value"] > 0
     assert trough["flow.step.ms_per_call"]["value"] > 0
+    # `fbmcf monitor` evaluates its two density series through monotonicity_reports
+    # in one pass, so the traced monotonicity_report is the analytic series alone
     assert store["monitors.singular_set_scan.calls"]["value"] == 1
-    assert store["monitors.monotonicity_report.calls"]["value"] == 3
+    assert store["monitors.monotonicity_report.calls"]["value"] == 1
     assert store["monitors.monotonicity_report.ms_per_call"]["value"] > 0
     # one fresh-process stride-1 run per t_end, on the same grid
     memory = report["run_memory"]
@@ -57,3 +59,19 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
     for row in kernel:
         for key in ("chart_frames_ms", "fundamental_forms_ms"):
             assert row[key]["unit"] == "ms" and row[key]["value"] > 0, (row["phi"], key)
+    # fresh-process `fbmcf monitor` runs on the stored 21-snapshot run
+    monitor = report["monitor_memory"]
+    assert len(monitor) == 3
+    units = {"snapshots": "count", "peak_rss_mb": "MB", "wall_s": "s"}
+    for row in monitor:
+        assert {key: row[key]["unit"] for key in units} == units
+        assert row["snapshots"]["value"] == 21
+        assert row["peak_rss_mb"]["value"] > 0 and row["wall_s"]["value"] > 0
+    # in-process scan timings at four shapes
+    scans = report["scan_kernel"]
+    assert [row["r_grid"] for row in scans] == [[0.1, 0.15, 0.2], [0.05, 0.2], [0.05, 0.4],
+                                                [0.1, 0.15, 0.2]]
+    assert [row["grid"]["value"] for row in scans] == [16, 16, 8, 8]
+    for row in scans:
+        assert row["grid"]["unit"] == "1/h" and row["candidates"]["unit"] == "count"
+        assert row["scan_ms"]["unit"] == "ms" and row["scan_ms"]["value"] > 0

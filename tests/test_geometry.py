@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from fbmcf import geometry
 from fbmcf.analytic import AnalyticSurface
@@ -11,6 +15,7 @@ from fbmcf.geometry import (
     circle_box_area,
     gauss_bonnet_identity,
     integrate,
+    label_components,
     modified_area_ratio,
     perimeter,
 )
@@ -221,3 +226,22 @@ def test_shape_validation():
         GraphSurface(FLAT, 1 / 32, 0.5, np.zeros((5, 5)))
     with pytest.raises(ValueError):
         GraphSurface(FLAT, 0.3, 0.5, np.zeros((3, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mask=hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=3, max_side=9)),
+       full=st.booleans())
+def test_label_components_matches_ndimage(mask, full):
+    structure = np.ones((3,) * mask.ndim, dtype=int) if full else None
+    want, n = ndimage.label(mask, structure=structure)
+    got, m = label_components(mask, full=full)
+    assert m == n and np.array_equal(got, want)
+
+
+def test_label_components_follows_a_winding_path():
+    # one serpentine component whose cells go back and forth in C order
+    mask = np.zeros((9, 9), bool)
+    mask[::2] = True
+    mask[1::4, -1] = mask[3::4, 0] = True
+    labels, n = label_components(mask)
+    assert n == 1 and np.array_equal(labels, mask.astype(int))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from fbmcf import monitors
+from fbmcf import cli, geometry, monitors
 from fbmcf.analytic import AnalyticSurface
 from fbmcf.errors import FbmcfError, TimeWindowError
 from fbmcf.flow import FlowConfig, Trajectory, exact_trajectory, run
@@ -226,18 +226,36 @@ def assert_scan_matches_reference(scan, trajectory, epsilon, r_grid):
     assert np.all(np.abs(scan.clusters - clusters) <= 1e-12)
 
 
-@pytest.mark.parametrize("pair_cap", [monitors._PAIR_CAP, 5000],
-                         ids=["default-blocks", "small-blocks"])
-@pytest.mark.parametrize("make_trajectory", [stored_sphere_caps,
-                                             shrinking_sphere_near_extinction],
-                         ids=["store-query-caps", "shrinking-sphere"])
-def test_scan_matches_dense_reference(make_trajectory, pair_cap, monkeypatch):
-    monkeypatch.setattr(monitors, "_PAIR_CAP", pair_cap)
+def dyadic_sheet():
+    """A sheet of nodes on the 1/16 lattice, weights 1 and |A|^2 in 1..4: with
+    r_grid[0] = 1/8 every node lies on a candidate lattice point, the nodes at
+    the extremes on the lattice planes two from the box's edge, and every d2 is
+    exact, so many pairs sit at exactly a radius."""
+    i, j = np.meshgrid(np.arange(9), np.arange(5), indexing="ij")
+    X = np.stack([i / 16, j / 16, (i * j % 3) / 16], axis=-1).reshape(-1, 3)
+    fs = FrameSurface(X=X, w=np.ones(len(X)), N=np.tile([0.0, 0.0, 1.0], (len(X), 1)),
+                      H=np.zeros(len(X)), A2=1.0 + (i + j).ravel() % 4, t=0.0,
+                      h_frame=1 / 16)
+    return Trajectory([fs, fs])
+
+
+# r_grid[-1] / r_grid[0]: 2 at the benchmark's radii, 8 at the wide ratio, whose
+# largest ball reaches past the candidate lattice on every side
+@pytest.mark.parametrize("make_trajectory, r_grid, epsilon", [
+    (stored_sphere_caps, [0.1, 0.15, 0.2], 1.0),
+    (shrinking_sphere_near_extinction, [0.1, 0.15, 0.2], 1.0),
+    (stored_sphere_caps, [0.05, 0.4], 1.0),
+    (shrinking_sphere_near_extinction, [0.05, 0.4], 1.0),
+    (dyadic_sheet, [0.125, 0.375], 20.0),
+], ids=["store-query-caps-benchmark-radii", "shrinking-sphere-benchmark-radii",
+        "store-query-caps-wide-ratio", "shrinking-sphere-wide-ratio", "box-edge-nodes"])
+def test_scan_matches_dense_reference(make_trajectory, r_grid, epsilon):
     traj = make_trajectory()
-    r_grid = [0.1, 0.15, 0.2]
-    scan = singular_set_scan(traj, epsilon=1.0, r_grid=r_grid)
+    scan = singular_set_scan(traj, epsilon=epsilon, r_grid=r_grid)
     assert np.any(scan.masses > 0.0) and np.any(scan.masses == 0.0)
-    assert_scan_matches_reference(scan, traj, 1.0, r_grid)
+    assert_scan_matches_reference(scan, traj, epsilon, r_grid)
+    if make_trajectory is dyadic_sheet:
+        assert np.any(scan.flagged) and not np.all(scan.flagged) and len(scan.clusters)
 
 
 def test_scan_node_at_exact_radius_does_not_count():
@@ -255,3 +273,43 @@ def test_scan_node_at_exact_radius_does_not_count():
     assert scan.masses[at[(0.0, 0.0, 0.0)]].tolist() == [1.0, 1.0]
     assert scan.masses[at[(0.5, 0.0, 0.0)]].tolist() == [0.0, 5.0]
     assert_scan_matches_reference(scan, traj, 1.0, r_grid)
+
+
+def test_readers_leave_each_snapshot_as_they_found_it(tmp_path, monkeypatch):
+    # snapshots 1 and 4 hold a geometry; the others hold none and must hold
+    # none after every reader, and no reader holds two geometries at once
+    traj = Trajectory([GraphSurface.sphere_cap(1.0, 1 / 32, 0.5, t=0.02 * k) for k in range(6)])
+    held = {k: traj.snapshots[k].geometry() for k in (1, 4)}
+    built = []
+    real = geometry.fundamental_forms
+
+    def counted(surface):
+        others = [s for k, s in enumerate(traj.snapshots) if k not in held and s.holds_geometry]
+        assert others == [], "a second geometry was built while one was held"
+        built.append(next(k for k, s in enumerate(traj.snapshots) if s is surface))
+        return real(surface)
+
+    monkeypatch.setattr(geometry, "fundamental_forms", counted)
+
+    def assert_as_found():
+        for k, snap in enumerate(traj.snapshots):
+            assert snap._geom is held.get(k), k
+
+    times = [0.02 * k for k in range(6)]
+    monotonicity_report(traj, DensityQuery(P=O, T=0.25, sample_times=times))
+    assert_as_found()
+    singular_set_scan(traj, epsilon=1.0, r_grid=[0.1, 0.2])
+    assert_as_found()
+    built.clear()
+    monkeypatch.setattr(cli, "load_trajectory", lambda path: traj)
+    qpath = tmp_path / "queries.yaml"
+    # no density samples the last snapshot, which the two scans read
+    qpath.write_text(f"- P: [0, 0, 0]\n  T: 0.25\n  sample_times: {times[:-1]}\n"
+                     f"- type: scan\n  epsilon: 1.0\n  r_grid: [0.1, 0.2]\n"
+                     f"- location: boundary\n  P: [0, 0, 0]\n  T: 0.25\n"
+                     f"  sample_times: {times[-2::-1]}\n"
+                     f"- type: scan\n  epsilon: 1.0\n  r_grid: [0.15]\n")
+    assert cli.main(["monitor", str(tmp_path), str(qpath)]) == 0
+    assert_as_found()
+    # one build per snapshot that held none, the scans' last one included
+    assert sorted(built) == [0, 2, 3, 5]

@@ -541,6 +541,10 @@ def test_cli_monitor_refuses_kappa_below_the_runs(trough_run, tmp_path, capsys):
     assert not os.path.exists(os.path.join(trough_run, "density_edge.csv"))
 
 
+DENSITY_BODY = "  P: [0, 0, 0]\n  T: 0.25\n  sample_times: [0.0]\n"
+DENSITY_QUERY = "-" + DENSITY_BODY[1:]
+
+
 @pytest.mark.parametrize("text, key", [
     ("- type: density\n  P: [0, 0, 0]\n  T: 0.25\n  sample_times: []\n", "[0].sample_times"),
     ("- type: density\n  T: 0.25\n  sample_times: [0.0]\n", "[0].P"),
@@ -553,9 +557,21 @@ def test_cli_monitor_refuses_kappa_below_the_runs(trough_run, tmp_path, capsys):
     ("- type: scan\n  r_grid: [0.1]\n", "[0].epsilon"),
     ("- type: curvature\n", "[0].type"),
     ("- type: [scan]\n", "[0].type"),
+    (DENSITY_QUERY + "  kappa: [1, 2]\n", "[0].kappa"),
+    (DENSITY_QUERY + "  r: {a: 1}\n", "[0].r"),
+    (DENSITY_QUERY + "  r: x\n", "[0].r"),
+    ("- P: [0, 0, 0]\n  T: null\n  sample_times: [0.0]\n", "[0].T"),
+    # names: checked before the first query runs, so no CSV is written
+    ("- name: fine\n" + DENSITY_BODY + "- name: a/b\n" + DENSITY_BODY, "[1].name"),
+    (DENSITY_QUERY + "- name: q0\n" + DENSITY_BODY, "[1].name"),
+    ("- name: [1]\n" + DENSITY_BODY, "[0].name"),
+    ("- name: ''\n" + DENSITY_BODY, "[0].name"),
+    ("- name: hot\n" + DENSITY_BODY + "- name: hot\n  type: scan\n  epsilon: 1.0\n"
+     "  r_grid: [0.1]\n", "[1].name"),
 ], ids=["empty-sample_times", "density-without-P", "P-of-two", "T-list", "bad-location",
         "item-not-a-mapping", "empty-r_grid", "scan-without-epsilon", "unknown-type",
-        "type-list"])
+        "type-list", "kappa-list", "r-mapping", "r-word", "T-null", "name-with-slash",
+        "name-repeats-a-default", "name-not-a-string", "name-empty", "name-repeated"])
 def test_cli_monitor_malformed_query_is_validation_error(trough_run, tmp_path, capsys, text, key):
     # every entry is checked before any query runs: exit 2, keyed, no traceback
     qpath = tmp_path / "queries.yaml"
@@ -628,10 +644,23 @@ def test_cli_verify_fast_subprocess(checkout_python):
     assert proc.stdout.count("[SKIP]") == 2, output
 
 
+def test_monitor_and_rescale_run_without_scipy(finished_run, tmp_path, checkout_python):
+    qpath = tmp_path / "queries.yaml"
+    qpath.write_text("- P: [0, 0, 0]\n  T: 0.25\n  sample_times: [0.0, 0.002, 0.0035]\n"
+                     "- type: scan\n  epsilon: 1.0\n  r_grid: [0.1, 0.2]\n")
+    code = ("import sys; from fbmcf.cli import main; "
+            f"rc = [main(['monitor', {finished_run!r}, {str(qpath)!r}]), "
+            f"main(['rescale', {finished_run!r}, '--terminal-time', '0.002', "
+            "'--lambda', '0.1', '--tau', '0.0', '--region-radius', '20.0'])]; "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = checkout_python(["-c", code])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0] []", proc.stdout + proc.stderr
+
+
 def test_import_leaves_scipy_ndimage_and_spatial_unloaded(checkout_python):
-    # both load on first use, inside modified_area_ratio and singular_set_scan
-    proc = checkout_python(["-c", "import sys, fbmcf, fbmcf.cli; print(sorted("
-                            "m for m in ('scipy.ndimage', 'scipy.spatial') "
-                            "if m in sys.modules))"])
+    # no module of fbmcf imports scipy, whose ndimage and spatial alone doubled start-up
+    proc = checkout_python(["-c", "import sys, fbmcf, fbmcf.cli, fbmcf.acceptance; "
+                            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip() == "[]", proc.stdout + proc.stderr
