@@ -24,7 +24,6 @@ from .flow import (
 from .geometry import (
     GraphSurface,
     disk_cell_weights,
-    fundamental_forms,
     gauss_bonnet_identity,
     modified_area_ratio,
 )
@@ -98,7 +97,7 @@ def criterion_3():
     areas, ih2s, times = [], [], []
     for snap in traj.snapshots:
         # the cap's footprint weights, computed once for both integrands
-        g, grid = fundamental_forms(snap), snap.grid   # not memoised on the cached run
+        g, grid = snap.geometry(), snap.grid
         w = g.sqrtg * disk_cell_weights(grid.y1, grid.y2, snap.h,
                                         0.4 * shrinking_radius(1.0, snap.t), snap.half)
         areas.append(float(np.sum(w)))

@@ -60,7 +60,6 @@ class AnalyticSurface:
 
     # exact surfaces have no grid; planarity fits fall back to their node spacing
     h_frame = 0.0
-    holds_geometry = True   # closed form: nothing is memoised, so nothing is dropped
 
     # -- constructors -------------------------------------------------------
 

@@ -92,23 +92,23 @@ def command_monitor(args):
     patch = trajectory.snapshots[-1].patch
     queries = _parse_queries(args.query_file, patch.kappa)
     scans = [q for q in queries if q.get("type", "density") == "scan"]
-    # one pass over the snapshots: the densities at each, the scans at the last
-    reports = monotonicity_reports(trajectory, [DensityQuery(
+    # one pass over the snapshots for the densities; the scans then read the last
+    # one, whose geometry that pass leaves held if it sampled it
+    reports = iter(monotonicity_reports(trajectory, [DensityQuery(
         P=np.asarray(q["P"], dtype=float), T=float(q["T"]), location=q.get("location", "interior"),
         r=float(q.get("r", np.inf)), kappa=float(q["kappa"]),
         sample_times=[float(t) for t in q["sample_times"]]) for q in queries if q not in scans],
-        patch=patch, final=(lambda tr: [singular_set_scan(tr, float(q["epsilon"]), [
-            float(r) for r in q["r_grid"]]) for q in scans]) if scans else None)
-    scanned, reports = iter(reports.pop() if scans else []), iter(reports)
+        patch=patch))
     tables = []   # written only once every query has succeeded
     for q in queries:
-        if q.get("type", "density") == "density":
+        if q not in scans:
             rep = next(reports)
             rise = np.maximum(np.diff(rep.values, prepend=rep.values[:1]), 0.0)
             tables.append((f"density_{q['name']}.csv", ("t", "value", "violation"),
                            np.column_stack([rep.times, rep.values, rise])))
         else:
-            scan = next(scanned)
+            scan = singular_set_scan(trajectory, float(q["epsilon"]),
+                                     [float(r) for r in q["r_grid"]])
             nr = len(scan.r_grid)
             tables.append((f"scan_{q['name']}.csv", ("px", "py", "pz", "r", "mass", "flagged"),
                            np.column_stack([np.repeat(scan.candidates, nr, axis=0),
@@ -123,13 +123,11 @@ def command_monitor(args):
 
 def command_rescale(args):
     trajectory = load_trajectory(args.dir)
-    P = np.asarray([float(v) for v in args.point.split(",")], dtype=float)
     patch = trajectory.snapshots[-1].patch
     if args.s is not None:
-        frame = normalized_frame(trajectory, P, args.s, args.terminal_time,
-                                 patch=patch)
+        frame = normalized_frame(trajectory, args.point, args.s, args.terminal_time, patch=patch)
     else:
-        frame = parabolic_rescale(trajectory, P, args.terminal_time,
+        frame = parabolic_rescale(trajectory, args.point, args.terminal_time,
                                   args.lam, args.tau, patch=patch)
     outdir = args.out or args.dir
     os.makedirs(outdir, exist_ok=True)
@@ -157,6 +155,23 @@ def command_verify(args):
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
+def _numbers(n, what, test=lambda v: True):
+    """An argparse type: n comma-separated finite numbers that pass test, one float
+    if n is 1; else a usage error that says what is wanted."""
+    def convert(text):
+        try:
+            v = np.array([float(x) for x in text.split(",")])
+        except ValueError:
+            v = np.array([np.nan])
+        if v.size != n or not np.all(np.isfinite(v) & test(v)):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return float(v[0]) if n == 1 else v
+    return convert
+
+
+_FINITE, _POSITIVE = _numbers(1, "a finite number"), _numbers(1, "a number > 0", lambda v: v > 0)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fbmcf",
@@ -175,12 +190,12 @@ def build_parser():
 
     p = sub.add_parser("rescale", help="build a rescaled frame of a stored run")
     p.add_argument("dir")
-    p.add_argument("--point", default="0,0,0")
-    p.add_argument("--terminal-time", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=-1.0)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--region-radius", type=float, default=0.5)
+    p.add_argument("--point", type=_numbers(3, "a point x,y,z"), default="0,0,0")
+    p.add_argument("--terminal-time", type=_FINITE, required=True)
+    p.add_argument("--lambda", dest="lam", type=_POSITIVE, default=1.0)
+    p.add_argument("--tau", type=_FINITE, default=-1.0)
+    p.add_argument("--s", type=_FINITE, default=None)
+    p.add_argument("--region-radius", type=_POSITIVE, default=0.5)
     p.add_argument("--boundary", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=command_rescale)

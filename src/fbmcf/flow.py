@@ -58,6 +58,11 @@ class FlowConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 0.25:
             raise ValueError("cfl must lie in (0, 0.25]")
+        for name in ("t_end", "blowup_threshold"):
+            if not 0.0 < getattr(self, name) < np.inf:   # NaN fails too
+                raise ValueError(f"{name} must be a finite number > 0")
+        if type(self.snapshot_stride) is not int or self.snapshot_stride < 1:
+            raise ValueError("snapshot_stride must be an integer >= 1")
         if self.outer_bc not in ("dirichlet-exact", "frozen"):
             raise ValueError(f"unknown outer boundary mode {self.outer_bc!r}")
         if self.outer_bc == "dirichlet-exact" and self.rim_values is None:
@@ -117,22 +122,8 @@ def _contract(a, b):
 
 
 def _stability_bound(surface, config):
-    """The explicit step bound cfl h^2 / max eig(g^{ij}) (see `FlowConfig`).
-
-    The cfl-free maximum is memoised on the surface, so `run` and `step` share it.
-    """
-    if surface._maxima is None:
-        surface._maxima = _stability_maxima(surface)
-    return config.cfl * surface.h**2 / surface._maxima
-
-
-def _stability_maxima(surface):
-    """max eig(g^{ij}) over the active nodes."""
-    a = components(surface.geometry().ginv, 2)
-    act = surface.grid.active
-    tr = a[0, 0] + a[1, 1]
-    dsc = np.sqrt((a[0, 0] - a[1, 1]) ** 2 + 4.0 * a[0, 1] ** 2)
-    return float(np.max((0.5 * (tr + dsc))[act]))
+    """The explicit step bound cfl h^2 / max eig(g^{ij}) (see `FlowConfig`)."""
+    return config.cfl * surface.h**2 / surface.geometry().ginv_max
 
 
 def step(surface, dt, config):
@@ -159,9 +150,9 @@ def run(initial, config):
 
     An FbmcfError from the geometry or the step ends the run with what it has
     recorded so far.  The surface only advances once its geometry exists, so
-    every stored snapshot can be written out.  When it advances, the old
-    surface drops its memoised geometry: a stored snapshot carries its heights,
-    and `geometry()` on it rebuilds the same geometry from them on demand, so a
+    every stored snapshot can be written out.  `GraphSurface.geometry` keeps
+    only the geometry it built last, so a stored snapshot carries its heights,
+    `geometry()` on it rebuilds the same geometry from them on demand, and a
     run holds one geometry at a time.
     """
     surface = initial
@@ -190,8 +181,8 @@ def run(initial, config):
 
             dt = min(_stability_bound(surface, config), config.t_end - surface.t)
             new = step(surface, dt, config)
+            del g   # so the held geometry goes before the new one is built
             g = new.geometry()
-            surface.drop_geometry()
             surface = new
             step_count += 1
             if step_count % config.snapshot_stride == 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -154,8 +154,6 @@ class GraphSurface:
     u: np.ndarray
     t: float = 0.0
     half: bool = True
-    _geom: object = field(default=None, repr=False, compare=False)
-    _maxima: object = field(default=None, repr=False, compare=False)   # see flow._stability_bound
 
     def __post_init__(self):
         if self.u.shape != self.grid.nodes[0].shape:
@@ -205,28 +203,22 @@ class GraphSurface:
     # -- geometry -----------------------------------------------------------
 
     def geometry(self):
-        if self._geom is None:
-            self._geom = fundamental_forms(self)
-        return self._geom
-
-    def drop_geometry(self):
-        """Forget the memoised geometry and stability maxima; `geometry()` rebuilds them."""
-        self._geom = self._maxima = None
+        """The SurfaceGeometry.  Only the last one asked for is kept, in `_held`; a call
+        for another surface drops it before building its own, so one is held at a time."""
+        if _held[0] is not self:
+            _held[:] = None, None
+            _held[:] = self, fundamental_forms(self)
+        return _held[1]
 
     def positions(self):
-        """The (n1, n2, 3) node positions X, bit-equal to `geometry().X`.
-
-        The memoised geometry's X if there is one, else the chart's X alone:
-        no kernel runs, and nothing is memoised.
-        """
-        return self._geom.X if self._geom is not None else _chart(self, order=1)[0]
+        """The (n1, n2, 3) node positions X, bit-equal to `geometry().X`: the held
+        geometry's X if it is this surface's, else the chart's X; no kernel runs."""
+        return _held[1].X if _held[0] is self else _chart(self, order=1)[0]
 
     # -- surface protocol (shared with AnalyticSurface and FrameSurface) ----
 
     is_compact = True
     topology = None   # no grid surface is tagged; gauss_bonnet_identity refuses it
-
-    holds_geometry = property(lambda self: self._geom is not None)   # a geometry is memoised
 
     def samples(self, m=None, focus=None, extent=None):
         """Footprint nodes as a FieldSample (positions, dA weights, N, H, |A|^2).
@@ -274,8 +266,10 @@ class SurfaceGeometry:
     dA: np.ndarray      # sqrt(det g) * the grid's footprint weights
     coeff_f: np.ndarray  # g^{ij} N.d2Phi(T~_i, T~_j) / (N.dPhi_2) = g^{ij}(Gamma^2_ij + Q_ij)
     mask: np.ndarray    # the grid's mask: footprint weight > 0
+    ginv_max: float     # max eig(g^{ij}) over the grid's active nodes (see flow._stability_bound)
 
 
+_held = [None, None]   # the surface whose geometry was asked for last, and that geometry
 _PAIRS = ((0, 0), (0, 1), (1, 1))
 _EYE3 = np.eye(3)   # dPhi of the flat chart Phi(Y) = Y, whose d2Phi is 0
 
@@ -372,10 +366,13 @@ def fundamental_forms(surface):
     GA = [[ginv[i, 0] * A[0, j] + ginv[i, 1] * A[1, j] for j in range(2)] for i in range(2)]
     A2 = GA[0][0] * GA[0][0] + 2.0 * GA[0][1] * GA[1][0] + GA[1][1] * GA[1][1]
 
+    tr = ginv[0, 0] + ginv[1, 1]
+    dsc = np.sqrt((ginv[0, 0] - ginv[1, 1]) ** 2 + 4.0 * ginv[0, 1] ** 2)
     sqrtg, grid = np.sqrt(det), surface.grid
     return SurfaceGeometry(X, trailing(N, 1), trailing(u, 1), trailing(d2u, 2),
                            trailing(g, 2), trailing(ginv, 2), trailing(A, 2), Hcur, A2,
-                           sqrtg, sqrtg * grid.weights, coeff_f, grid.mask)
+                           sqrtg, sqrtg * grid.weights, coeff_f, grid.mask,
+                           float(np.max((0.5 * (tr + dsc))[grid.active])))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ kappa = 0 makes the modification trivial.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,40 +125,23 @@ class DensityReport:
     offsets: np.ndarray
 
 
-@contextmanager
-def _visiting(snap):
-    """A block reading snap; a snapshot that held no geometry drops the one built in it."""
-    held = snap.holds_geometry
-    try:
-        yield
-    finally:
-        if not held:
-            snap.drop_geometry()
-
-
-def monotonicity_reports(trajectory, queries, patch=None, final=None):
+def monotonicity_reports(trajectory, queries, patch=None):
     """The DensityReport of each query, from one pass over the snapshots in time order:
-    each is visited once, and holds a geometry only while visited.  `final(trajectory)`,
-    if given, runs on the last snapshot's visit; its result follows the reports."""
+    each is visited once, so its geometry is built once (see `GraphSurface.geometry`)."""
     near = [[trajectory.snapshot_at(t) for t in q.sample_times] for q in queries]
-    last = trajectory.snapshots[-1]
-    visits = {id(s): s for pairs in near for s, _ in pairs} | ({id(last): last} if final else {})
-    values, extra = [np.empty(len(pairs)) for pairs in near], []
+    visits = {id(s): s for pairs in near for s, _ in pairs}
+    values = [np.empty(len(pairs)) for pairs in near]
     for snap in sorted(visits.values(), key=lambda s: s.t):
-        with _visiting(snap):
-            for q, pairs, v in zip(queries, near, values):
-                for i in (i for i, (s, _) in enumerate(pairs) if s is snap):
-                    v[i] = (interior_density_value(snap, q.P, q.T, q.r, d_gamma=q.d_gamma)
-                            if q.location == "interior" else
-                            boundary_density_value(snap, q.P, q.T, q.kappa, patch=patch))
-            if final and snap is last:
-                energy(snap)   # builds a grid snapshot's geometry here, for all of final to share
-                extra.append(final(trajectory))
+        for q, pairs, v in zip(queries, near, values):
+            for i in (i for i, (s, _) in enumerate(pairs) if s is snap):
+                v[i] = (interior_density_value(snap, q.P, q.T, q.r, d_gamma=q.d_gamma)
+                        if q.location == "interior" else
+                        boundary_density_value(snap, q.P, q.T, q.kappa, patch=patch))
     return [DensityReport(np.array([s.t for s, _ in pairs]), v,
                           float(np.max(np.maximum(np.diff(v), 0.0), initial=0.0)), float(v[-1]),
                           bool(len(v) > 1 and np.max(np.abs(np.diff(v[-3:]))) < 1e-3),
                           np.array([off for _, off in pairs]))
-            for pairs, v in zip(near, values)] + extra
+            for pairs, v in zip(near, values)]
 
 
 def monotonicity_report(trajectory, query, patch=None):
@@ -297,13 +279,12 @@ def singular_set_scan(trajectory, epsilon, r_grid):
     if r_grid.size == 0 or r_grid[0] <= 0.0:
         raise ValueError("r_grid must hold at least one radius, all positive")
     snap = trajectory.snapshots[-1]
-    with _visiting(snap):
-        total = energy(snap)
-        s = snap.samples() if total >= epsilon else None
-    if s is None:   # also every non-compact surface, whose energy reads 0
+    total = energy(snap)
+    if not total >= epsilon:   # also every non-compact surface, whose energy reads 0
         return SingularScan(epsilon, r_grid, snap.t, np.zeros((0, 3)), np.zeros((0, len(r_grid))),
                             np.zeros(0, bool), np.zeros((0, 3)), total)
 
+    s = snap.samples()
     spacing = 0.5 * r_grid[0]
     lo, hi = s.X.min(axis=0) - r_grid[0], s.X.max(axis=0) + r_grid[0]
     axes = [np.arange(lo[d], hi[d] + spacing, spacing) for d in range(3)]

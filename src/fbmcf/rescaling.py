@@ -31,7 +31,6 @@ class FrameSurface:
 
     is_compact = True
     topology = None   # untagged, like the grid surface it came from
-    holds_geometry = True   # the samples are the geometry: nothing is dropped
 
     @property
     def point(self):
@@ -74,6 +73,8 @@ class RescalingFrame:
 
 def parabolic_rescale(trajectory, P, T, lam, tau, patch=None):
     """Frame (Sigma_{T + lam^2 tau} - P)/lam from the nearest stored snapshot."""
+    if not 0.0 < lam < np.inf:   # NaN fails too
+        raise ValueError(f"lambda must be a finite number > 0, not {lam!r}")
     P = np.asarray(P, dtype=float)
     t_req = T + lam**2 * tau
     times = trajectory.times

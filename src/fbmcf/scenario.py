@@ -8,6 +8,8 @@ objects, so the manifest records the complete effective configuration.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,7 @@ _SECTIONS = {
     "flow": {"cfl", "t_end", "snapshot_stride", "outer_bc", "blowup_threshold"},
 }
 _TOP_KEYS = set(_SECTIONS) | {"output_dir", "name"}
-_INITIAL_KINDS = {"zero", "sphere", "tilted-plane"}
+_INITIAL_KINDS = ("zero", "sphere", "tilted-plane")   # a tuple: a kind may be unhashable
 
 _DEFAULTS = {
     "patch": {"phi": "flat"},
@@ -33,16 +35,31 @@ _DEFAULTS = {
     "grid": {"half": True},
 }
 
-# value checks on single keys, applied where a scenario sets the key
+
+def _real(test=lambda v: True):
+    """A check that a value is a finite real number, not a bool, and passes test."""
+    return lambda v: (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                      and math.isfinite(v) and test(v))
+
+
+_POSITIVE = _real(lambda v: v > 0.0), "a finite number > 0"
+
+# (check, what it wants) of each key, applied where a scenario sets the key: type first
 _CHECKS = {
-    "patch.kappa": (lambda v: v >= 0.0, "kappa must be >= 0"),
-    "patch.chart_radius": (lambda v: v > 0.0, "chart_radius must be positive"),
-    "initial.kind": (lambda v: v in _INITIAL_KINDS, "unknown initial kind {!r}"),
-    "grid.h": (lambda v: v > 0.0, "h must be positive"),
-    "grid.r_dom": (lambda v: v > 0.0, "r_dom must be positive"),
-    "flow.cfl": (lambda v: 0.0 < v <= 0.25, "cfl must lie in (0, 0.25]"),
-    "flow.outer_bc": (lambda v: v in ("dirichlet-exact", "frozen"),
-                      "unknown outer_bc {!r}"),
+    "patch.phi": (lambda v: isinstance(v, str), "a string"),
+    "patch.kappa": (_real(lambda v: v >= 0.0), "a finite number >= 0"),
+    "patch.chart_radius": _POSITIVE,
+    "initial.kind": (lambda v: v in _INITIAL_KINDS, "one of " + ", ".join(_INITIAL_KINDS)),
+    "initial.R0": _POSITIVE,
+    "initial.tilt": (_real(), "a finite number"),
+    "grid.h": _POSITIVE,
+    "grid.r_dom": _POSITIVE,
+    "grid.half": (lambda v: isinstance(v, bool), "true or false"),
+    "flow.cfl": (_real(lambda v: 0.0 < v <= 0.25), "a number in (0, 0.25]"),
+    "flow.t_end": _POSITIVE,
+    "flow.snapshot_stride": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "flow.outer_bc": (lambda v: v in ("dirichlet-exact", "frozen"), "dirichlet-exact or frozen"),
+    "flow.blowup_threshold": _POSITIVE,
 }
 
 
@@ -111,9 +128,8 @@ def _merge_section(name, data):
     for k, v in section.items():
         key = f"{name}.{k}"
         _require(k in _SECTIONS[name], f"unknown key {key}", key)
-        if key in _CHECKS:
-            ok, message = _CHECKS[key]
-            _require(ok(v), message.format(v), key)
+        ok, want = _CHECKS[key]
+        _require(ok(v), f"{k} must be {want}, not {v!r}", key)
         merged[k] = v
     return merged
 

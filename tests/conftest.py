@@ -1,9 +1,13 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
+
+from fbmcf import geometry
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,3 +27,38 @@ def _checkout_python(args):
 def checkout_python():
     """Runs `python <args>` against this checkout; returns the CompletedProcess."""
     return _checkout_python
+
+
+class GeometryLog:
+    """Stands in for `geometry.fundamental_forms` and keeps a weak reference to each
+    geometry it builds and to the surface it was built for.  With `exclusive` set,
+    a build that starts while an earlier logged geometry is alive fails."""
+
+    def __init__(self, real):
+        self.real, self.geometries, self.surfaces, self.exclusive = real, [], [], False
+
+    def __call__(self, surface):
+        if self.exclusive:
+            assert self.alive() == 0, "a build started while another geometry was alive"
+        g = self.real(surface)
+        self.geometries.append(weakref.ref(g))
+        self.surfaces.append(weakref.ref(surface))
+        return g
+
+    def alive(self):
+        """How many logged geometries outlive a garbage collection."""
+        gc.collect()
+        return sum(ref() is not None for ref in self.geometries)
+
+    def built_for(self, surfaces):
+        """The index in surfaces of each logged build of one of them, in build order."""
+        index = {id(s): k for k, s in enumerate(surfaces)}
+        return [index[id(ref())] for ref in self.surfaces if id(ref()) in index]
+
+
+@pytest.fixture
+def geometry_log(monkeypatch):
+    """A GeometryLog in place of `geometry.fundamental_forms` for one test."""
+    log = GeometryLog(geometry.fundamental_forms)
+    monkeypatch.setattr(geometry, "fundamental_forms", log)
+    return log

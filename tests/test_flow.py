@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbmcf import flow
 from fbmcf.errors import (
     ChartRangeError,
     CflViolationError,
@@ -23,7 +22,7 @@ from fbmcf.flow import (
     step,
 )
 from fbmcf.geometry import GraphSurface
-from fbmcf.support import SupportPatch
+from fbmcf.support import SupportPatch, components
 
 FLAT = SupportPatch.flat()
 
@@ -85,15 +84,20 @@ def test_cfl_violation_raises():
         step(s, 10 * s.h**2, cfg)
 
 
-def test_stability_maxima_evaluated_once_per_step(monkeypatch):
-    # run() sizes dt and step() checks it from the maxima memoised on each surface
-    seen = []
-    real = flow._stability_maxima
-    monkeypatch.setattr(flow, "_stability_maxima", lambda s: seen.append(s) or real(s))
-    traj = sphere_run(32, 0.002)
-    n = len(traj.monitors["t"]) - 1
-    assert traj.stop_reason == "completed" and n >= 5
-    assert n <= len(seen) <= n + 1
+def test_stability_maxima_evaluated_once_per_step(geometry_log):
+    # run() sizes dt and step() checks it from the maximum the kernel computes
+    # once per surface: one kernel call per step, and dt = cfl h^2 / max eig(g^{ij})
+    # bit for bit
+    traj = sphere_run(32, 0.002, stride=1)
+    snaps, n = traj.snapshots, len(traj.monitors["t"]) - 1
+    assert traj.stop_reason == "completed" and n >= 5 and len(snaps) == n + 1
+    assert len(geometry_log.geometries) == n + 1
+    for s, nxt in zip(snaps[:-2], snaps[1:-1]):   # the last step is cut to t_end
+        a = components(s.geometry().ginv, 2)
+        tr, dsc = a[0, 0] + a[1, 1], np.sqrt((a[0, 0] - a[1, 1]) ** 2 + 4.0 * a[0, 1] ** 2)
+        lam = float(np.max((0.5 * (tr + dsc))[s.grid.active]))
+        assert s.geometry().ginv_max == lam
+        assert nxt.t == s.t + FlowConfig.cfl * s.h**2 / lam   # the default cfl
 
 
 def test_step_abort_keeps_cause_and_last_surface():
@@ -241,16 +245,15 @@ def _traced_stride_one_run(t_end):
         tracemalloc.stop()
 
 
-def test_run_holds_one_geometry_at_a_time():
+def test_run_holds_one_geometry_at_a_time(geometry_log):
     traj, peak = _traced_stride_one_run(0.008)
+    assert geometry_log.alive() <= 1
     traj2, peak2 = _traced_stride_one_run(0.016)
+    assert geometry_log.alive() <= 1
     n, n2 = len(traj.snapshots), len(traj2.snapshots)
     assert traj2.stop_reason == "completed" and 250 <= n and 2 * n - 5 <= n2 <= 2 * n + 5
-    for t in (traj, traj2):
-        kept = [k for k, snap in enumerate(t.snapshots) if snap._geom is not None]
-        assert kept == [len(t.snapshots) - 1]
-    # each stored snapshot adds its heights and no more; a memoised
-    # geometry would add about 30 times as much
+    # each stored snapshot adds its heights and no more; a geometry kept per
+    # snapshot would add about 30 times as much
     assert peak2 - peak <= 1.2 * (n2 - n) * traj.snapshots[0].u.nbytes
 
 

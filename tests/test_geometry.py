@@ -108,12 +108,12 @@ def test_grid_data_is_built_once_per_grid(monkeypatch):
 @pytest.mark.parametrize("half", [True, False], ids=["half-disk", "full-disk"])
 @pytest.mark.parametrize("phi", ["flat", "paraboloid:0.5", "sphere_cap:2",
                                  "paraboloid:0.5@/0.5"])
-def test_positions_bit_equal_to_kernel_positions(phi, half):
+def test_positions_bit_equal_to_kernel_positions(phi, half, geometry_log):
     patch = SupportPatch.from_spec(phi)
     s = GraphSurface.from_height(lambda a, b: 0.1 * a + 0.2 * b * b, patch, 1 / 32, 0.25,
                                  half=half)
     before = s.positions()   # no chart memo yet on a fresh patch
-    assert s._geom is None and not patch.chart_memo
+    assert geometry_log.geometries == [] and not patch.chart_memo   # no kernel ran
     X = geometry.fundamental_forms(s).X
     # the kernel keeps the chart planes of a profile that ignores y3
     assert bool(patch.chart_memo) == phi.startswith("paraboloid")
@@ -121,7 +121,7 @@ def test_positions_bit_equal_to_kernel_positions(phi, half):
     for Y in (before, after):
         assert Y.shape == X.shape and np.array_equal(Y.view(np.int64), X.view(np.int64))
     g = s.geometry()
-    assert s.positions() is g.X   # the memoised geometry's own array
+    assert s.positions() is g.X   # the held geometry's own array
 
 
 def test_quadrature_refinement_order():

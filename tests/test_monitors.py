@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from fbmcf import cli, geometry, monitors
+from fbmcf import cli, monitors
 from fbmcf.analytic import AnalyticSurface
 from fbmcf.errors import FbmcfError, TimeWindowError
 from fbmcf.flow import FlowConfig, Trajectory, exact_trajectory, run
@@ -275,33 +275,27 @@ def test_scan_node_at_exact_radius_does_not_count():
     assert_scan_matches_reference(scan, traj, 1.0, r_grid)
 
 
-def test_readers_leave_each_snapshot_as_they_found_it(tmp_path, monkeypatch):
-    # snapshots 1 and 4 hold a geometry; the others hold none and must hold
-    # none after every reader, and no reader holds two geometries at once
-    traj = Trajectory([GraphSurface.sphere_cap(1.0, 1 / 32, 0.5, t=0.02 * k) for k in range(6)])
-    held = {k: traj.snapshots[k].geometry() for k in (1, 4)}
-    built = []
-    real = geometry.fundamental_forms
+def test_readers_leave_each_snapshot_as_they_found_it(tmp_path, monkeypatch, geometry_log):
+    # a reader builds each geometry it needs and GraphSurface.geometry keeps only
+    # the last one: a snapshot keeps its heights alone, at most one geometry
+    # outlives each reader, and in fbmcf monitor no build overlaps another
+    def snapshots():
+        return [GraphSurface.sphere_cap(1.0, 1 / 32, 0.5, t=0.02 * k) for k in range(6)]
 
-    def counted(surface):
-        others = [s for k, s in enumerate(traj.snapshots) if k not in held and s.holds_geometry]
-        assert others == [], "a second geometry was built while one was held"
-        built.append(next(k for k, s in enumerate(traj.snapshots) if s is surface))
-        return real(surface)
-
-    monkeypatch.setattr(geometry, "fundamental_forms", counted)
-
-    def assert_as_found():
-        for k, snap in enumerate(traj.snapshots):
-            assert snap._geom is held.get(k), k
-
+    traj = Trajectory(snapshots())
     times = [0.02 * k for k in range(6)]
     monotonicity_report(traj, DensityQuery(P=O, T=0.25, sample_times=times))
-    assert_as_found()
+    assert geometry_log.alive() <= 1
     singular_set_scan(traj, epsilon=1.0, r_grid=[0.1, 0.2])
-    assert_as_found()
-    built.clear()
-    monkeypatch.setattr(cli, "load_trajectory", lambda path: traj)
+    assert geometry_log.alive() <= 1
+    assert interior_curvature_norm(traj, O, 1.5, 0.5) > 0.0
+    # the scan reads the last snapshot's geometry, which the density pass left held
+    assert geometry_log.built_for(traj.snapshots) == [0, 1, 2, 3, 4, 5] * 2
+    assert geometry_log.alive() <= 1
+
+    stored = Trajectory(snapshots())   # a reloaded run: no geometry of it is held
+    geometry_log.exclusive = True
+    monkeypatch.setattr(cli, "load_trajectory", lambda path: stored)
     qpath = tmp_path / "queries.yaml"
     # no density samples the last snapshot, which the two scans read
     qpath.write_text(f"- P: [0, 0, 0]\n  T: 0.25\n  sample_times: {times[:-1]}\n"
@@ -310,6 +304,6 @@ def test_readers_leave_each_snapshot_as_they_found_it(tmp_path, monkeypatch):
                      f"  sample_times: {times[-2::-1]}\n"
                      f"- type: scan\n  epsilon: 1.0\n  r_grid: [0.15]\n")
     assert cli.main(["monitor", str(tmp_path), str(qpath)]) == 0
-    assert_as_found()
-    # one build per snapshot that held none, the scans' last one included
-    assert sorted(built) == [0, 2, 3, 5]
+    assert geometry_log.alive() <= 1
+    # one build per snapshot, the last one's shared by both scans
+    assert geometry_log.built_for(stored.snapshots) == [0, 1, 2, 3, 4, 5]

@@ -50,6 +50,13 @@ def test_out_of_range_time_rejected():
         parabolic_rescale(traj, O, T, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("lam", [0.0, -0.5, float("inf"), float("nan")])
+def test_parabolic_rescale_refuses_bad_lambda(lam):
+    traj, T = sphere_trajectory()
+    with pytest.raises(ValueError, match="lambda"):
+        parabolic_rescale(traj, O, T, lam, 0.0)
+
+
 def test_grid_snapshot_transforms():
     patch = SupportPatch.flat()
     surf = GraphSurface.sphere_cap(1.0, 1 / 32, 0.5)

@@ -4,7 +4,6 @@ import json
 import os
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from fbmcf.io import (
     write_obj,
 )
 from fbmcf.monitors import DensityQuery, monotonicity_report
-from fbmcf.scenario import _SECTIONS, load_scenario, validate_scenario
+from fbmcf.scenario import _CHECKS, _SECTIONS, load_scenario, validate_scenario
 from fbmcf.support import SupportPatch
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -90,11 +89,67 @@ def test_scenario_echo_contains_singular_time():
       "grid": {"h": 0.1, "r_dom": 0.5}, "flow": {"t_end": 1.0}}, "initial.R0"),
     ({"grid": {"h": 0.1, "r_dom": 0.5},
       "flow": {"t_end": 1.0, "scheme": "explicit-euler"}}, "flow.scheme"),
+    # each key checks the type of its value first
+    *[({"grid": {"h": 0.125, "r_dom": 0.5, **section.get("grid", {})},
+        "flow": {"t_end": 1.0, **section.get("flow", {})},
+        **{k: v for k, v in section.items() if k not in ("grid", "flow")}}, key)
+      for section, key in [
+          ({"flow": {"snapshot_stride": 0}}, "flow.snapshot_stride"),
+          ({"flow": {"snapshot_stride": 2.5}}, "flow.snapshot_stride"),
+          ({"flow": {"snapshot_stride": True}}, "flow.snapshot_stride"),
+          ({"flow": {"t_end": "abc"}}, "flow.t_end"),
+          ({"flow": {"t_end": float("inf")}}, "flow.t_end"),
+          ({"flow": {"t_end": float("nan")}}, "flow.t_end"),
+          ({"flow": {"t_end": 0.0}}, "flow.t_end"),
+          ({"flow": {"blowup_threshold": -1}}, "flow.blowup_threshold"),
+          ({"flow": {"cfl": True}}, "flow.cfl"),
+          ({"flow": {"outer_bc": ["frozen"]}}, "flow.outer_bc"),
+          ({"grid": {"h": "abc"}}, "grid.h"),
+          ({"grid": {"r_dom": float("inf")}}, "grid.r_dom"),
+          ({"grid": {"half": "no"}}, "grid.half"),
+          ({"patch": {"kappa": "abc"}}, "patch.kappa"),
+          ({"patch": {"chart_radius": float("nan")}}, "patch.chart_radius"),
+          ({"patch": {"phi": 3}}, "patch.phi"),
+          ({"initial": {"kind": ["a"]}}, "initial.kind"),
+          ({"initial": {"tilt": "x"}}, "initial.tilt"),
+          ({"initial": {"kind": "sphere", "R0": "abc"}}, "initial.R0"),
+      ]],
 ])
 def test_scenario_rejects_bad_data(data, key):
     with pytest.raises(ScenarioError) as exc:
         validate_scenario(data)
     assert exc.value.key == key
+
+
+def test_every_scenario_key_has_a_check():
+    assert set(_CHECKS) == {f"{name}.{k}" for name, keys in _SECTIONS.items() for k in keys}
+
+
+@pytest.mark.parametrize("text, key", [
+    ("flow:\n  t_end: .inf", "flow.t_end"),
+    ("flow:\n  t_end: .nan", "flow.t_end"),
+    ("flow:\n  t_end: 0.001\n  snapshot_stride: 0", "flow.snapshot_stride"),
+    ("initial:\n  kind: [a]\nflow:\n  t_end: 0.001", "initial.kind"),
+    ("initial:\n  tilt: x\nflow:\n  t_end: 0.001", "initial.tilt"),
+    ("patch:\n  phi: 3\nflow:\n  t_end: 0.001", "patch.phi"),
+    ("grid:\n  h: 0.125\n  r_dom: 0.5\n  half: \"no\"\nflow:\n  t_end: 0.001", "grid.half"),
+])
+def test_cli_scenario_bad_value_names_its_key(tmp_path, capsys, text, key):
+    grid = "" if "grid:" in text else "grid:\n  h: 0.125\n  r_dom: 0.5\n"
+    path = write_scenario(tmp_path, grid + text + "\n")
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"(key: {key})" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_end", float("inf")), ("t_end", float("nan")), ("t_end", 0.0),
+    ("blowup_threshold", -1.0), ("blowup_threshold", float("inf")),
+    ("snapshot_stride", 0), ("snapshot_stride", 2.5), ("snapshot_stride", True),
+])
+def test_flow_config_refuses_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        FlowConfig(**{"t_end": 1.0, field: value})
 
 
 @pytest.mark.parametrize("phi,kappa,chart_radius", [
@@ -263,25 +318,31 @@ def flat_trajectory():
                FlowConfig.for_sphere(1.0, 0.002, snapshot_stride=5))
 
 
-def hand_built_trajectory():
-    """Five flat snapshots with set vertex arrays: X0 flips between 0.0 and -0.0
-    at a few nodes, X1 moves by one ulp at one node, X2 never changes."""
-    snaps = []
+def hand_built_trajectory(monkeypatch):
+    """Five flat snapshots whose positions() hand out set vertex arrays: X0 flips
+    between 0.0 and -0.0 at a few nodes, X1 moves by one ulp at one node, X2 never
+    changes."""
+    snaps, Xs = [], {}
     for k in range(5):
         s = GraphSurface.zero(SupportPatch.flat(), 0.125, 0.5)
         X = np.stack(np.broadcast_arrays(0.0, 0.25, 0.5 * s.grid.y1[:, None] + s.grid.y2), axis=-1)
         X[::4, ::2, 0] = -0.0 if k % 2 else 0.0
         X[3, 2, 1] = np.nextafter(0.25, 1.0) if k in (2, 3) else 0.25
-        s.t, s._geom = 0.001 * k, SimpleNamespace(X=X)
+        s.t, Xs[id(s)] = 0.001 * k, X
         snaps.append(s)
+    monkeypatch.setattr(GraphSurface, "positions", lambda self: Xs[id(self)])
     return Trajectory(snaps, {c: np.zeros(5) for c in MONITOR_COLUMNS})
 
 
 @pytest.mark.parametrize("make", [trough_trajectory, flat_trajectory, hand_built_trajectory],
                          ids=["trough", "flat", "hand-built"])
-def test_saved_obj_bytes_match_per_node_writer(tmp_path, make):
-    traj = make()
-    Xs = [s.geometry().X for s in traj.snapshots]
+def test_saved_obj_bytes_match_per_node_writer(tmp_path, monkeypatch, make):
+    if make is hand_built_trajectory:
+        traj = make(monkeypatch)
+        Xs = [s.positions() for s in traj.snapshots]
+    else:
+        traj = make()
+        Xs = [s.geometry().X for s in traj.snapshots]
     bits = [[X[..., j].view(np.int64) for X in Xs] for j in range(3)]
     kept = [all(np.array_equal(a, b) for a, b in zip(col, col[1:])) for col in bits]
     assert len(Xs) > 2 and any(kept) and not all(kept)
@@ -347,15 +408,19 @@ def sphere_cap_trajectory():
 @pytest.mark.parametrize("make", [trough_trajectory, flat_trajectory, sphere_cap_trajectory],
                          ids=["trough", "flat", "sphere-cap"])
 def test_saved_files_do_not_depend_on_memoised_geometry(tmp_path, make):
+    # the files are the same whether no snapshot's geometry is held, or the
+    # first, a middle or the last one's
     traj = make()
     n = len(traj.snapshots)
-    assert n > 2 and [s._geom is None for s in traj.snapshots] == [True] * (n - 1) + [False]
-    save_trajectory(str(tmp_path / "lean"), traj)
-    for s in traj.snapshots:
-        s.geometry()
-    files = save_trajectory(str(tmp_path / "full"), traj)
-    for name in files:
-        assert (tmp_path / "lean" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+    assert n > 2
+    GraphSurface.zero(SupportPatch.flat(), 0.125, 0.5).geometry()   # holds none of traj's
+    files = save_trajectory(str(tmp_path / "lean"), traj)
+    for k in (0, n // 2, n - 1):
+        traj.snapshots[k].geometry()
+        save_trajectory(str(tmp_path / f"held{k}"), traj)
+        for name in files:
+            assert (tmp_path / f"held{k}" / name).read_bytes() == \
+                (tmp_path / "lean" / name).read_bytes(), (k, name)
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -606,6 +671,20 @@ def test_cli_rescale_out_of_range_is_numerical(finished_run):
     rc = main(["rescale", finished_run, "--terminal-time", "0.25",
                "--lambda", "0.1", "--tau", "-1.0"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("--lambda", "0"), ("--lambda", "-0.5"), ("--lambda", "inf"), ("--lambda", "abc"),
+    ("--point", "0,0"), ("--point", "0,0,nan"), ("--point", "0,x,0"),
+    ("--region-radius", "-1"), ("--terminal-time", "nan"), ("--tau", "inf"), ("--s", "-inf"),
+])
+def test_cli_rescale_bad_value_is_usage_error(finished_run, capsys, arg, value):
+    args = {"--terminal-time": "0.002", "--lambda": "0.1", "--tau": "0.0", arg: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["rescale", finished_run, *(f"{k}={v}" for k, v in args.items())])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "usage:" in err and f"argument {arg}" in err, err
+    assert not os.path.exists(os.path.join(finished_run, "frame.obj"))
 
 
 def test_cli_bad_scenario_exit_2(tmp_path):
