@@ -99,7 +99,7 @@ def criterion_3():
         # the cap's footprint weights, computed once for both integrands
         g, grid = snap.geometry(), snap.grid
         w = g.sqrtg * disk_cell_weights(grid.y1, grid.y2, snap.h,
-                                        0.4 * shrinking_radius(1.0, snap.t), snap.half)
+                                        0.4 * shrinking_radius(1.0, snap.t))
         areas.append(float(np.sum(w)))
         ih2s.append(float(np.sum(g.H ** 2 * w)))
         times.append(snap.t)

@@ -176,14 +176,14 @@ class AnalyticSurface:
             np.broadcast_to(n, (M, 3)).copy(), np.zeros(M), np.zeros(M),
         )
 
-    def integral(self, fn, focus=None, extent=None, tol=_QUAD_TOL):
-        """Node-doubling quadrature of fn(FieldSample) -> per-node values."""
+    def integral(self, fn, focus=None, extent=None):
+        """Node-doubling quadrature of fn(FieldSample) -> per-node values, to _QUAD_TOL."""
         m = 48
         prev = None
         while m <= _MAX_NODES:
             s = self.samples(m, focus=focus, extent=extent)
             val = float(np.sum(np.asarray(fn(s)) * s.w))
-            if prev is not None and abs(val - prev) <= tol * (abs(val) + 1.0):
+            if prev is not None and abs(val - prev) <= _QUAD_TOL * (abs(val) + 1.0):
                 return val
             prev = val
             m *= 2
@@ -191,19 +191,8 @@ class AnalyticSurface:
 
     # -- boundary curve (hemisphere only) ------------------------------------
 
-    def perimeter(self, tol=_QUAD_TOL):
-        """Length of the boundary circle on the support plane, by polyline refinement."""
+    def perimeter(self):
+        """Length 2 pi R of the boundary circle on the support plane."""
         if self.kind != "hemisphere":
             raise ValueError("only hemispheres carry a compact boundary curve")
-        R, c = self.radius, self.point
-        m = 256
-        prev = None
-        while m <= 10**7:
-            ph = 2.0 * np.pi * np.arange(m) / m
-            X = c + R * np.stack([np.cos(ph), np.zeros(m), np.sin(ph)], axis=-1)
-            val = float(np.sum(np.linalg.norm(np.roll(X, -1, axis=0) - X, axis=-1)))
-            if prev is not None and abs(val - prev) <= tol * (abs(val) + 1.0):
-                return val
-            prev = val
-            m *= 4
-        raise FbmcfError("perimeter refinement did not converge")
+        return 2.0 * np.pi * self.radius

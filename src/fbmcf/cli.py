@@ -68,7 +68,7 @@ def _parse_queries(path, kappa):   # kappa: the run's patch kappa
         # a boundary kernel is only admissible for the run's own kappa or above
         if kind == "density" and float(q.setdefault("kappa", kappa)) < kappa:
             raise ScenarioError(f"kappa {q['kappa']:g} is below the run's patch kappa "
-                                f"{kappa:g}", key="kappa")
+                                f"{kappa:g}", key=f"[{k}].kappa")
         name = q.setdefault("name", f"q{k}")   # it names a file in the run's directory
         if not isinstance(name, str) or name in ("", *names) or os.path.basename(name) != name:
             raise ScenarioError(f"query {k} needs a name of its own, with no path separator",

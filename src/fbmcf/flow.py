@@ -167,7 +167,7 @@ def run(initial, config):
             mask = g.mask
             mon["t"].append(surface.t)
             mon["area"].append(integrate(surface, 1.0))
-            mon["perimeter"].append(perimeter(surface) if surface.half else 0.0)
+            mon["perimeter"].append(perimeter(surface))
             mon["energy"].append(integrate(surface, g.A2))
             mon["max_H"].append(float(np.max(np.abs(g.H[mask]))))
             max_a = float(np.max(np.sqrt(g.A2[mask])))
@@ -201,23 +201,23 @@ def run(initial, config):
 # Exact solutions
 # ---------------------------------------------------------------------------
 
-def exact_surface(kind, t=0.0, R0=1.0, center=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0)):
-    """Closed-form flow snapshots: plane, half-plane, sphere, hemisphere."""
-    center = np.asarray(center, dtype=float)
+def exact_surface(kind, t=0.0, R0=1.0):
+    """Closed-form flow snapshots about the origin: plane, half-plane, sphere, hemisphere."""
+    origin, e3 = (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)   # e3: the planes' normal
     if kind == "plane":
-        return AnalyticSurface.plane(center, normal, t=t)
+        return AnalyticSurface.plane(origin, e3, t=t)
     if kind == "half-plane":
-        return AnalyticSurface.half_plane(center, normal, t=t)
+        return AnalyticSurface.half_plane(origin, e3, t=t)
     if kind == "sphere":
-        return AnalyticSurface.sphere(center, shrinking_radius(R0, t), t=t)
+        return AnalyticSurface.sphere(origin, shrinking_radius(R0, t), t=t)
     if kind == "hemisphere":
-        return AnalyticSurface.hemisphere(center, shrinking_radius(R0, t), t=t)
+        return AnalyticSurface.hemisphere(origin, shrinking_radius(R0, t), t=t)
     raise ValueError(f"unknown exact surface kind {kind!r}")
 
 
-def exact_trajectory(kind, times, R0=1.0, center=(0.0, 0.0, 0.0)):
+def exact_trajectory(kind, times, R0=1.0):
     """Trajectory of closed-form snapshots with closed-form monitor series."""
-    snaps = [exact_surface(kind, t=t, R0=R0, center=center) for t in times]
+    snaps = [exact_surface(kind, t=t, R0=R0) for t in times]
     times = np.asarray(times, dtype=float)
     R = np.array([shrinking_radius(R0, t) for t in times]) \
         if kind in ("sphere", "hemisphere") else np.full(len(times), np.inf)
@@ -236,21 +236,17 @@ def exact_trajectory(kind, times, R0=1.0, center=(0.0, 0.0, 0.0)):
 # Reflection principle
 # ---------------------------------------------------------------------------
 
-def even_extension(surface, tol_N=None):
+def even_extension(surface):
     """Even extension of the height and PDE coefficients across y2 = 0.
 
     Returns (ubar, abar, fbar) on the full rectangle; abar components flip
     sign once per distance index, so continuity of the mixed coefficient
-    across the edge requires a^{12}(y1, 0) = 0, which is asserted.
+    across the edge requires a^{12}(y1, 0) = 0, which is asserted up to 10 h^2.
     """
-    if not surface.half:
-        raise ValueError("even extension needs a half-domain surface")
-    if tol_N is None:
-        tol_N = surface.h**2
     g = surface.geometry()
     a, f = components(g.ginv, 2), g.coeff_f
     a12_edge = float(np.max(np.abs(a[0, 1, :, 0])))
-    if a12_edge > 10.0 * tol_N:
+    if a12_edge > 10.0 * surface.h**2:
         raise ReflectionConditionError(
             f"mixed coefficient {a12_edge:g} does not vanish on the edge"
         )

@@ -2,7 +2,7 @@
 
 A GraphSurface stores height samples u(y1, y2) on a uniform rectangle of
 chart coordinates; the surface is X = Phi(y1, y2, u).  The measurement
-footprint is the half-disk (or disk) of radius r_dom, realized through exact
+footprint is the half-disk y2 >= 0 of radius r_dom, realized through exact
 circle-box cell overlap weights so integrals converge at second order.
 The free boundary sits on the edge y2 = 0 where the homogeneous Neumann
 condition holds.
@@ -60,23 +60,21 @@ def circle_box_area(R, x0, x1, y0, y1):
             - _signed_corner(x1, y0, R) + _signed_corner(x0, y0, R))
 
 
-def disk_cell_weights(y1, y2, h, R, half):
-    """Per-node overlap areas of the dual cells with the footprint disk of radius R."""
-    X0, Y0 = np.meshgrid(y1 - 0.5 * h, y2 - 0.5 * h, indexing="ij")
+def disk_cell_weights(y1, y2, h, R):
+    """Per-node overlap areas of the dual cells, clipped at y2 = 0, with the disk of radius R."""
+    X0, Y0 = np.meshgrid(y1 - 0.5 * h, np.maximum(y2 - 0.5 * h, 0.0), indexing="ij")
     X1, Y1 = np.meshgrid(y1 + 0.5 * h, y2 + 0.5 * h, indexing="ij")
-    if half:
-        Y0 = np.maximum(Y0, 0.0)  # clip at the free-boundary edge
     return circle_box_area(R, X0, X1, Y0, Y1)
 
 
 class Grid(NamedTuple):
-    """Static data of the node grid of spacing h over the (half-)disk of radius r_dom.
+    """Static data of the node grid of spacing h over the half-disk y2 >= 0 of radius r_dom.
 
-    `Grid.of` builds one Grid per (h, r_dom, half) and hands the same one out
+    `Grid.of` builds one Grid per (h, r_dom) and hands the same one out
     after that; every array is read-only.
     """
 
-    key: tuple            # (h, r_dom, half)
+    key: tuple            # (h, r_dom)
     y1: np.ndarray        # node axes
     y2: np.ndarray
     nodes: tuple          # (Y1, Y2) node planes
@@ -86,15 +84,15 @@ class Grid(NamedTuple):
 
     @classmethod
     @functools.lru_cache(maxsize=32)
-    def of(cls, h, r_dom, half):
+    def of(cls, h, r_dom):
         m = int(round(r_dom / h))
         if abs(m * h - r_dom) > 1e-9 * r_dom:
             raise ValueError("grid spacing must divide the footprint radius")
         y1 = h * np.arange(-m, m + 1)
-        y2 = h * np.arange(0 if half else -m, m + 1)
+        y2 = h * np.arange(m + 1)
         nodes = tuple(np.meshgrid(y1, y2, indexing="ij"))
-        weights = disk_cell_weights(y1, y2, h, r_dom, half)
-        grid = cls((h, r_dom, half), y1, y2, nodes, weights, weights > 0,
+        weights = disk_cell_weights(y1, y2, h, r_dom)
+        grid = cls((h, r_dom), y1, y2, nodes, weights, weights > 0,
                    np.hypot(*nodes) < r_dom - 1e-12 * r_dom)
         for a in (y1, y2, *nodes, weights, grid.mask, grid.active):
             a.setflags(write=False)
@@ -105,8 +103,9 @@ class Grid(NamedTuple):
 # Finite differences (second order, ghost-row even reflection at y2 = 0)
 # ---------------------------------------------------------------------------
 
-def _derivative_planes(U, h, half):
-    """Difference quotients as component-first planes du[i] and d2u[i, j]."""
+def _derivative_planes(U, h, half=True):
+    """Difference quotients as component-first planes du[i] and d2u[i, j].  Row y2 = 0 is
+    the Neumann edge; half False, for `flow.extension_residual`, makes it one-sided."""
     du = np.empty((2,) + U.shape)
     d2u = np.empty((2, 2) + U.shape)
     d1, d2, d11, d12, d22 = du[0], du[1], d2u[0, 0], d2u[0, 1], d2u[1, 1]
@@ -146,14 +145,13 @@ def _derivative_planes(U, h, half):
 
 @dataclass
 class GraphSurface:
-    """Height field over a (half-)disk in chart coordinates at one time."""
+    """Height field over the half-disk in chart coordinates at one time."""
 
     patch: SupportPatch
     h: float
     r_dom: float
     u: np.ndarray
     t: float = 0.0
-    half: bool = True
 
     def __post_init__(self):
         if self.u.shape != self.grid.nodes[0].shape:
@@ -163,41 +161,38 @@ class GraphSurface:
 
     @property
     def grid(self):
-        return Grid.of(self.h, self.r_dom, self.half)
+        return Grid.of(self.h, self.r_dom)
 
     def neumann_residual(self):
         """One-sided discrete normal derivative along the free-boundary edge."""
-        if not self.half:
-            return 0.0
         U = self.u
         one_sided = (-3 * U[:, 0] + 4 * U[:, 1] - U[:, 2]) / (2 * self.h)
         return float(np.max(np.abs(one_sided)))
 
     def with_height(self, u, t=None):
         return GraphSurface(self.patch, self.h, self.r_dom, u,
-                            self.t if t is None else t, self.half)
+                            self.t if t is None else t)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, patch, h, r_dom, half=True):
-        return cls(patch, h, r_dom, np.zeros(Grid.of(h, r_dom, half).nodes[0].shape), 0.0, half)
+    def zero(cls, patch, h, r_dom):
+        return cls(patch, h, r_dom, np.zeros(Grid.of(h, r_dom).nodes[0].shape))
 
     @classmethod
-    def from_height(cls, fn, patch, h, r_dom, t=0.0, half=True):
+    def from_height(cls, fn, patch, h, r_dom, t=0.0):
         """Heights fn(Y1, Y2) at the grid nodes; the node arrays are shared and read-only."""
-        return cls(patch, h, r_dom, np.array(fn(*Grid.of(h, r_dom, half).nodes), dtype=float),
-                   t, half)
+        return cls(patch, h, r_dom, np.array(fn(*Grid.of(h, r_dom).nodes), dtype=float), t)
 
     @classmethod
-    def sphere_cap(cls, R0, h, r_dom, t=0.0, patch=None, half=True):
+    def sphere_cap(cls, R0, h, r_dom, t=0.0, patch=None):
         """Graph piece of the shrinking sphere of initial radius R0."""
         from .flow import shrinking_radius
 
         R = shrinking_radius(R0, t)
         patch = SupportPatch.flat() if patch is None else patch
         return cls.from_height(
-            lambda a, b: np.sqrt(R**2 - a**2 - b**2), patch, h, r_dom, t, half
+            lambda a, b: np.sqrt(R**2 - a**2 - b**2), patch, h, r_dom, t
         )
 
     # -- geometry -----------------------------------------------------------
@@ -237,8 +232,6 @@ class GraphSurface:
 
     def perimeter(self):
         """Length of the free-boundary curve, the edge row y2 = 0."""
-        if not self.half:
-            raise ValueError("surface has no free-boundary edge")
         Xe = self.positions()[:, 0, :]
         return float(np.sum(np.linalg.norm(np.diff(Xe, axis=0), axis=-1)))
 
@@ -281,7 +274,7 @@ def _chart(surface, order=2):
     grid's axes go in as (n1, 1) and (1, n2): see `chart_frames`.  Where the
     profile ignores y3 -- its nu comes back on the (n1, 1) y1 axis -- every
     plane but X_2 = u + y2 nu_2 is fixed by the grid.  Those planes are kept,
-    read-only, in the patch's `chart_memo` under the grid's key (h, r_dom, half),
+    read-only, in the patch's `chart_memo` under the grid's key (h, r_dom),
     and later calls only check the chart range and add the height.  order 1,
     which `GraphSurface.positions` asks for, skips d2Phi where no memo exists
     (d2Phi is then None) and leaves the memo as it is.
@@ -326,7 +319,7 @@ def fundamental_forms(surface):
     d2Phi = 0.
     """
     U = surface.u
-    u, d2u = _derivative_planes(U, surface.h, surface.half)
+    u, d2u = _derivative_planes(U, surface.h)
     X, dPhi, d2Phi = _chart(surface)
 
     T = [[dPhi[c, i] + dPhi[c, 2] * u[i] for c in range(3)] for i in range(2)]
@@ -424,15 +417,13 @@ class AreaRatio:
     partial: bool
 
 
-def modified_area_ratio(surface, P, r, include_reflection=None):
+def modified_area_ratio(surface, P, r):
     """Boundary-compensated area ratio over the ball B_r(P).
 
     Sums the connected grid component through the node nearest P, plus the
     part of that component lying in the reflected complementary ball, over
-    pi r^2.  The reflection term is skipped in closed (full-disk) mode.
+    pi r^2.
     """
-    if include_reflection is None:
-        include_reflection = surface.half
     P = np.asarray(P, dtype=float)
     g = surface.geometry()
     dist = np.linalg.norm(g.X - P, axis=-1)
@@ -445,9 +436,8 @@ def modified_area_ratio(surface, P, r, include_reflection=None):
         if labels[seed] != 0:
             comp = labels == labels[seed]
             area1 = float(np.sum(g.dA[comp]))
-            if include_reflection:
-                refl = in_complementary_ball(surface.patch, P, r, g.X[comp])
-                area2 = float(np.sum(g.dA[comp][refl]))
+            refl = in_complementary_ball(surface.patch, P, r, g.X[comp])
+            area2 = float(np.sum(g.dA[comp][refl]))
 
     Yp = chart_coords(surface.patch, P)
     partial = bool(np.hypot(Yp[0], Yp[1]) + r > surface.r_dom + 0.5 * surface.h)

@@ -135,7 +135,7 @@ def write_obj(path, surface, template=None):
 
 def save_snapshot(path, surface):
     np.savez(path, u=surface.u, t=surface.t, h=surface.h, r_dom=surface.r_dom,
-             half=surface.half, patch=json.dumps(surface.patch.spec()))
+             patch=json.dumps(surface.patch.spec()))
 
 
 def load_snapshot(path, patches=None):
@@ -147,7 +147,7 @@ def load_snapshot(path, patches=None):
     if spec not in patches:
         patches[spec] = SupportPatch.from_spec(**json.loads(spec))
     return GraphSurface(patches[spec], float(d["h"]), float(d["r_dom"]), d["u"],
-                        float(d["t"]), bool(d["half"]))
+                        float(d["t"]))
 
 
 def write_csv(path, columns, rows):

@@ -94,10 +94,10 @@ def normalized_frame(trajectory, P, s, T, patch=None):
     return fr
 
 
-def frame_distance(f1, f2, m=64):
-    """Max pointwise distance between two frames sampled identically."""
-    s1 = f1.surface.samples(m, focus=np.zeros(3), extent=1.0)
-    s2 = f2.surface.samples(m, focus=np.zeros(3), extent=1.0)
+def frame_distance(f1, f2):
+    """Max pointwise distance between two frames sampled identically, m = 64."""
+    s1 = f1.surface.samples(64, focus=np.zeros(3), extent=1.0)
+    s2 = f2.surface.samples(64, focus=np.zeros(3), extent=1.0)
     if s1.X.shape != s2.X.shape:
         raise FbmcfError("frames are sampled incompatibly")
     return float(np.max(np.linalg.norm(s1.X - s2.X, axis=-1)))
@@ -113,11 +113,9 @@ class PlanarityReport:
     normal: np.ndarray
     deviation: float
     sheet_count: int
-    exclusion: tuple
 
 
-def planarity_multiplicity(frame, region_radius, center=None, exclusion=(),
-                           boundary_mode=False):
+def planarity_multiplicity(frame, region_radius, center=None, boundary_mode=False):
     """Best-fit (half-)plane with L-inf deviation and normal-line sheet count.
 
     In boundary mode the fit normal is constrained orthogonal to the support
@@ -158,10 +156,7 @@ def planarity_multiplicity(frame, region_radius, center=None, exclusion=(),
     for k in idx:
         b = inplane[k]
         near = np.linalg.norm(inplane - b, axis=-1) < tol
-        if exclusion and any(np.linalg.norm(b - np.asarray(c)) < rr
-                             for c, rr in exclusion):
-            continue
         offs = np.sort(offsets[near])
         count = 1 + int(np.sum(np.diff(offs) > tol)) if len(offs) else 0
         sheets = max(sheets, count)
-    return PlanarityReport(base, n, deviation, sheets, tuple(exclusion))
+    return PlanarityReport(base, n, deviation, sheets)

@@ -23,7 +23,7 @@ from .support import SupportPatch
 _SECTIONS = {
     "patch": {"phi", "kappa", "chart_radius"},
     "initial": {"kind", "R0", "tilt"},
-    "grid": {"h", "r_dom", "half"},
+    "grid": {"h", "r_dom"},
     "flow": {"cfl", "t_end", "snapshot_stride", "outer_bc", "blowup_threshold"},
 }
 _TOP_KEYS = set(_SECTIONS) | {"output_dir", "name"}
@@ -32,7 +32,6 @@ _INITIAL_KINDS = ("zero", "sphere", "tilted-plane")   # a tuple: a kind may be u
 _DEFAULTS = {
     "patch": {"phi": "flat"},
     "initial": {"kind": "zero", "R0": 1.0, "tilt": 0.0},
-    "grid": {"half": True},
 }
 
 
@@ -43,9 +42,12 @@ def _real(test=lambda v: True):
 
 
 _POSITIVE = _real(lambda v: v > 0.0), "a finite number > 0"
+_NAME = (lambda v: isinstance(v, str) and v != ""), "a non-empty string"
 
 # (check, what it wants) of each key, applied where a scenario sets the key: type first
 _CHECKS = {
+    "name": _NAME,
+    "output_dir": _NAME,
     "patch.phi": (lambda v: isinstance(v, str), "a string"),
     "patch.kappa": (_real(lambda v: v >= 0.0), "a finite number >= 0"),
     "patch.chart_radius": _POSITIVE,
@@ -54,7 +56,6 @@ _CHECKS = {
     "initial.tilt": (_real(), "a finite number"),
     "grid.h": _POSITIVE,
     "grid.r_dom": _POSITIVE,
-    "grid.half": (lambda v: isinstance(v, bool), "true or false"),
     "flow.cfl": (_real(lambda v: 0.0 < v <= 0.25), "a number in (0, 0.25]"),
     "flow.t_end": _POSITIVE,
     "flow.snapshot_stride": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
@@ -81,17 +82,15 @@ class Scenario:
     def build_initial(self):
         patch = self.build_patch()
         h, r_dom = self.grid_spec["h"], self.grid_spec["r_dom"]
-        half = self.grid_spec["half"]
         kind = self.initial_spec["kind"]
         if kind == "zero":
-            return GraphSurface.zero(patch, h, r_dom, half=half)
+            return GraphSurface.zero(patch, h, r_dom)
         if kind == "sphere":
             return GraphSurface.sphere_cap(self.initial_spec["R0"], h, r_dom,
-                                           t=0.0, patch=patch, half=half)
+                                           t=0.0, patch=patch)
         if kind == "tilted-plane":
             tilt = self.initial_spec["tilt"]
-            return GraphSurface.from_height(lambda a, b: tilt * a, patch,
-                                            h, r_dom, half=half)
+            return GraphSurface.from_height(lambda a, b: tilt * a, patch, h, r_dom)
         raise ScenarioError(f"unknown initial kind {kind!r}", key="initial.kind")
 
     def build_flow_config(self):
@@ -150,8 +149,11 @@ def load_scenario(path):
 
 
 def validate_scenario(data):
-    for k in data:
+    for k, v in data.items():
         _require(k in _TOP_KEYS, f"unknown key {k}", k)
+        if k not in _SECTIONS:
+            ok, want = _CHECKS[k]
+            _require(ok(v), f"{k} must be {want}, not {v!r}", k)
 
     patch = _merge_section("patch", data)
     initial = _merge_section("initial", data)

@@ -333,15 +333,15 @@ def tubular_map(patch, Y):
     return chart_frames(patch, *components(Y, 1), order=1)["X"]
 
 
-def chart_coords(patch, X, tol_factor=1e-12, max_iter=50):
-    """Invert the tubular map by Newton iteration, seeded at Y = X."""
+def chart_coords(patch, X):
+    """Invert the tubular map by Newton iteration from Y = X, to 1e-12 chart radii in 50 steps."""
     X = np.asarray(X, dtype=float)
     if patch.is_flat:
         _check_range(patch, *components(X, 1))
         return X.copy()
     Y = X.copy()
-    tol = tol_factor * patch.chart_radius
-    for _ in range(max_iter):
+    tol = 1e-12 * patch.chart_radius
+    for _ in range(50):
         fr = chart_frames(patch, *components(Y, 1), order=1)
         res = fr["X"] - X
         if np.max(np.linalg.norm(res, axis=-1)) <= tol:

@@ -144,9 +144,9 @@ def ref_inv2x2(g):
     return inv / det[..., None, None], det
 
 
-def ref_grad_hess(U, h, half):
+def ref_grad_hess(U, h):
     """du and d2u stacked on trailing axes from the difference quotients."""
-    (d1, d2), d2c = _derivative_planes(U, h, half)
+    (d1, d2), d2c = _derivative_planes(U, h)
     du = np.stack([d1, d2], axis=-1)
     d2u = np.empty(d1.shape + (2, 2))
     d2u[..., 0, 0] = d2c[0, 0]
@@ -157,7 +157,7 @@ def ref_grad_hess(U, h, half):
 
 def ref_fundamental_forms(surface):
     U = surface.u
-    du, d2u = ref_grad_hess(U, surface.h, surface.half)
+    du, d2u = ref_grad_hess(U, surface.h)
     Y1, Y2 = surface.grid.nodes
     X, dPhi, hm, Gam = ref_pullback(surface.patch, np.stack([Y1, Y2, U], axis=-1))
     g = np.empty(U.shape + (2, 2))
@@ -184,7 +184,7 @@ def ref_fundamental_forms(surface):
     A = np.einsum("...c,...c->...", dPhi[..., :, 2], N)[..., None, None] * (low + d2u)
     ginv, det = ref_inv2x2(g)
     GA = np.einsum("...ik,...kj->...ij", ginv, A)
-    wcell = disk_cell_weights(Y1[:, 0], Y2[0], surface.h, surface.r_dom, surface.half)
+    wcell = disk_cell_weights(Y1[:, 0], Y2[0], surface.h, surface.r_dom)
     return {"X": X, "N": N, "du": du, "d2u": d2u, "g": g, "ginv": ginv, "A": A,
             "H": np.einsum("...ij,...ij->...", ginv, A),
             "A2": np.einsum("...ij,...ji->...", GA, GA), "sqrtg": np.sqrt(det),
@@ -207,9 +207,9 @@ PATCHES = {
 }
 
 
-def curved_surface(patch, half=True):
+def curved_surface(patch):
     return GraphSurface.from_height(lambda a, b: 0.1 * a + 0.05 * a**2 - 0.03 * b**2,
-                                    patch, 1 / 32, 0.5, half=half)
+                                    patch, 1 / 32, 0.5)
 
 
 def grid_coords(s):
@@ -298,12 +298,9 @@ def test_closed_form_bounds_hold_on_the_lattice(base, lam, frac):
     assert np.isclose(min(H[0], H[2]), inf_H, rtol=1e-12, atol=0.0)
 
 
-# the half-disk cases keep the bare patch name as their id
-@pytest.mark.parametrize("name, half", [
-    pytest.param(name, half, id=name if half else f"{name} full disk")
-    for half in (True, False) for name in sorted(PATCHES)])
-def test_fundamental_forms_match_einsum_reference(name, half):
-    s = curved_surface(PATCHES[name], half)
+@pytest.mark.parametrize("name", sorted(PATCHES))
+def test_fundamental_forms_match_einsum_reference(name):
+    s = curved_surface(PATCHES[name])
     got, want = fundamental_forms(s), ref_fundamental_forms(s)
     for f in FIELDS:
         assert getattr(got, f).shape == want[f].shape, f
@@ -315,14 +312,12 @@ def test_fundamental_forms_match_einsum_reference(name, half):
         assert np.max(np.abs(got.coeff_f)) > 1e-3   # the lower-order term is exercised
 
 
-@pytest.mark.parametrize("name, half", [
-    pytest.param(name, half, id=name if half else f"{name} full disk")
-    for half in (True, False) for name in sorted(PATCHES) if name != "flat"])
-def test_grid_axes_chart_matches_point_cloud_chart(name, half, monkeypatch):
+@pytest.mark.parametrize("name", [name for name in sorted(PATCHES) if name != "flat"])
+def test_grid_axes_chart_matches_point_cloud_chart(name, monkeypatch):
     # fundamental_forms hands the chart the static axes as (n1, 1) and (1, n2)
     # arrays; the same kernel fed a chart evaluated at the full (n1, n2, 3)
     # node cloud must give every field bit for bit
-    s = curved_surface(fresh(PATCHES[name]), half)
+    s = curved_surface(fresh(PATCHES[name]))
     got = fundamental_forms(s)
     Y = np.stack(grid_coords(s), axis=-1)
     calls = []
@@ -346,7 +341,7 @@ def fresh(patch):
 
 
 def with_patch(s, patch):
-    return GraphSurface(patch, s.h, s.r_dom, s.u, s.t, s.half)
+    return GraphSurface(patch, s.h, s.r_dom, s.u, s.t)
 
 
 def bit_equal(a, b):
@@ -371,15 +366,12 @@ def counting_chart(monkeypatch, full_nu=False):
     return calls
 
 
-@pytest.mark.parametrize("name, half", [
-    pytest.param("paraboloid:0.5", True, id="paraboloid:0.5"),
-    pytest.param("paraboloid:0.5", False, id="paraboloid:0.5 full disk"),
-    pytest.param("paraboloid:0.5 rescaled by 0.5", True, id="paraboloid:0.5 rescaled by 0.5")])
-def test_chart_memo_matches_fresh_chart_over_a_run(name, half, monkeypatch):
+@pytest.mark.parametrize("name", ["paraboloid:0.5", "paraboloid:0.5 rescaled by 0.5"])
+def test_chart_memo_matches_fresh_chart_over_a_run(name, monkeypatch):
     patch = fresh(PATCHES[name])
-    traj = run(curved_surface(patch, half), FlowConfig(t_end=0.002))
+    traj = run(curved_surface(patch), FlowConfig(t_end=0.002))
     assert traj.stop_reason == "completed" and len(traj.snapshots) > 5
-    assert list(patch.chart_memo) == [(1 / 32, 0.5, half)]
+    assert list(patch.chart_memo) == [(1 / 32, 0.5)]
     calls = counting_chart(monkeypatch, full_nu=True)
     reference = fresh(patch)
     for s in traj.snapshots:

@@ -220,10 +220,13 @@ def test_even_extension_flat_zero():
 
 
 def test_even_extension_matches_full_sphere():
-    half = GraphSurface.sphere_cap(1.0, 1 / 32, 0.5, half=True)
-    full = GraphSurface.sphere_cap(1.0, 1 / 32, 0.5, half=False)
-    ubar, _, _ = even_extension(half)
-    assert np.max(np.abs(ubar - full.u)) < 1e-12
+    # the sphere's closed-form heights on the reflected rectangle y2 in [-r_dom, r_dom]
+    s = GraphSurface.sphere_cap(1.0, 1 / 32, 0.5)
+    Y1, Y2 = np.meshgrid(s.grid.y1, np.concatenate([-s.grid.y2[:0:-1], s.grid.y2]),
+                         indexing="ij")
+    ubar, _, _ = even_extension(s)
+    assert ubar.shape == Y1.shape
+    assert np.max(np.abs(ubar - np.sqrt(1.0 - Y1**2 - Y2**2))) < 1e-12
 
 
 def test_extension_residual_even():

@@ -23,7 +23,7 @@ from fbmcf.io import (
     write_obj,
 )
 from fbmcf.monitors import DensityQuery, monotonicity_report
-from fbmcf.scenario import _CHECKS, _SECTIONS, load_scenario, validate_scenario
+from fbmcf.scenario import _CHECKS, _SECTIONS, _TOP_KEYS, load_scenario, validate_scenario
 from fbmcf.support import SupportPatch
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -106,13 +106,16 @@ def test_scenario_echo_contains_singular_time():
           ({"flow": {"outer_bc": ["frozen"]}}, "flow.outer_bc"),
           ({"grid": {"h": "abc"}}, "grid.h"),
           ({"grid": {"r_dom": float("inf")}}, "grid.r_dom"),
-          ({"grid": {"half": "no"}}, "grid.half"),
+          ({"grid": {"half": True}}, "grid.half"),   # every grid is the half-disk
           ({"patch": {"kappa": "abc"}}, "patch.kappa"),
           ({"patch": {"chart_radius": float("nan")}}, "patch.chart_radius"),
           ({"patch": {"phi": 3}}, "patch.phi"),
           ({"initial": {"kind": ["a"]}}, "initial.kind"),
           ({"initial": {"tilt": "x"}}, "initial.tilt"),
           ({"initial": {"kind": "sphere", "R0": "abc"}}, "initial.R0"),
+          ({"name": [1]}, "name"),
+          ({"name": ""}, "name"),
+          ({"output_dir": 3}, "output_dir"),
       ]],
 ])
 def test_scenario_rejects_bad_data(data, key):
@@ -122,7 +125,8 @@ def test_scenario_rejects_bad_data(data, key):
 
 
 def test_every_scenario_key_has_a_check():
-    assert set(_CHECKS) == {f"{name}.{k}" for name, keys in _SECTIONS.items() for k in keys}
+    top = _TOP_KEYS - set(_SECTIONS)   # name and output_dir
+    assert set(_CHECKS) == top | {f"{name}.{k}" for name, keys in _SECTIONS.items() for k in keys}
 
 
 @pytest.mark.parametrize("text, key", [
@@ -132,7 +136,9 @@ def test_every_scenario_key_has_a_check():
     ("initial:\n  kind: [a]\nflow:\n  t_end: 0.001", "initial.kind"),
     ("initial:\n  tilt: x\nflow:\n  t_end: 0.001", "initial.tilt"),
     ("patch:\n  phi: 3\nflow:\n  t_end: 0.001", "patch.phi"),
-    ("grid:\n  h: 0.125\n  r_dom: 0.5\n  half: \"no\"\nflow:\n  t_end: 0.001", "grid.half"),
+    ("grid:\n  h: 0.125\n  r_dom: 0.5\n  half: true\nflow:\n  t_end: 0.001", "grid.half"),
+    ("name: [1]\nflow:\n  t_end: 0.001", "name"),
+    ("output_dir: 3\nflow:\n  t_end: 0.001", "output_dir"),
 ])
 def test_cli_scenario_bad_value_names_its_key(tmp_path, capsys, text, key):
     grid = "" if "grid:" in text else "grid:\n  h: 0.125\n  r_dom: 0.5\n"
@@ -506,6 +512,37 @@ def test_load_trajectory_missing(tmp_path):
         load_trajectory(str(tmp_path / "nothing"))
 
 
+def resave_snapshots(outdir, **entries):
+    """Rewrite each npz of a stored run with entries added or replaced."""
+    for path in Path(outdir).glob("snap_*.npz"):
+        with np.load(path) as d:
+            stored = dict(d)
+        np.savez(path, **{**stored, **entries})
+
+
+def test_run_stored_with_a_half_entry_still_loads(finished_run):
+    # older versions also stored half=True in each npz; the entry is ignored
+    want = load_trajectory(finished_run).snapshots
+    resave_snapshots(finished_run, half=True)
+    got = load_trajectory(finished_run).snapshots
+    assert len(got) == len(want) > 1
+    for a, b in zip(got, want):
+        assert a.t == b.t and a.u.dtype == b.u.dtype
+        assert np.array_equal(a.u.view(np.int64), b.u.view(np.int64))
+
+
+def test_cli_monitor_refuses_a_full_disk_height_array(finished_run, tmp_path, capsys):
+    # heights over y2 in [-r_dom, r_dom], a grid the lab no longer builds
+    n1 = load_trajectory(finished_run).snapshots[0].u.shape[0]
+    resave_snapshots(finished_run, u=np.zeros((n1, n1)), half=False)
+    qpath = tmp_path / "queries.yaml"
+    qpath.write_text(DENSITY_QUERY)
+    assert main(["monitor", finished_run, str(qpath)]) == 2
+    err = capsys.readouterr().err
+    assert f"height array shape ({n1}, {n1}) does not match grid" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # Command-line driver
 # ---------------------------------------------------------------------------
@@ -599,10 +636,11 @@ def test_reloaded_snapshots_share_one_patch(trough_run):
 
 
 def test_cli_monitor_refuses_kappa_below_the_runs(trough_run, tmp_path, capsys):
+    # the second of two boundary queries is refused, and the key says which
     qpath = tmp_path / "queries.yaml"
-    qpath.write_text(BOUNDARY_QUERY + "  kappa: 0\n")
+    qpath.write_text(BOUNDARY_QUERY.replace("edge", "edge0") + BOUNDARY_QUERY + "  kappa: 0\n")
     assert main(["monitor", trough_run, str(qpath)]) == 2
-    assert "(key: kappa)" in capsys.readouterr().err
+    assert "(key: [1].kappa)" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(trough_run, "density_edge.csv"))
 
 
