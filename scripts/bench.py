@@ -27,14 +27,21 @@ reads it as it is and keeps:
   steps at h = 1/128): its step count, ``ru_maxrss`` and wall time.  Peak
   memory that grows with the step count shows here; the benchmark's
   ``trough-curved`` stores 7 snapshots and does not see it;
-- chart kernel rows (``chart_kernel``), one per support ``flat``,
-  ``paraboloid:0.5`` and ``sphere_cap:2`` with its catalog defaults: the
-  median milliseconds per call, over 50 calls in this process, of
-  ``chart_frames`` on the grid's axes and of ``fundamental_forms``, for the
-  tilted plane u = 0.1 y1 at h = 1/grid.  On the trough every
-  ``fundamental_forms`` call after the first reads the patch's chart memo,
-  as the steps of a run do; the flat support evaluates no chart there.
-  No benchmark workload runs a sphere cap, so these rows are its only timing;
+- run fault rows (``run_faults``): in a fresh process, 50 ``fundamental_forms``
+  calls on ``sphere_cap:2`` and then the ``trough-curved`` run (the tilted
+  plane u = 0.1 y1 over ``paraboloid:0.5`` with kappa 0.5, chart radius 2,
+  cfl 0.15, to t_end 6.01e-4) at h = 1/grid: the minor page faults
+  (``ru_minflt``) per sphere-cap call and per step of the run.  Memory the
+  allocator trims from the heap and takes back shows here as faults;
+- chart kernel rows (``chart_kernel``), one per grid h = 2/grid, 1/grid and
+  1/(2 grid) and support ``flat``, ``paraboloid:0.5`` and ``sphere_cap:2``
+  with its catalog defaults: the median milliseconds and the mean minor page
+  faults per call, over 50 calls in this process, of ``chart_frames`` on the
+  grid's axes and of ``fundamental_forms``, for the tilted plane u = 0.1 y1.
+  On the trough every ``fundamental_forms`` call after the first reads the
+  cross section kept in the patch's chart memo, as the steps of a run do;
+  the flat support evaluates no chart there.  No benchmark workload runs a
+  sphere cap, so these rows are its only timing;
 - monitor memory rows (``monitor_memory``): ``fbmcf monitor`` with the
   ``store-query`` query file (two density series over all 21 snapshots and a
   scan) on that workload's stored 21-snapshot run at h = 1/grid, each in a
@@ -88,6 +95,8 @@ def _parse(argv):
     p.add_argument("--out", default=str(ROOT), help="directory of BENCH_<pr>.json")
     p.add_argument("--memory-probe", type=float, metavar="T_END",
                    help="run one run-memory probe to T_END in this process and print its row")
+    p.add_argument("--faults-probe", action="store_true",
+                   help="run the run-fault probe in this process and print its row")
     p.add_argument("--monitor-probe", nargs=2, metavar=("DIR", "QUERIES"),
                    help="run `fbmcf monitor DIR QUERIES` in this process and print its row")
     p.add_argument("--store-run", metavar="WORKDIR",
@@ -148,28 +157,69 @@ def memory_probe(t_end, grid):
             "wall_s": {"value": wall, "unit": "s"}}
 
 
-def chart_kernel(grid):
-    """The chart kernel rows: median ms per call of chart_frames and fundamental_forms."""
-    sys.path.insert(0, str(ROOT / "src"))
-    from fbmcf.geometry import GraphSurface, fundamental_forms
-    from fbmcf.support import SupportPatch, chart_frames
+def _minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-    def median_ms(fn, *args):
-        times = []
-        for _ in range(CHART_CALLS):
-            t0 = time.perf_counter()
-            fn(*args)
-            times.append(time.perf_counter() - t0)
-        return {"value": 1e3 * statistics.median(times), "unit": "ms"}
+
+def _timed_calls(fn, *args):
+    """CHART_CALLS calls of fn(*args): (median ms, mean minor page faults) per call."""
+    times, faults = [], 0
+    for _ in range(CHART_CALLS):
+        f0, t0 = _minflt(), time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - t0)
+        faults += _minflt() - f0
+    return ({"value": 1e3 * statistics.median(times), "unit": "ms"},
+            {"value": faults / CHART_CALLS, "unit": "count"})
+
+
+def _tilted(phi, grid):
+    """The tilted plane u = 0.1 y1 at h = 1/grid over phi, a catalog name or a patch."""
+    from fbmcf.geometry import GraphSurface
+    from fbmcf.support import SupportPatch
+
+    patch = phi if isinstance(phi, SupportPatch) else SupportPatch.from_spec(phi)
+    return GraphSurface.from_height(lambda a, b: 0.1 * a, patch, 1.0 / grid, 0.5)
+
+
+def faults_probe(grid):
+    """A sphere-cap phase, then the trough-curved run, in this process: their faults."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from fbmcf.flow import FlowConfig, run
+    from fbmcf.geometry import fundamental_forms
+    from fbmcf.support import SupportPatch
+
+    _, sphere = _timed_calls(fundamental_forms, _tilted("sphere_cap:2", grid))
+    initial = _tilted(SupportPatch.paraboloid(0.5, kappa=0.5, chart_radius=2.0), grid)
+    f0 = _minflt()
+    traj = run(initial, FlowConfig(t_end=6.01e-4, cfl=0.15, snapshot_stride=20))
+    faults = _minflt() - f0
+    if traj.error is not None:
+        sys.exit(f"bench: faults probe stopped: {traj.stop_reason}")
+    steps = len(traj.monitors["t"]) - 1
+    return {"grid": {"value": grid, "unit": "1/h"},
+            "sphere_cap_faults_per_call": {**sphere, "unit": "count"},
+            "steps": {"value": steps, "unit": "count"},
+            "faults_per_step": {"value": faults / steps, "unit": "count"}}
+
+
+def chart_kernel(grid):
+    """The chart kernel rows: ms and faults per call of chart_frames and fundamental_forms."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from fbmcf.geometry import fundamental_forms
+    from fbmcf.support import chart_frames
 
     rows = []
-    for phi in CHART_PHIS:
-        s = GraphSurface.from_height(lambda a, b: 0.1 * a, SupportPatch.from_spec(phi),
-                                     1.0 / grid, 0.5)
-        rows.append({"phi": phi,
-                     "chart_frames_ms": median_ms(chart_frames, s.patch, s.grid.y1[:, None],
-                                                  s.grid.y2[None, :], s.u),
-                     "fundamental_forms_ms": median_ms(fundamental_forms, s)})
+    for n in (grid // 2, grid, 2 * grid):
+        for phi in CHART_PHIS:
+            s = _tilted(phi, n)
+            row = {"grid": {"value": n, "unit": "1/h"}, "phi": phi}
+            for name, fn, args in (
+                    ("chart_frames", chart_frames,
+                     (s.patch, s.grid.y1[:, None], s.grid.y2[None, :], s.u)),
+                    ("fundamental_forms", fundamental_forms, (s,))):
+                row[f"{name}_ms"], row[f"{name}_faults"] = _timed_calls(fn, *args)
+            rows.append(row)
     return rows
 
 
@@ -258,6 +308,9 @@ def main(argv=None):
     if args.memory_probe is not None:
         print(json.dumps(memory_probe(args.memory_probe, args.grid)))
         return 0
+    if args.faults_probe:
+        print(json.dumps(faults_probe(args.grid)))
+        return 0
     if args.monitor_probe is not None:
         print(json.dumps(monitor_probe(*args.monitor_probe)))
         return 0
@@ -273,6 +326,7 @@ def main(argv=None):
               "workloads": {name: rows(run_traced(name, args)) for name in names},
               "run_memory": run_memory(args),
               "monitor_memory": monitor_memory(args),
+              "run_faults": _script_row(args, "--faults-probe"),
               "chart_kernel": chart_kernel(args.grid),
               "scan_kernel": scan_kernel(args.grid)}
     path = Path(args.out) / f"BENCH_{args.pr}.json"

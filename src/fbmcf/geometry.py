@@ -103,11 +103,10 @@ class Grid(NamedTuple):
 # Finite differences (second order, ghost-row even reflection at y2 = 0)
 # ---------------------------------------------------------------------------
 
-def _derivative_planes(U, h, half=True):
-    """Difference quotients as component-first planes du[i] and d2u[i, j].  Row y2 = 0 is
-    the Neumann edge; half False, for `flow.extension_residual`, makes it one-sided."""
-    du = np.empty((2,) + U.shape)
-    d2u = np.empty((2, 2) + U.shape)
+def _derivative_planes(U, h, half=True, out=None):
+    """Difference quotients as component-first planes du[i] and d2u[i, j], into out = (du, d2u)
+    if given.  Row y2 = 0 is the Neumann edge; half False (`flow.extension_residual`) one-sided."""
+    du, d2u = out or (np.empty((2,) + U.shape), np.empty((2, 2) + U.shape))
     d1, d2, d11, d12, d22 = du[0], du[1], d2u[0, 0], d2u[0, 1], d2u[1, 1]
     d1[1:-1] = (U[2:] - U[:-2]) / (2 * h)
     d1[0] = (-3 * U[0] + 4 * U[1] - U[2]) / (2 * h)
@@ -206,9 +205,12 @@ class GraphSurface:
         return _held[1]
 
     def positions(self):
-        """The (n1, n2, 3) node positions X, bit-equal to `geometry().X`: the held
-        geometry's X if it is this surface's, else the chart's X; no kernel runs."""
-        return _held[1].X if _held[0] is self else _chart(self, order=1)[0]
+        """The (n1, n2, 3) node positions X, bit-equal to `geometry().X`: the held geometry's X
+        if it is this surface's, else (psi, u) of a `Section` or the chart's X; no kernel runs."""
+        if _held[0] is self:
+            return _held[1].X
+        chart = _chart(self, order=1)
+        return np.stack((*chart.X01, self.u), axis=-1) if isinstance(chart, Section) else chart["X"]
 
     # -- surface protocol (shared with AnalyticSurface and FrameSurface) ----
 
@@ -264,108 +266,144 @@ class SurfaceGeometry:
 
 _held = [None, None]   # the surface whose geometry was asked for last, and that geometry
 _PAIRS = ((0, 0), (0, 1), (1, 1))
-_EYE3 = np.eye(3)   # dPhi of the flat chart Phi(Y) = Y, whose d2Phi is 0
+
+
+class Section(NamedTuple):
+    """At a grid's nodes, the cross section of the cylinder chart Phi(Y) = (psi(y1, y2), y3) of a
+    profile that ignores y3.  Read-only; psi_0 and psi_1 hold an exact 0 as +0.0, as dPhi_i + 0 u_i
+    does in `_generic_front`, so both front halves give the same bits."""
+
+    X01: tuple      # psi
+    dpsi: tuple     # (psi_0, psi_1)
+    J: object       # det(psi_0, psi_1)
+    G: tuple        # G_ij = psi_i . psi_j over _PAIRS
+    d2psi: tuple    # (psi_00, psi_01), as psi_11 = 0 (y2 is a distance); () if psi is linear
+    folded: bool    # J <= 0 somewhere: the chart is folded past a focal point
+
+    @classmethod
+    def flat(cls, grid):   # the grid's node planes, psi_0 = e_0 and psi_1 = e_1
+        return cls(grid.nodes, ((1.0, 0.0), (0.0, 1.0)), 1.0, (1.0, 0.0, 1.0), (), False)
+
+    @classmethod
+    def of(cls, fr):
+        """The section of `chart_frames` data on a grid's axes whose nu lies on the y1 axis."""
+        X, dPhi, nu = components(fr["X"], 1), components(fr["dPhi"], 2), components(fr["nu"], 1)
+        dpsi = tuple(tuple(c + 0.0 for c in col) for col in (dPhi[:2, 0], nu[:2]))
+        J = dpsi[0][0] * dpsi[1][1] - dpsi[0][1] * dpsi[1][0]
+        G = tuple(dpsi[i][0] * dpsi[j][0] + dpsi[i][1] * dpsi[j][1] for i, j in _PAIRS)
+        d2psi = tuple(fr["d2Phi"][ab][:2] for ab in ((0, 0), (0, 1)))
+        for a in (*X[:2], J, *G, *(c for pair in dpsi + d2psi for c in pair)):
+            a.setflags(write=False)
+        return cls(tuple(X[:2]), dpsi, J, G, d2psi, bool(np.any(J <= 0.0)))
 
 
 def _chart(surface, order=2):
-    """X, the dPhi planes and the d2Phi pairs of the surface's chart at its nodes.
-
-    A flat support has X = Y, dPhi = I and d2Phi None.  On a curved patch the
-    grid's axes go in as (n1, 1) and (1, n2): see `chart_frames`.  Where the
-    profile ignores y3 -- its nu comes back on the (n1, 1) y1 axis -- every
-    plane but X_2 = u + y2 nu_2 is fixed by the grid.  Those planes are kept,
-    read-only, in the patch's `chart_memo` under the grid's key (h, r_dom),
-    and later calls only check the chart range and add the height.  order 1,
-    which `GraphSurface.positions` asks for, skips d2Phi where no memo exists
-    (d2Phi is then None) and leaves the memo as it is.
-    """
+    """The chart at the surface's nodes: a `Section` where the profile ignores y3, else the
+    `chart_frames` dict.  A curved patch's section is built from the chart evaluated on the
+    grid's axes (n1, 1) and (1, n2) where nu comes back on the y1 axis, and kept in its
+    `chart_memo` under the grid's key; order 1 (`positions`) skips d2Phi and keeps nothing."""
     U, patch, grid = surface.u, surface.patch, surface.grid
     y1, y2 = grid.y1[:, None], grid.y2[None, :]
-    if patch.is_flat:
+    sec = Section.flat(grid) if patch.is_flat else patch.chart_memo.get(grid.key)
+    if sec is not None:
         _check_range(patch, y1, y2, U)
-        Y = np.empty((3,) + U.shape)
-        Y[0], Y[1], Y[2] = *grid.nodes, U
-        return trailing(Y, 1), _EYE3, None
-    planes = patch.chart_memo.get(grid.key)
-    if planes is None:
-        fr = chart_frames(patch, y1, y2, U, order=order)
-        dPhi, d2Phi, nu = components(fr["dPhi"], 2), fr.get("d2Phi"), components(fr["nu"], 1)
-        if d2Phi is None or nu.shape[1:] != y1.shape:   # order 1, or no plane is static
-            return fr["X"], dPhi, d2Phi
-        planes = (components(fr["X"], 1)[:2], y2 * nu[2], dPhi, d2Phi)
-        for a in (*planes[:3], *(c for pair in d2Phi.values() for c in pair)):
-            a.setflags(write=False)
-        patch.chart_memo[grid.key] = planes
-    else:
-        _check_range(patch, y1, y2, U)
-    X01, y2nu2, dPhi, d2Phi = planes
-    X = np.empty((3,) + U.shape)
-    X[:2] = X01
-    np.add(U, y2nu2, out=X[2])   # chart_frames' q + d * nu[2], bit for bit
-    return trailing(X, 1), dPhi, d2Phi
+        return sec
+    fr = chart_frames(patch, y1, y2, U, order=order)
+    if order < 2 or components(fr["nu"], 1).shape[1:] != y1.shape:
+        return fr
+    return patch.chart_memo.setdefault(grid.key, Section.of(fr))
+
+
+def _det_and_normal(g, cross, N):
+    """det g, once it is > 0 at every node, with N = -(T_0 x T_1) / |T_0 x T_1| written to N."""
+    det = g[0, 0] * g[1, 1] - g[0, 1] ** 2
+    if np.any(det <= 0.0):
+        raise SingularMetricError("induced metric is degenerate")
+    norm = np.sqrt(cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2])
+    for c in range(3):
+        np.divide(-cross[c], norm, out=N[c])
+    return det
+
+
+def _section_front(sec, U, u, X, g, N):
+    """X, g and N of a cylinder chart, where T_i = (psi_i, u_i); returns det g, N . dPhi_2 = N_2
+    and B_ij = N . psi_ij (B_11 = 0), or None where psi is linear."""
+    X[0], X[1], X[2] = *sec.X01, U
+    (p0x, p0y), (p1x, p1y) = sec.dpsi
+    for (i, j), G in zip(_PAIRS, sec.G):
+        np.add(G, u[i] * u[j], out=g[i, j])
+    det = _det_and_normal(g, (p0y * u[1] - u[0] * p1y, u[0] * p1x - p0x * u[1], sec.J), N)
+    if sec.folded:
+        raise SingularMetricError("chart is folded past a focal point of the support")
+    B = tuple(N[0] * px + N[1] * py for px, py in sec.d2psi)
+    return det, N[2], B + (0.0,) if B else None
+
+
+def _generic_front(fr, U, u, X, g, N):
+    """X, g and N of any chart, where T_i = dPhi_i + u_i dPhi_2; returns det g, N . dPhi_2 and
+    B_ij = n_ij + n_i2 u_j + n_j2 u_i + n_22 u_i u_j, n_ab = N . d2Phi_ab (None without d2Phi)."""
+    X[:] = components(fr["X"], 1)
+    dPhi, d2Phi = components(fr["dPhi"], 2), fr.get("d2Phi")
+    T = [[dPhi[c, i] + dPhi[c, 2] * u[i] for c in range(3)] for i in range(2)]
+    for i, j in _PAIRS:
+        g[i, j] = T[i][0] * T[j][0] + T[i][1] * T[j][1] + T[i][2] * T[j][2]
+    cross = (T[0][1] * T[1][2] - T[0][2] * T[1][1], T[0][2] * T[1][0] - T[0][0] * T[1][2],
+             T[0][0] * T[1][1] - T[0][1] * T[1][0])
+    det = _det_and_normal(g, cross, N)
+    phi3N = dPhi[0, 2] * N[0] + dPhi[1, 2] * N[1] + dPhi[2, 2] * N[2]
+    if np.any(phi3N >= 0.0):
+        raise SingularMetricError("chart is folded past a focal point of the support")
+    if d2Phi is None:
+        return det, phi3N, None
+    # d2Phi_11 = 0, as y2 is a distance
+    n = {ab: N[0] * d2Phi[ab][0] + N[1] * d2Phi[ab][1] + N[2] * d2Phi[ab][2] for ab in d2Phi}
+    n[1, 1] = 0.0
+    return det, phi3N, tuple(n[i, j] + n[i, 2] * u[j] + n[j, 2] * u[i] + n[2, 2] * (u[i] * u[j])
+                             for i, j in _PAIRS)
 
 
 def fundamental_forms(surface):
     """Induced metric, second fundamental form, curvature, and quadrature data.
 
-    One component-first body serves every support, in ambient terms.  Chart
-    index 2 carries the height: T_i = dPhi_i + u_i dPhi_2, g_ij = T_i . T_j and
-    N = -(T_0 x T_1) / |T_0 x T_1|.  With B_ij = N . d2Phi(T~_i, T~_j), where
-    T~_i = e_i + u_i e_2, A_ij = B_ij + (N . dPhi_2) D2_ij u and the lower-order
-    term is f = g^ij B_ij / (N . dPhi_2).  As det dPhi = -|T_0 x T_1| (N . dPhi_2),
-    SingularMetricError is raised where det g <= 0 or N . dPhi_2 >= 0 (a chart
-    folded past a focal point), and ChartRangeError where a chart point
-    (y1, y2, u) leaves the chart radius.  A flat support has X = Y, dPhi = I,
-    d2Phi = 0.
+    Chart index 2 carries the height: g_ij = T_i . T_j for T_i = dPhi_i + u_i dPhi_2 and
+    N = -(T_0 x T_1) / |T_0 x T_1|.  A front half (`_section_front` where the profile ignores
+    y3, else `_generic_front`) gives g, N and B_ij = N . d2Phi(T~_i, T~_j), T~_i = e_i + u_i e_2;
+    the back half A_ij = B_ij + (N . dPhi_2) D2_ij u, f = g^ij B_ij / (N . dPhi_2), H, |A|^2
+    and dA.  Every plane goes into one (29, n1, n2) block, which a step frees and takes again.
+    As det dPhi = -|T_0 x T_1| (N . dPhi_2), SingularMetricError is raised where det g <= 0 or,
+    after that, N . dPhi_2 >= 0 (a chart folded past a focal point), and ChartRangeError
+    where a point (y1, y2, u) leaves the chart radius.
     """
-    U = surface.u
-    u, d2u = _derivative_planes(U, surface.h)
-    X, dPhi, d2Phi = _chart(surface)
-
-    T = [[dPhi[c, i] + dPhi[c, 2] * u[i] for c in range(3)] for i in range(2)]
-    g = np.empty((2, 2) + U.shape)
-    for i, j in _PAIRS:
-        g[i, j] = g[j, i] = T[i][0] * T[j][0] + T[i][1] * T[j][1] + T[i][2] * T[j][2]
-    det = g[0, 0] * g[1, 1] - g[0, 1] ** 2
-    if np.any(det <= 0.0):
-        raise SingularMetricError("induced metric is degenerate")
-    cross = (T[0][1] * T[1][2] - T[0][2] * T[1][1],
-             T[0][2] * T[1][0] - T[0][0] * T[1][2],
-             T[0][0] * T[1][1] - T[0][1] * T[1][0])
-    norm = np.sqrt(cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2])
-    N = -np.array(cross) / norm
-    phi3N = dPhi[0, 2] * N[0] + dPhi[1, 2] * N[1] + dPhi[2, 2] * N[2]
-    if np.any(phi3N >= 0.0):
-        raise SingularMetricError("chart is folded past a focal point of the support")
-
-    ginv = np.empty_like(g)
-    ginv[0, 0], ginv[1, 1] = g[1, 1] / det, g[0, 0] / det
-    ginv[0, 1] = ginv[1, 0] = -g[0, 1] / det
-    A = phi3N * d2u
-    coeff_f = np.zeros(U.shape)
-    if d2Phi is not None:
-        # n_ab = N . d2Phi_ab; d2Phi_11 = 0, as y2 is a distance
-        n = {ab: N[0] * d2Phi[ab][0] + N[1] * d2Phi[ab][1] + N[2] * d2Phi[ab][2]
-             for ab in d2Phi}
-        n[1, 1] = 0.0
-        B = {(i, j): n[i, j] + n[i, 2] * u[j] + n[j, 2] * u[i] + n[2, 2] * (u[i] * u[j])
-             for i, j in _PAIRS}
-        for i, j in _PAIRS:
-            A[i, j] = A[j, i] = A[i, j] + B[i, j]
-        coeff_f = (ginv[0, 0] * B[0, 0] + 2.0 * ginv[0, 1] * B[0, 1]
-                   + ginv[1, 1] * B[1, 1]) / phi3N
+    U, grid = surface.u, surface.grid
+    block = np.empty((29,) + U.shape)
+    X, N, u, d2u, g, ginv, A, (H, A2, sqrtg, dA, f) = np.split(block, (3, 6, 8, 12, 16, 20, 24))
+    d2u, g, ginv, A = (a.reshape((2, 2) + U.shape) for a in (d2u, g, ginv, A))
+    _derivative_planes(U, surface.h, out=(u, d2u))
+    chart = _chart(surface)
+    front = _section_front if isinstance(chart, Section) else _generic_front
+    det, phi3N, B = front(chart, U, u, X, g, N)
+    g[1, 0] = g[0, 1]
+    np.divide(g[::-1, ::-1], det, out=ginv)   # g^01 = -g_01 / det, negated below
+    ginv[0, 1] = ginv[1, 0] = -ginv[0, 1]
+    np.multiply(phi3N, d2u, out=A)
+    f[...] = 0.0
+    if B is not None:
+        for (i, j), b in zip(_PAIRS, B):
+            A[i, j] += b
+        A[1, 0] = A[0, 1]
+        np.divide(ginv[0, 0] * B[0] + 2.0 * ginv[0, 1] * B[1] + ginv[1, 1] * B[2], phi3N, out=f)
     # H = g^ij A_ij and |A|^2 = tr((g^-1 A)^2) for symmetric g^-1 and A
-    Hcur = ginv[0, 0] * A[0, 0] + 2.0 * ginv[0, 1] * A[0, 1] + ginv[1, 1] * A[1, 1]
+    np.add(ginv[0, 0] * A[0, 0] + 2.0 * ginv[0, 1] * A[0, 1], ginv[1, 1] * A[1, 1], out=H)
     GA = [[ginv[i, 0] * A[0, j] + ginv[i, 1] * A[1, j] for j in range(2)] for i in range(2)]
-    A2 = GA[0][0] * GA[0][0] + 2.0 * GA[0][1] * GA[1][0] + GA[1][1] * GA[1][1]
+    np.add(GA[0][0] * GA[0][0] + 2.0 * GA[0][1] * GA[1][0], GA[1][1] * GA[1][1], out=A2)
 
     tr = ginv[0, 0] + ginv[1, 1]
     dsc = np.sqrt((ginv[0, 0] - ginv[1, 1]) ** 2 + 4.0 * ginv[0, 1] ** 2)
-    sqrtg, grid = np.sqrt(det), surface.grid
-    return SurfaceGeometry(X, trailing(N, 1), trailing(u, 1), trailing(d2u, 2),
-                           trailing(g, 2), trailing(ginv, 2), trailing(A, 2), Hcur, A2,
-                           sqrtg, sqrtg * grid.weights, coeff_f, grid.mask,
-                           float(np.max((0.5 * (tr + dsc))[grid.active])))
+    np.sqrt(det, out=sqrtg)
+    np.multiply(sqrtg, grid.weights, out=dA)
+    return SurfaceGeometry(trailing(X, 1), trailing(N, 1), trailing(u, 1), trailing(d2u, 2),
+                           trailing(g, 2), trailing(ginv, 2), trailing(A, 2), H, A2, sqrtg, dA,
+                           f, grid.mask, float(np.max((0.5 * (tr + dsc))[grid.active])))
 
 
 # ---------------------------------------------------------------------------

@@ -196,13 +196,13 @@ class SupportPatch:
     """A kappa-graph patch of the support surface, base point at the origin.
 
     The orientation frame is fixed: base point O = 0 and nu(O) = (0, 1, 0).
-    `chart_memo` holds the height-free chart planes that
-    `geometry.fundamental_forms` keeps per grid; it lives and dies with the patch.
+    `chart_memo` keeps per grid key (h, r_dom) the `geometry.Section` of a curved
+    chart that ignores y3; it lives and dies with the patch.
 
     Construction compares kappa only with the profile's curvature at the base
-    point, while `verify_kappa_condition` checks the profile's closed-form
-    derivative bounds over the whole chart disk: `sphere_cap(R)` with its
-    defaults is built, yet fails that check.
+    point and refuses a support that is not mean-convex, while
+    `verify_kappa_condition` checks all closed-form derivative bounds over the
+    chart disk: `sphere_cap(R)` with its defaults is built, yet fails that check.
     """
 
     kind: str
@@ -223,6 +223,8 @@ class SupportPatch:
                                   f"curvature of {self.profile.name}", "kappa")
         if self.kappa > 0 and self.chart_radius > 1.0 / self.kappa + 1e-12:
             raise PatchFieldError("chart_radius must be <= 1/kappa", "chart_radius")
+        if (inf_H := self.profile.bounds(self.chart_radius)[3]) < -1e-8:   # KappaReport's tolerance
+            raise PatchFieldError(f"{self.profile.name} is not mean-convex: inf H {inf_H:g}", "phi")
 
     # -- constructors -------------------------------------------------------
 

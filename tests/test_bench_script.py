@@ -53,12 +53,21 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
         assert all(row[key]["value"] > 0 for key in units)
     steps = [row["steps"]["value"] for row in memory]
     assert steps == sorted(steps) and steps[0] < steps[-1]
-    # in-process chart kernel timings on each support
+    # in-process chart kernel timings and page faults on each support, at half,
+    # once and twice the grid's 1/h
     kernel = report["chart_kernel"]
-    assert [row["phi"] for row in kernel] == ["flat", "paraboloid:0.5", "sphere_cap:2"]
+    assert [row["phi"] for row in kernel] == ["flat", "paraboloid:0.5", "sphere_cap:2"] * 3
+    assert [row["grid"]["value"] for row in kernel] == [8] * 3 + [16] * 3 + [32] * 3
     for row in kernel:
-        for key in ("chart_frames_ms", "fundamental_forms_ms"):
-            assert row[key]["unit"] == "ms" and row[key]["value"] > 0, (row["phi"], key)
+        for key in ("chart_frames", "fundamental_forms"):
+            ms, faults = row[f"{key}_ms"], row[f"{key}_faults"]
+            assert ms["unit"] == "ms" and ms["value"] > 0, (row["phi"], key)
+            assert faults["unit"] == "count" and faults["value"] >= 0, (row["phi"], key)
+    # a fresh-process trough run after a sphere-cap phase: faults per step
+    faults = report["run_faults"]
+    assert faults["grid"]["value"] == 16 and faults["steps"]["value"] > 0
+    assert faults["faults_per_step"]["unit"] == "count" and faults["faults_per_step"]["value"] >= 0
+    assert faults["sphere_cap_faults_per_call"]["value"] >= 0
     # fresh-process `fbmcf monitor` runs on the stored 21-snapshot run
     monitor = report["monitor_memory"]
     assert len(monitor) == 3

@@ -351,8 +351,8 @@ def bit_equal(a, b):
 
 def counting_chart(monkeypatch, full_nu=False):
     """Record each chart evaluation of fundamental_forms; with full_nu, hand back
-    nu over the full node shape, so that no plane is kept and every call takes
-    the chart as evaluated on that surface."""
+    nu over the full node shape, so that no section is kept and every call takes
+    the generic front half, and leave out the flat chart's d2Phi, which is 0."""
     calls = []
 
     def chart(patch, y1, y2, y3, order=2):
@@ -360,25 +360,61 @@ def counting_chart(monkeypatch, full_nu=False):
         fr = chart_frames(patch, y1, y2, y3, order=order)
         if full_nu:
             fr["nu"] = np.broadcast_to(fr["nu"], np.shape(y3) + (3,))
+            if isinstance(patch.profile, FlatProfile):
+                fr.pop("d2Phi", None)
         return fr
 
     monkeypatch.setattr(geometry, "chart_frames", chart)
     return calls
 
 
-@pytest.mark.parametrize("name", ["paraboloid:0.5", "paraboloid:0.5 rescaled by 0.5"])
+def generic(patch):
+    """A patch with patch's profile and an empty chart memo whose chart is evaluated
+    by `chart_frames`, the flat one included."""
+    if patch.is_flat:
+        return SupportPatch("analytic-quadric", patch.profile, 0.1, patch.chart_radius)
+    return fresh(patch)
+
+
+RUN_PATCHES = {**PATCHES,
+               "paraboloid:1": SupportPatch.paraboloid(1.0, kappa=1.0, chart_radius=1.0),
+               "paraboloid:0.5 tilted plane": PATCHES["paraboloid:0.5"]}
+
+
+@pytest.mark.parametrize("name", ["paraboloid:0.5", "paraboloid:0.5 rescaled by 0.5",
+                                  "flat", "paraboloid:1", "paraboloid:0.5 tilted plane"])
 def test_chart_memo_matches_fresh_chart_over_a_run(name, monkeypatch):
-    patch = fresh(PATCHES[name])
-    traj = run(curved_surface(patch), FlowConfig(t_end=0.002))
+    # the section path, kept per grid or the flat grid's own, against the generic
+    # front half on the chart evaluated afresh for each snapshot; the tilted plane
+    # starts with D2 u = 0, whose A_11 = N_2 0 + B_11 is +0.0 on both paths
+    patch = fresh(RUN_PATCHES[name])
+    initial = curved_surface(patch)
+    if name.endswith("tilted plane"):
+        initial = initial.with_height(0.1 * initial.grid.nodes[0])
+    traj = run(initial, FlowConfig(t_end=0.002))
     assert traj.stop_reason == "completed" and len(traj.snapshots) > 5
-    assert list(patch.chart_memo) == [(1 / 32, 0.5)]
+    assert list(patch.chart_memo) == ([] if name == "flat" else [(1 / 32, 0.5)])
     calls = counting_chart(monkeypatch, full_nu=True)
-    reference = fresh(patch)
+    reference = generic(patch)
     for s in traj.snapshots:
         got, want = s.geometry(), fundamental_forms(with_patch(s, reference))
         for f in FIELDS + ("mask",):
             assert bit_equal(getattr(got, f), getattr(want, f)), (s.t, f)
     assert len(calls) == len(traj.snapshots) and reference.chart_memo == {}
+
+
+@pytest.mark.parametrize("phi", ["flat", "flat@/2", "paraboloid:0.5", "paraboloid:2",
+                                 "paraboloid:0.5@/0.25", "sphere_cap:2", "sphere_cap:2@/0.5"])
+def test_cylinder_charts_are_the_profiles_that_ignore_y3(phi):
+    # a profile whose nu lies on the y1 axis has dPhi_2 = e3 and every (., 2) pair of
+    # d2Phi zero on the grid's axes: the section path's chart Phi = (psi(y1, y2), y3)
+    s = GraphSurface.from_height(lambda a, b: 0.1 * a - 0.2 * b**2,
+                                 SupportPatch.from_spec(phi), 1 / 32, 0.25)
+    fr = chart_frames(s.patch, s.grid.y1[:, None], s.grid.y2[None, :], s.u)
+    on_y1_axis = fr["nu"].shape == (len(s.grid.y1), 1, 3)
+    e3 = np.array_equal(fr["dPhi"][..., :, 2], np.broadcast_to([0.0, 0.0, 1.0], s.u.shape + (3,)))
+    zero_pairs = not any(np.any(c) for ab in ((0, 2), (1, 2), (2, 2)) for c in fr["d2Phi"][ab])
+    assert on_y1_axis is e3 is zero_pairs is (not phi.startswith("sphere_cap"))
 
 
 @pytest.mark.parametrize("name", ["paraboloid:0.5", "sphere_cap:2"])

@@ -736,7 +736,9 @@ def test_cli_bad_scenario_exit_2(tmp_path):
     ("phi: paraboloid:0.5\n  chart_radius: 5.0", "patch.chart_radius"),
     ("phi: sphere_cap:2\n  kappa: 0", "patch.kappa"),
     ("phi: paraboloid:2\n  kappa: 0.25\n  chart_radius: 4.0", "patch.kappa"),
-], ids=["chart_radius-past-1/kappa", "curved-kappa-0", "kappa-below-curvature"])
+    ("phi: paraboloid:-0.5", "patch.phi"),
+], ids=["chart_radius-past-1/kappa", "curved-kappa-0", "kappa-below-curvature",
+        "not-mean-convex"])
 def test_cli_patch_rule_names_its_key(tmp_path, capsys, patch, key):
     # the rule lives in SupportPatch; the scenario only names the offending key
     path = write_scenario(tmp_path, f"patch:\n  {patch}\n"

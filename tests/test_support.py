@@ -201,7 +201,6 @@ def test_curved_patch_refuses_kappa_zero(phi):
 
 
 @pytest.mark.parametrize("phi,kappa,curvature", [("paraboloid:2", 0.25, 2.0),
-                                                 ("paraboloid:-2", 1.5, 2.0),
                                                  ("sphere_cap:2", 0.4, 0.5)])
 def test_from_spec_refuses_kappa_below_curvature(phi, kappa, curvature):
     # the support's focal line, at distance 1/curvature, would lie inside 1/kappa
@@ -223,11 +222,24 @@ def test_patch_refuses_kappa_below_curvature(build):
     assert exc.value.field == "kappa"
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SupportPatch.from_spec("paraboloid:-2"),
+    lambda: SupportPatch.from_spec("paraboloid:-2", kappa=2.0),
+    lambda: SupportPatch.from_spec("paraboloid:-2@/0.5"),
+    lambda: SupportPatch.paraboloid(-0.5),
+], ids=["paraboloid:-2", "paraboloid:-2 kappa=2", "paraboloid:-2@/0.5", "paraboloid(-0.5)"])
+def test_patch_refuses_a_support_that_is_not_mean_convex(build):
+    # the paper's support is mean-convex: inf H >= 0 over the chart disk, to
+    # KappaReport's tolerance; a trough that opens outward has H = a < 0 on its axis
+    with pytest.raises(PatchFieldError, match="not mean-convex") as exc:
+        build()
+    assert exc.value.field == "phi"
+
+
 ADMITTED = {
     "flat": SupportPatch.flat(),
     "flat r=3": SupportPatch.flat(chart_radius=3.0),
     "paraboloid:0.5": SupportPatch.paraboloid(0.5),
-    "paraboloid:-2": SupportPatch.paraboloid(-2.0),
     "sphere_cap:2": SupportPatch.sphere_cap(2.0),
     "paraboloid:2 kappa=curvature": SupportPatch.paraboloid(2.0, kappa=2.0, chart_radius=0.45),
     "paraboloid:0.5 kappa=1": SupportPatch.paraboloid(0.5, kappa=1.0, chart_radius=1.0),
