@@ -50,7 +50,15 @@ reads it as it is and keeps:
   ``SCAN_CALLS`` calls in this process, of ``singular_set_scan`` on the last
   ``store-query`` snapshot, which holds its geometry, at h = 1/grid with
   r_grid [0.1, 0.15, 0.2] and [0.05, 0.2], at h = 2/grid with [0.05, 0.4] and
-  at h = 4/grid with [0.1, 0.15, 0.2] (h at most 1/8).
+  at h = 4/grid with [0.1, 0.15, 0.2] (h at most 1/8);
+- writer rows (``writer``), one per grid h = 2/grid, 1/grid and 1/(2 grid) and
+  trajectory: the median milliseconds per call, over ``WRITER_CALLS`` calls in
+  this process, of ``save_trajectory`` on the ``trough-curved`` run (the
+  tilted plane u = 0.1 y1 over ``paraboloid:0.5`` with kappa 0.5, chart
+  radius 2, cfl 0.15, to t_end 6.01e-4, with its snapshot stride of 20 at
+  h = 1/128 scaled by the step count, so that it stores 7 snapshots at
+  h = 1/64 to 1/256) and on the ``store-query`` workload's 21 flat-support
+  snapshots.
 
 Nothing under ``perfbench/`` is changed.
 """
@@ -84,6 +92,7 @@ CHART_CALLS = 50
 MONITOR_PROCESSES = 3
 SCAN_SHAPES = ((1, [0.1, 0.15, 0.2]), (1, [0.05, 0.2]), (2, [0.05, 0.4]), (4, [0.1, 0.15, 0.2]))
 SCAN_CALLS = 5
+WRITER_CALLS = 11
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -298,6 +307,38 @@ def scan_kernel(grid):
     return rows
 
 
+def writer(grid):
+    """The writer rows: median ms per save_trajectory call on each workload's trajectory."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from fbmcf.flow import FlowConfig, run
+    from fbmcf.io import save_trajectory
+    from fbmcf.support import SupportPatch
+    from workloads import StoreQuery
+
+    rows = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for n in (grid // 2, grid, 2 * grid):
+            # the step count grows as 1/h^2, and the stride with it
+            trough = run(_tilted(SupportPatch.paraboloid(0.5, kappa=0.5, chart_radius=2.0), n),
+                         FlowConfig(t_end=6.01e-4, cfl=0.15,
+                                    snapshot_stride=max(1, round(20 * (n / 128) ** 2))))
+            if trough.error is not None:
+                sys.exit(f"bench: writer run stopped: {trough.stop_reason}")
+            store = StoreQuery(SEED, 1.0 / n, workdir)
+            for name, traj, echo in (("trough-curved", trough, None),
+                                     ("store-query", store.trajectory, store.echo)):
+                times = []
+                for _ in range(WRITER_CALLS):
+                    t0 = time.perf_counter()
+                    save_trajectory(os.path.join(workdir, "run"), traj, echo)
+                    times.append(time.perf_counter() - t0)
+                rows.append({"grid": {"value": n, "unit": "1/h"}, "trajectory": name,
+                             "snapshots": {"value": len(traj.snapshots), "unit": "count"},
+                             "save_trajectory_ms": {"value": 1e3 * statistics.median(times),
+                                                    "unit": "ms"}})
+    return rows
+
+
 def run_memory(args):
     """The memory probe rows, each from a fresh process of this script."""
     return [_script_row(args, "--memory-probe", repr(t_end)) for t_end in MEMORY_T_ENDS]
@@ -328,7 +369,8 @@ def main(argv=None):
               "monitor_memory": monitor_memory(args),
               "run_faults": _script_row(args, "--faults-probe"),
               "chart_kernel": chart_kernel(args.grid),
-              "scan_kernel": scan_kernel(args.grid)}
+              "scan_kernel": scan_kernel(args.grid),
+              "writer": writer(args.grid)}
     path = Path(args.out) / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {path}")

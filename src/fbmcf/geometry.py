@@ -78,6 +78,7 @@ class Grid(NamedTuple):
     y1: np.ndarray        # node axes
     y2: np.ndarray
     nodes: tuple          # (Y1, Y2) node planes
+    r2: np.ndarray        # Y1 * Y1 + Y2 * Y2, the planar radius squared
     weights: np.ndarray   # footprint cell overlap areas
     mask: np.ndarray      # weights > 0
     active: np.ndarray    # nodes strictly inside r_dom: the nodes a step moves
@@ -92,9 +93,9 @@ class Grid(NamedTuple):
         y2 = h * np.arange(m + 1)
         nodes = tuple(np.meshgrid(y1, y2, indexing="ij"))
         weights = disk_cell_weights(y1, y2, h, r_dom)
-        grid = cls((h, r_dom), y1, y2, nodes, weights, weights > 0,
-                   np.hypot(*nodes) < r_dom - 1e-12 * r_dom)
-        for a in (y1, y2, *nodes, weights, grid.mask, grid.active):
+        grid = cls((h, r_dom), y1, y2, nodes, y1[:, None] * y1[:, None] + y2 * y2, weights,
+                   weights > 0, np.hypot(*nodes) < r_dom - 1e-12 * r_dom)
+        for a in (y1, y2, *nodes, grid.r2, weights, grid.mask, grid.active):
             a.setflags(write=False)
         return grid
 
@@ -303,11 +304,11 @@ def _chart(surface, order=2):
     grid's axes (n1, 1) and (1, n2) where nu comes back on the y1 axis, and kept in its
     `chart_memo` under the grid's key; order 1 (`positions`) skips d2Phi and keeps nothing."""
     U, patch, grid = surface.u, surface.patch, surface.grid
-    y1, y2 = grid.y1[:, None], grid.y2[None, :]
     sec = Section.flat(grid) if patch.is_flat else patch.chart_memo.get(grid.key)
     if sec is not None:
-        _check_range(patch, y1, y2, U)
+        _check_range(patch, grid.r2, U)
         return sec
+    y1, y2 = grid.y1[:, None], grid.y2[None, :]
     fr = chart_frames(patch, y1, y2, U, order=order)
     if order < 2 or components(fr["nu"], 1).shape[1:] != y1.shape:
         return fr

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import os
 from typing import NamedTuple
@@ -18,47 +17,32 @@ from .support import SupportPatch
 MONITOR_COLUMNS = ("t", "area", "perimeter", "energy", "max_H", "max_A")
 
 
-def _format(values):
-    """The %.17g text of each float in the list values."""
-    return ("%.17g\n" * len(values) % tuple(values)).splitlines()
-
-
-def _column_fields(column):
-    """How the values of one column go into a `%` template: (field, values).
+def _texts(values):
+    """The %.17g text of each value of the float array values, in C order.
 
     Values are told apart by their bit patterns, so -0.0 and 0.0 keep their
-    own text.  Where at most half the values are distinct, each distinct value
-    is formatted once and the pair is ("%s", the text of every value).
-    Otherwise the lookup costs more than formatting every value, and the pair
-    is ("%.17g", the floats).  Values are in C order.
+    own text.  Where at most half the values are distinct, each distinct one
+    is formatted once; otherwise the lookup costs more than formatting every
+    value.
     """
-    column = np.ravel(column)
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    if 2 * len(bits) > column.size:
-        return "%.17g", column.tolist()
-    return "%s", np.array(_format(bits.view(float).tolist()), dtype=object)[inverse].tolist()
-
-
-def _column_text(column):
-    """The %.17g text of each value of column, in C order."""
-    field, values = _column_fields(column)
-    return values if field == "%s" else _format(values)
-
-
-def _interleave(texts):
-    """The items of equal-length lists, row by row: a0, b0, a1, b1, ..."""
-    return tuple(itertools.chain.from_iterable(zip(*texts)))
+    values = np.ravel(values)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = 2 * len(bits) <= values.size
+    floats = bits.view(float) if distinct else values
+    texts = ("%.17g\n" * floats.size % tuple(floats.tolist())).splitlines()
+    return np.array(texts, dtype=object)[inverse].tolist() if distinct else texts
 
 
 class _LineTemplate(NamedTuple):
     """Lines of %.17g text, one per row of an array (..., k), with some columns left open.
 
-    The columns flagged in `baked` are written into `text`; each other column
-    leaves a %s field per line, which `fill` completes from a table's values.
+    The columns not listed in `open` are written into `text`; each open
+    column leaves a %s field per line, which `fill` completes from a table's
+    values.
     """
 
     text: str
-    baked: tuple
+    open: tuple   # indices of the columns left open
 
     @classmethod
     def build(cls, tables, head, sep):
@@ -73,26 +57,21 @@ class _LineTemplate(NamedTuple):
         """
         tables = iter(tables)
         first = prev = next(tables)
-        baked = [True] * first.shape[-1]
+        kept = [True] * first.shape[-1]
         for table in tables:
-            baked = [keep and np.array_equal(prev[..., j].view(np.int64),
-                                              table[..., j].view(np.int64))
-                     for j, keep in enumerate(baked)]
+            kept = [keep and np.array_equal(prev[..., j].view(np.int64),
+                                            table[..., j].view(np.int64))
+                    for j, keep in enumerate(kept)]
             prev = table
-        fields, texts = [], []
-        for j, keep in enumerate(baked):
-            if keep:
-                field, values = _column_fields(first[..., j])
-                texts.append(values)
-            fields.append(field if keep else "%%s")
-        line = head + sep.join(fields) + "\n"
-        return cls((line * (first.size // len(baked))) % _interleave(texts), tuple(baked))
+        line = head + sep.join("%s" if keep else "%%s" for keep in kept) + "\n"
+        texts = tuple(_texts(first[..., [j for j, keep in enumerate(kept) if keep]]))
+        return cls(line * (first.size // len(kept)) % texts,
+                   tuple(j for j, keep in enumerate(kept) if not keep))
 
     def fill(self, table):
         """The lines of table, an array of the shape the template was built
-        from whose baked columns hold the values already written in."""
-        texts = [_column_text(table[..., j]) for j, keep in enumerate(self.baked) if not keep]
-        return self.text % _interleave(texts) if texts else self.text
+        from whose kept columns hold the values already written in."""
+        return self.text % tuple(_texts(table[..., self.open]))
 
 
 @functools.lru_cache(maxsize=8)
@@ -164,8 +143,8 @@ def write_csv(path, columns, rows):
 def save_trajectory(outdir, trajectory, scenario_echo=None):
     """Persist monitors, OBJ dumps, and exact-round-trip snapshots.
 
-    A vertex coordinate that no snapshot changes, such as y1 on a trough or
-    on the flat support, is formatted once for all the OBJ dumps.  Vertex
+    Vertex coordinates that no snapshot changes, such as x and y over a trough
+    or the flat support, are formatted once for all the OBJ dumps.  Vertex
     arrays are made one snapshot at a time, and at most three are held at once.
     """
     os.makedirs(outdir, exist_ok=True)

@@ -295,9 +295,10 @@ class SupportPatch:
 # Chart evaluation
 # ---------------------------------------------------------------------------
 
-def _check_range(patch, y1, y2, y3):
-    # max |Y| = sqrt(max |Y|^2) exactly, as sqrt is monotone and correctly rounded
-    r = np.sqrt(np.max(y1 * y1 + y2 * y2 + y3 * y3))
+def _check_range(patch, r2, y3):
+    # r2 = y1 * y1 + y2 * y2; max |Y| = sqrt(max |Y|^2) exactly, as sqrt is monotone
+    # and correctly rounded
+    r = np.sqrt(np.max(r2 + y3 * y3))
     if r >= patch.chart_radius:
         raise ChartRangeError(
             f"chart point |Y| = {float(r):g} outside radius {patch.chart_radius:g}"
@@ -318,7 +319,7 @@ def chart_frames(patch, y1, y2, y3, order=2):
     The profile states them in closed form (see its `chart`).
     """
     p, d, q = (np.asarray(y, dtype=float) for y in (y1, y2, y3))
-    _check_range(patch, p, d, q)
+    _check_range(patch, p * p + d * d, q)
     X, dPhi, nu, d2Phi = patch.profile.chart(p, d, q, order)
     out = {"X": trailing(X, 1), "dPhi": trailing(dPhi, 2), "nu": trailing(nu, 1)}
     if d2Phi is not None:
@@ -329,17 +330,19 @@ def chart_frames(patch, y1, y2, y3, order=2):
 def tubular_map(patch, Y):
     """Phi(Y) = (y1, phi(y1,y3), y3) + y2 * nu(y1, y3)."""
     Y = np.asarray(Y, dtype=float)
+    p, d, q = components(Y, 1)
     if patch.is_flat:
-        _check_range(patch, *components(Y, 1))
+        _check_range(patch, p * p + d * d, q)
         return Y.copy()
-    return chart_frames(patch, *components(Y, 1), order=1)["X"]
+    return chart_frames(patch, p, d, q, order=1)["X"]
 
 
 def chart_coords(patch, X):
     """Invert the tubular map by Newton iteration from Y = X, to 1e-12 chart radii in 50 steps."""
     X = np.asarray(X, dtype=float)
     if patch.is_flat:
-        _check_range(patch, *components(X, 1))
+        p, d, q = components(X, 1)
+        _check_range(patch, p * p + d * d, q)
         return X.copy()
     Y = X.copy()
     tol = 1e-12 * patch.chart_radius

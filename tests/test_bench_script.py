@@ -84,3 +84,13 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
     for row in scans:
         assert row["grid"]["unit"] == "1/h" and row["candidates"]["unit"] == "count"
         assert row["scan_ms"]["unit"] == "ms" and row["scan_ms"]["value"] > 0
+    # in-process save_trajectory timings on each workload's trajectory, at half,
+    # once and twice the grid's 1/h
+    writer = report["writer"]
+    assert [row["trajectory"] for row in writer] == ["trough-curved", "store-query"] * 3
+    assert [row["grid"]["value"] for row in writer] == [8] * 2 + [16] * 2 + [32] * 2
+    for row in writer:
+        assert row["grid"]["unit"] == "1/h" and row["snapshots"]["unit"] == "count"
+        assert row["save_trajectory_ms"]["unit"] == "ms" and row["save_trajectory_ms"]["value"] > 0
+    snapshots = [row["snapshots"]["value"] for row in writer]
+    assert snapshots[1::2] == [21] * 3 and min(snapshots[::2]) >= 2

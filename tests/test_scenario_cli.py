@@ -23,6 +23,7 @@ from fbmcf.io import (
     write_obj,
 )
 from fbmcf.monitors import DensityQuery, monotonicity_report
+from fbmcf.rescaling import parabolic_rescale
 from fbmcf.scenario import _CHECKS, _SECTIONS, _TOP_KEYS, load_scenario, validate_scenario
 from fbmcf.support import SupportPatch
 
@@ -212,13 +213,12 @@ def test_obj_format(tmp_path):
 
 
 def per_node_obj(X, faces=True):
-    """OBJ text written one node and one triangle at a time."""
+    """OBJ text written one node and one triangle at a time: X is a node grid
+    (n1, n2, 3), or, with faces False, any array of points (..., 3)."""
     lines = []
+    for x in X.reshape(-1, 3):
+        lines.append(f"v {x[0]:.17g} {x[1]:.17g} {x[2]:.17g}")
     n1, n2 = X.shape[:2]
-    for i in range(n1):
-        for j in range(n2):
-            x = X[i, j]
-            lines.append(f"v {x[0]:.17g} {x[1]:.17g} {x[2]:.17g}")
     for i in range(n1 - 1 if faces else 0):
         for j in range(n2 - 1):
             a = i * n2 + j + 1
@@ -292,12 +292,29 @@ def test_face_text_is_built_a_row_at_a_time():
     assert peak < 1_000_000
 
 
-@pytest.mark.parametrize("rows", [EDGE_ROWS, np.random.default_rng(5).random((7, 3))],
-                         ids=["repeated", "distinct"])
+# Shaped like scan_<name>.csv (px, py, pz, r, mass, flagged): lattice candidates,
+# one of them at -0.0, each repeated once per radius, a distinct mass per row
+# and 0/1 flags.  Fewer than half the values of the table are distinct, though
+# every mass is, so the masses are formatted through the lookup.
+MIXED_ROWS = np.column_stack([
+    np.repeat(0.125 * np.array([[-1.0, 0.0, 7.0], [-0.0, 1.0, 7.0], [1.0, 0.0, 8.0],
+                                [2.0, 1.0, 7.0]]), 3, axis=0),
+    np.tile([0.1, 0.15, 0.2], 4),
+    np.random.default_rng(3).random(12),
+    np.repeat([0.0, 1.0, 1.0, 0.0], 3),
+])
+
+
+@pytest.mark.parametrize("rows", [EDGE_ROWS, np.random.default_rng(5).random((7, 3)),
+                                  MIXED_ROWS], ids=["repeated", "distinct", "mixed"])
 def test_csv_bytes_match_per_row_writer(tmp_path, rows):
+    if rows is MIXED_ROWS:
+        assert 2 * len(np.unique(rows.view(np.int64))) <= rows.size
+        assert len(np.unique(rows[:, 4])) == len(rows)
     path = tmp_path / "rows.csv"
-    write_csv(str(path), ("a", "b", "c"), rows)
-    reference = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+    columns = "abcdef"[:rows.shape[1]]
+    write_csv(str(path), tuple(columns), rows)
+    reference = ",".join(columns) + "\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
                                     for row in rows.tolist())
     assert path.read_bytes() == reference.encode()
     back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -366,23 +383,25 @@ def test_save_trajectory_formats_kept_columns_once(tmp_path, monkeypatch):
     traj = trough_trajectory()
     Xs = [s.geometry().X for s in traj.snapshots]
     assert len(Xs) == 7
+    n = Xs[0][..., 0].size
     calls = []
-    real = fbmcf_io._column_fields
+    real = fbmcf_io._texts
 
-    def counted(column):
-        calls.append(np.ravel(column).view(np.int64).copy())
-        return real(column)
+    def counted(values):
+        calls.append(np.ravel(values).view(np.int64).copy())
+        return real(values)
 
-    monkeypatch.setattr(fbmcf_io, "_column_fields", counted)
+    monkeypatch.setattr(fbmcf_io, "_texts", counted)
     save_trajectory(str(tmp_path / "run"), traj)
-    vertex_calls = [c for c in calls if c.size == Xs[0][..., 0].size]
-
-    def count(j, X):
-        return sum(np.array_equal(c, np.ravel(X[..., j]).view(np.int64)) for c in vertex_calls)
-
-    assert count(0, Xs[0]) == 1 and count(1, Xs[0]) == 1
-    assert [count(2, X) for X in Xs] == [1] * 7
-    assert len(vertex_calls) == 2 + 7
+    # x and y, interleaved node by node, are formatted once for all the
+    # snapshots; z once per snapshot
+    kept = [c for c in calls if c.size == 2 * n]
+    opened = [c for c in calls if c.size == n]
+    assert len(kept) == 1
+    assert np.array_equal(kept[0], np.ravel(Xs[0][..., :2]).view(np.int64))
+    assert len(opened) == 7
+    assert all(np.array_equal(c, np.ravel(X[..., 2]).view(np.int64))
+               for c, X in zip(opened, Xs))
 
 
 def test_save_trajectory_memory_does_not_grow_with_snapshots(tmp_path):
@@ -702,7 +721,13 @@ def test_cli_rescale(finished_run):
         assert fh.readline().strip() == "deviation,sheets,fit_nx,fit_ny,fit_nz"
         vals = fh.readline().strip().split(",")
     assert int(vals[1]) >= 1
-    assert os.path.exists(os.path.join(finished_run, "frame.obj"))
+    # frame.obj holds the frame's sample points as they are, with no faces
+    traj = load_trajectory(finished_run)
+    frame = parabolic_rescale(traj, np.zeros(3), 0.002, 0.1, 0.0,
+                              patch=traj.snapshots[-1].patch)
+    X = frame.surface.samples().X
+    assert X.ndim == 2
+    assert (Path(finished_run) / "frame.obj").read_bytes() == per_node_obj(X, faces=False).encode()
 
 
 def test_cli_rescale_out_of_range_is_numerical(finished_run):
