@@ -23,16 +23,22 @@ reads it as it is and keeps:
   ``fundamental_forms`` time spent in ``chart_frames``;
 - run memory rows (``run_memory``), one per stride-1 run of the tilted plane
   u = 0.1 y1 over ``paraboloid:0.5`` at h = 1/grid with the default cfl,
-  each in a fresh process, to t_end 5e-4, 2e-3 and 4e-3 (71, 284 and 567
-  steps at h = 1/128): its step count, ``ru_maxrss`` and wall time.  Peak
-  memory that grows with the step count shows here; the benchmark's
-  ``trough-curved`` stores 7 snapshots and does not see it;
+  each in a fresh process, to t_end 0.0173, 0.0692 and 0.1384 (71, 284 and
+  567 steps at h = 1/128, whose steps are h r_dom / 16 = 2^-12 long at
+  most): its step count, ``ru_maxrss`` and wall time.  Peak memory that
+  grows with the step count shows here; the benchmark's ``trough-curved``
+  stores 2 snapshots and does not see it;
 - run fault rows (``run_faults``): in a fresh process, 50 ``fundamental_forms``
   calls on ``sphere_cap:2`` and then the ``trough-curved`` run (the tilted
   plane u = 0.1 y1 over ``paraboloid:0.5`` with kappa 0.5, chart radius 2,
   cfl 0.15, to t_end 6.01e-4) at h = 1/grid: the minor page faults
-  (``ru_minflt``) per sphere-cap call and per step of the run.  Memory the
-  allocator trims from the heap and takes back shows here as faults;
+  (``ru_minflt``) per sphere-cap call and per step and per stage (Euler
+  sub-step) of the run.  Memory the allocator trims from the heap and takes
+  back shows here as faults;
+- scheme rows (``scheme``), one per support ``sphere_cap:2`` and
+  ``paraboloid:0.5``: in this process, a run of u = 0.1 y1 + 0.2 y1^2 - 0.1 y2^2
+  at h = 1/grid with the default cfl to t_end 0.01: its steps, stages,
+  ``fundamental_forms`` calls and wall time;
 - chart kernel rows (``chart_kernel``), one per grid h = 2/grid, 1/grid and
   1/(2 grid) and support ``flat``, ``paraboloid:0.5`` and ``sphere_cap:2``
   with its catalog defaults: the median milliseconds and the mean minor page
@@ -53,12 +59,11 @@ reads it as it is and keeps:
   at h = 4/grid with [0.1, 0.15, 0.2] (h at most 1/8);
 - writer rows (``writer``), one per grid h = 2/grid, 1/grid and 1/(2 grid) and
   trajectory: the median milliseconds per call, over ``WRITER_CALLS`` calls in
-  this process, of ``save_trajectory`` on the ``trough-curved`` run (the
-  tilted plane u = 0.1 y1 over ``paraboloid:0.5`` with kappa 0.5, chart
-  radius 2, cfl 0.15, to t_end 6.01e-4, with its snapshot stride of 20 at
-  h = 1/128 scaled by the step count, so that it stores 7 snapshots at
-  h = 1/64 to 1/256) and on the ``store-query`` workload's 21 flat-support
-  snapshots.
+  this process, of ``save_trajectory`` on a trough run (the tilted plane
+  u = 0.1 y1 over ``paraboloid:0.5`` with kappa 0.5, chart radius 2 and
+  cfl 0.15, as in ``trough-curved``, but at stride 1 for six of its longest
+  steps, t_end = 6 h r_dom / 16, so that it stores 7 snapshots at every h)
+  and on the ``store-query`` workload's 21 flat-support snapshots.
 
 Nothing under ``perfbench/`` is changed.
 """
@@ -86,7 +91,8 @@ LAYERS = ("flow.step", "geometry.fundamental_forms", "support.chart_frames",
           "io.save_trajectory", "analytic.AnalyticSurface.integral")
 END_TO_END = (("untraced_wall_s", "trace.untraced_wall_s"), ("traced_wall_s", "trace.wall_s"))
 SEED = 1  # perfbench/run.py's own default
-MEMORY_T_ENDS = (5e-4, 2e-3, 4e-3)
+MEMORY_T_ENDS = (0.0173, 0.0692, 0.1384)
+SCHEME_PHIS = ("sphere_cap:2", "paraboloid:0.5")
 CHART_PHIS = ("flat", "paraboloid:0.5", "sphere_cap:2")
 CHART_CALLS = 50
 MONITOR_PROCESSES = 3
@@ -205,11 +211,13 @@ def faults_probe(grid):
     faults = _minflt() - f0
     if traj.error is not None:
         sys.exit(f"bench: faults probe stopped: {traj.stop_reason}")
-    steps = len(traj.monitors["t"]) - 1
+    steps, stages = traj.stats["steps"], traj.stats["stages"]
     return {"grid": {"value": grid, "unit": "1/h"},
             "sphere_cap_faults_per_call": {**sphere, "unit": "count"},
             "steps": {"value": steps, "unit": "count"},
-            "faults_per_step": {"value": faults / steps, "unit": "count"}}
+            "stages": {"value": stages, "unit": "count"},
+            "faults_per_step": {"value": faults / steps, "unit": "count"},
+            "faults_per_stage": {"value": faults / stages, "unit": "count"}}
 
 
 def chart_kernel(grid):
@@ -229,6 +237,42 @@ def chart_kernel(grid):
                     ("fundamental_forms", fundamental_forms, (s,))):
                 row[f"{name}_ms"], row[f"{name}_faults"] = _timed_calls(fn, *args)
             rows.append(row)
+    return rows
+
+
+def scheme(grid):
+    """The scheme rows: steps, stages, kernel calls and wall time of a run on each support."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from fbmcf import geometry
+    from fbmcf.flow import FlowConfig, run
+    from fbmcf.support import SupportPatch
+
+    kernel, calls = geometry.fundamental_forms, []
+
+    def counted(surface):
+        calls.append(None)
+        return kernel(surface)
+
+    rows = []
+    geometry.fundamental_forms = counted
+    try:
+        for phi in SCHEME_PHIS:
+            initial = geometry.GraphSurface.from_height(
+                lambda a, b: 0.1 * a + 0.2 * a * a - 0.1 * b * b,
+                SupportPatch.from_spec(phi), 1.0 / grid, 0.5)
+            calls.clear()
+            t0 = time.perf_counter()
+            traj = run(initial, FlowConfig(t_end=0.01))
+            wall = time.perf_counter() - t0
+            if traj.error is not None:
+                sys.exit(f"bench: scheme run stopped: {traj.stop_reason}")
+            rows.append({"grid": {"value": grid, "unit": "1/h"}, "phi": phi,
+                         "steps": {"value": traj.stats["steps"], "unit": "count"},
+                         "stages": {"value": traj.stats["stages"], "unit": "count"},
+                         "kernel_calls": {"value": len(calls), "unit": "count"},
+                         "wall_s": {"value": wall, "unit": "s"}})
+    finally:
+        geometry.fundamental_forms = kernel
     return rows
 
 
@@ -318,10 +362,9 @@ def writer(grid):
     rows = []
     with tempfile.TemporaryDirectory() as workdir:
         for n in (grid // 2, grid, 2 * grid):
-            # the step count grows as 1/h^2, and the stride with it
+            # six steps of the longest length h r_dom / 16 = 1 / (32 n)
             trough = run(_tilted(SupportPatch.paraboloid(0.5, kappa=0.5, chart_radius=2.0), n),
-                         FlowConfig(t_end=6.01e-4, cfl=0.15,
-                                    snapshot_stride=max(1, round(20 * (n / 128) ** 2))))
+                         FlowConfig(t_end=6.0 / (32 * n), cfl=0.15))
             if trough.error is not None:
                 sys.exit(f"bench: writer run stopped: {trough.stop_reason}")
             store = StoreQuery(SEED, 1.0 / n, workdir)
@@ -369,6 +412,7 @@ def main(argv=None):
               "monitor_memory": monitor_memory(args),
               "run_faults": _script_row(args, "--faults-probe"),
               "chart_kernel": chart_kernel(args.grid),
+              "scheme": scheme(args.grid),
               "scan_kernel": scan_kernel(args.grid),
               "writer": writer(args.grid)}
     path = Path(args.out) / f"BENCH_{args.pr}.json"

@@ -33,8 +33,11 @@ def command_run(args):
     echo = scenario.echo()
     files = save_trajectory(outdir, trajectory, echo)
     write_manifest(outdir, echo, trajectory.stop_reason, time.perf_counter() - t0, files)
-    print(f"stop_reason: {trajectory.stop_reason} "
-          f"({len(trajectory.snapshots)} snapshots in {outdir})")
+    st = trajectory.stats
+    taus = f"tau {st['tau_min']:.4g} to {st['tau_max']:.4g}, " if st["steps"] else ""
+    print(f"stop_reason: {trajectory.stop_reason} ({len(trajectory.snapshots)} snapshots in "
+          f"{outdir}; {st['steps']} steps, {taus}{st['stages']} stages, "
+          f"at most {st['s_max']} in one step)")
     return EXIT_OK if trajectory.error is None else _report(trajectory.error)
 
 

@@ -9,6 +9,7 @@ window is an artifact of the graph parametrization and carries Dirichlet
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,11 +42,17 @@ def shrinking_radius(R0, t):
 class FlowConfig:
     """Settings of one run.
 
-    cfl <= 1/4 is the whole stability rule.  A step is dt <= cfl h^2 / max eig(g^{ij})
-    (see `_stability_bound`), and a symmetric positive 2x2 matrix has
-    sum |g^{ij}| <= 2 max eig(g^{ij}), so dt sum |g^{ij}| / h^2 <= 2 cfl <= 1/2 at
-    every node: the weight 1 - 2 dt (g^{11} + g^{22}) / h^2 of a node's own height
-    in its update never turns negative.
+    `run` advances in RKL2 steps of length tau (see `_rkl2_step`), each made
+    of s explicit Euler sub-steps (`step`) of length w1 tau, w1 = 4 / (s^2 + s - 2),
+    and cfl bounds each sub-step.  cfl <= 1/4 is the whole stability rule of a
+    sub-step.  A sub-step is dt <= cfl h^2 / max eig(g^{ij}) (see `_stability_bound`),
+    and a symmetric positive 2x2 matrix has sum |g^{ij}| <= 2 max eig(g^{ij}), so
+    dt sum |g^{ij}| / h^2 <= 2 cfl <= 1/2 at every node: the weight
+    1 - 2 dt (g^{11} + g^{22}) / h^2 of a node's own height in its update never
+    turns negative.  The RKL2 step is stable but, unlike a single Euler step,
+    not monotone: from rough trough data at h = 1/64 (the tilted plane with
+    uniform noise of size 3.9e-3, eight draws) the area rose within one step
+    by up to 1.5e-7, where explicit steps let it rise by up to 1.6e-8.
     """
 
     t_end: float
@@ -84,13 +91,17 @@ class Trajectory:
 
     stop_reason is "completed", "blowup", or "<error class>: <message>" when an
     FbmcfError aborted the run; error then holds that exception, without its
-    traceback (in memory only; a reloaded trajectory has error None).
+    traceback (in memory only; a reloaded trajectory has error None).  stats
+    counts what `run` did: its completed steps, their stages (Euler
+    sub-steps), the shortest and longest step length tau (None before the
+    first step) and the most stages of one step.
     """
 
     snapshots: list
     monitors: dict = field(default_factory=dict)
     stop_reason: str = "completed"
     error: Exception = None
+    stats: dict = field(default_factory=dict)
 
     @property
     def times(self):
@@ -126,40 +137,118 @@ def _stability_bound(surface, config):
     return config.cfl * surface.h**2 / surface.geometry().ginv_max
 
 
+def _rhs(surface):
+    """The right-hand side L(u) = g^{ij} D2_ij u + f at every node."""
+    g = surface.geometry()
+    return _contract(components(g.ginv, 2), components(g.d2u, 2)) + g.coeff_f
+
+
+def _advance(surface, u_new, config, t_new):
+    """surface moved to heights u_new at t_new, its rim applied at t_new."""
+    u_new = _apply_rim(u_new, surface, config, t_new)
+    if not np.all(np.isfinite(u_new)):
+        raise NonFiniteError("non-finite height after step")
+    return surface.with_height(u_new, t=t_new)
+
+
 def step(surface, dt, config):
     """One explicit Euler step u + dt (g^{ij} D2_ij u + f); returns a new surface at t + dt.
 
     The new surface's chart range is checked where its geometry is built.
     """
-    g = surface.geometry()
-    a, f = components(g.ginv, 2), g.coeff_f
     dt_max = _stability_bound(surface, config)
     if dt > dt_max * (1.0 + 1e-9):
         raise CflViolationError(f"dt = {dt:g} exceeds cfl bound {dt_max:g}")
+    return _advance(surface, surface.u + dt * _rhs(surface), config, surface.t + dt)
 
-    u_new = surface.u + dt * (_contract(a, components(g.d2u, 2)) + f)
-    u_new = _apply_rim(u_new, surface, config, surface.t + dt)
 
-    if not np.all(np.isfinite(u_new)):
-        raise NonFiniteError("non-finite height after step")
-    return surface.with_height(u_new, t=surface.t + dt)
+def _step_length(surface, config):
+    """tau = rem / ceil(rem / (h r_dom / 16)), rem = t_end - t: the run's remaining
+    time cut into equal steps of at most h r_dom / 16.  The factor 1 - 1e-12 keeps
+    the rounding of t from adding a step where rem is a whole number of steps."""
+    rem = config.t_end - surface.t
+    return rem / math.ceil(rem / (surface.h * surface.r_dom / 16.0) * (1.0 - 1e-12))
+
+
+def _stage_count(tau, dt_fe):
+    """The fewest stages s >= 2 with tau <= dt_fe (s^2 + s - 2) / 4."""
+    s = max(2, math.ceil((math.sqrt(9.0 + 16.0 * tau / dt_fe) - 1.0) / 2.0))
+    s += tau > dt_fe * (s * s + s - 2) / 4.0           # the square root rounded down
+    s -= s > 2 and tau <= dt_fe * (s * s - s - 2) / 4.0   # or up
+    return s
+
+
+def _rkl2_coefficients(s):
+    """w1 and, for j = 2 .. s, (mu_j, nu_j, gamma_j, c_j) of the s-stage RKL2 scheme
+    (Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014), with gamma_j standing
+    for their gamma~_j.  The stage times c_j tau, c_j = (j^2 + j - 2) / (s^2 + s - 2),
+    solve their recurrence c_j = mu_j c_{j-1} + nu_j c_{j-2} + mu_j w1 + gamma_j
+    from c_0 = 0 and c_1 = w1 / 3 in closed form, and c_s = 1 exactly."""
+    w1 = 4.0 / (s * s + s - 2)
+    b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(3, s + 1)]
+    stages = []
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        stages.append((mu, nu, -(1.0 - b[j - 1]) * mu * w1, (j * j + j - 2) / (s * s + s - 2)))
+    return w1, tuple(stages)
+
+
+def _rkl2_stages(surface, tau, s, config):
+    """The s-stage RKL2 step of length tau from surface; returns the surface at t + tau.
+
+    With Y_0 = surface, Y_1 = step(Y_0, w1 tau / 3) and, for j >= 2,
+    Y_j = mu_j step(Y_{j-1}, w1 tau) + nu_j Y_{j-2} + (1 - mu_j - nu_j) Y_0
+    + gamma_j tau L(Y_0), with the rim applied again at t + c_j tau.  The step
+    is second order in time and, for a linear operator, stable where the Euler
+    step of length w1 tau is.
+    """
+    w1, stages = _rkl2_coefficients(s)
+    u0, t, tau_l0 = surface.u, surface.t, tau * _rhs(surface)
+    prev2, prev = surface, step(surface, w1 * tau / 3.0, config)
+    for mu, nu, gamma, c in stages:
+        u = (mu * step(prev, w1 * tau, config).u + nu * prev2.u
+             + (1.0 - mu - nu) * u0 + gamma * tau_l0)
+        prev2, prev = prev, _advance(surface, u, config, t + c * tau)
+    return prev
+
+
+def _rkl2_step(surface, tau, config):
+    """One RKL2 step of length tau; returns the surface at t + tau and its stage count.
+
+    The count starts at the fewest stages whose Euler sub-step w1 tau keeps
+    within the stability bound of surface.  Where a later stage's own bound is
+    smaller, its `step` refuses the sub-step, and the step is taken again with
+    one more stage, up to twice the first count.
+    """
+    first = s = _stage_count(tau, _stability_bound(surface, config))
+    while True:
+        try:
+            return _rkl2_stages(surface, tau, s, config), s
+        except CflViolationError:
+            if s == 2 * first:
+                raise
+            s += 1
 
 
 def run(initial, config):
-    """Drive the flow to t_end, recording monitor series and snapshots.
+    """Drive the flow to t_end in RKL2 steps, recording monitor series and snapshots.
 
-    An FbmcfError from the geometry or the step ends the run with what it has
-    recorded so far.  The surface only advances once its geometry exists, so
-    every stored snapshot can be written out.  `GraphSurface.geometry` keeps
-    only the geometry it built last, so a stored snapshot carries its heights,
-    `geometry()` on it rebuilds the same geometry from them on demand, and a
-    run holds one geometry at a time.
+    Every step has the length `_step_length` and the stage count that
+    `_rkl2_step` gives it.  An FbmcfError from the geometry, a step or one of
+    its stages ends the run with what it has recorded so far.  The surface only
+    advances once a whole step is done and its geometry exists, so every stored
+    snapshot can be written out.  Monitors are recorded once per step, from the
+    geometry of the step's first surface, which its first stage reads too.
+    `GraphSurface.geometry` keeps only the geometry it built last, so a stored
+    snapshot carries its heights, `geometry()` on it rebuilds the same geometry
+    from them on demand, and a run holds one geometry at a time.
     """
     surface = initial
     mon = {k: [] for k in ("t", "area", "perimeter", "energy", "max_H", "max_A")}
     snapshots = []
     stop_reason, error = "completed", None
-    step_count = 0
+    stats = {"steps": 0, "stages": 0, "tau_min": None, "tau_max": None, "s_max": 0}
     try:
         g = surface.geometry()
         snapshots.append(surface)
@@ -176,16 +265,20 @@ def run(initial, config):
             if surface.h * max_a >= config.blowup_threshold:
                 stop_reason = "blowup"
                 break
-            if surface.t >= config.t_end - 1e-14 or step_count >= MAX_STEPS:
+            if surface.t >= config.t_end - 1e-14 or stats["steps"] >= MAX_STEPS:
                 break
 
-            dt = min(_stability_bound(surface, config), config.t_end - surface.t)
-            new = step(surface, dt, config)
-            del g   # so the held geometry goes before the new one is built
+            tau = _step_length(surface, config)
+            del g   # so the held geometry goes before the stages build theirs
+            new, s = _rkl2_step(surface, tau, config)
             g = new.geometry()
             surface = new
-            step_count += 1
-            if step_count % config.snapshot_stride == 0:
+            stats["steps"] += 1
+            stats["stages"] += s
+            stats["tau_min"] = min(tau, stats["tau_min"] or tau)
+            stats["tau_max"] = max(tau, stats["tau_max"] or tau)
+            stats["s_max"] = max(s, stats["s_max"])
+            if stats["steps"] % config.snapshot_stride == 0:
                 snapshots.append(surface)
     except FbmcfError as err:
         # kept without its traceback, which would pin the frames of the run
@@ -194,7 +287,7 @@ def run(initial, config):
     if snapshots and snapshots[-1] is not surface:
         snapshots.append(surface)
     mon = {k: np.array(v) for k, v in mon.items()}
-    return Trajectory(snapshots, mon, stop_reason, error)
+    return Trajectory(snapshots, mon, stop_reason, error, stats)
 
 
 # ---------------------------------------------------------------------------

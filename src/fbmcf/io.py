@@ -152,7 +152,7 @@ def save_trajectory(outdir, trajectory, scenario_echo=None):
     write_csv(os.path.join(outdir, "monitors.csv"), MONITOR_COLUMNS,
               np.column_stack([trajectory.monitors[c] for c in MONITOR_COLUMNS]))
     files.append("monitors.csv")
-    meta = {"stop_reason": trajectory.stop_reason, "snapshots": []}
+    meta = {"stop_reason": trajectory.stop_reason, "stats": trajectory.stats, "snapshots": []}
     if scenario_echo is not None:
         meta["scenario"] = scenario_echo
     snaps = trajectory.snapshots
@@ -187,7 +187,8 @@ def load_trajectory(outdir):
     if os.path.exists(mon_path):
         raw = np.genfromtxt(mon_path, delimiter=",", names=True)
         monitors = {c: np.atleast_1d(raw[c]) for c in raw.dtype.names}
-    return Trajectory(snaps, monitors, meta.get("stop_reason", "completed"))
+    return Trajectory(snaps, monitors, meta.get("stop_reason", "completed"),
+                      stats=meta.get("stats", {}))
 
 
 def sha256_file(path):

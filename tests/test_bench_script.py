@@ -46,13 +46,22 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
     assert store["monitors.monotonicity_report.ms_per_call"]["value"] > 0
     # one fresh-process stride-1 run per t_end, on the same grid
     memory = report["run_memory"]
-    assert [row["t_end"]["value"] for row in memory] == [5e-4, 2e-3, 4e-3]
+    assert [row["t_end"]["value"] for row in memory] == [0.0173, 0.0692, 0.1384]
     units = {"t_end": "sim_t", "steps": "count", "peak_rss_mb": "MB", "wall_s": "s"}
     for row in memory:
         assert {key: row[key]["unit"] for key in units} == units
         assert all(row[key]["value"] > 0 for key in units)
     steps = [row["steps"]["value"] for row in memory]
     assert steps == sorted(steps) and steps[0] < steps[-1]
+    # one run per support to t_end 0.01: each step takes at least two stages, and
+    # every stage and the initial surface build one geometry
+    scheme = report["scheme"]
+    assert [row["phi"] for row in scheme] == ["sphere_cap:2", "paraboloid:0.5"]
+    for row in scheme:
+        assert row["grid"] == {"value": 16, "unit": "1/h"}
+        steps, stages = row["steps"]["value"], row["stages"]["value"]
+        assert steps > 0 and stages >= 2 * steps and row["kernel_calls"]["value"] == stages + 1
+        assert row["wall_s"]["unit"] == "s" and row["wall_s"]["value"] > 0
     # in-process chart kernel timings and page faults on each support, at half,
     # once and twice the grid's 1/h
     kernel = report["chart_kernel"]
@@ -66,7 +75,9 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
     # a fresh-process trough run after a sphere-cap phase: faults per step
     faults = report["run_faults"]
     assert faults["grid"]["value"] == 16 and faults["steps"]["value"] > 0
-    assert faults["faults_per_step"]["unit"] == "count" and faults["faults_per_step"]["value"] >= 0
+    assert faults["stages"]["value"] >= 2 * faults["steps"]["value"]
+    for key in ("faults_per_step", "faults_per_stage"):
+        assert faults[key]["unit"] == "count" and faults[key]["value"] >= 0
     assert faults["sphere_cap_faults_per_call"]["value"] >= 0
     # fresh-process `fbmcf monitor` runs on the stored 21-snapshot run
     monitor = report["monitor_memory"]
@@ -93,4 +104,4 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
         assert row["grid"]["unit"] == "1/h" and row["snapshots"]["unit"] == "count"
         assert row["save_trajectory_ms"]["unit"] == "ms" and row["save_trajectory_ms"]["value"] > 0
     snapshots = [row["snapshots"]["value"] for row in writer]
-    assert snapshots[1::2] == [21] * 3 and min(snapshots[::2]) >= 2
+    assert snapshots == [7, 21] * 3

@@ -93,7 +93,7 @@ def test_grid_data_is_built_once_per_grid(monkeypatch):
     monkeypatch.setattr(geometry, "disk_cell_weights", counted)
     patch = SupportPatch.paraboloid(0.5, kappa=0.5, chart_radius=2.0)
     s = GraphSurface.from_height(lambda a, b: 0.1 * a, patch, 1 / 32, 0.5)
-    traj = run(s, FlowConfig(t_end=0.01, cfl=0.15))
+    traj = run(s, FlowConfig(t_end=0.05, cfl=0.15))
     assert traj.stop_reason == "completed" and len(traj.monitors["t"]) > 50
     assert len(calls) == 1   # the cache was cleared above: the one build of this grid
     assert s.with_height(2.0 * s.u).grid is s.grid

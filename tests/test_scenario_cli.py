@@ -329,16 +329,16 @@ def test_csv_without_rows_is_header_only(tmp_path):
 
 
 def trough_trajectory():
-    """Tilted plane over the paraboloid trough at h = 1/32: 70 steps, 7 snapshots.
+    """Tilted plane over the paraboloid trough at h = 1/32: 6 steps, 7 snapshots.
     X0 and X1 come from the patch's chart memo."""
     patch = SupportPatch.paraboloid(0.5, kappa=0.5, chart_radius=2.0)
     return run(GraphSurface.from_height(lambda a, b: 0.1 * a, patch, 1 / 32, 0.5),
-               FlowConfig(t_end=6e-3, cfl=0.15, snapshot_stride=12))
+               FlowConfig(t_end=5.8e-3, cfl=0.15, snapshot_stride=1))
 
 
 def flat_trajectory():
     return run(GraphSurface.sphere_cap(1.0, 1 / 32, 0.25),
-               FlowConfig.for_sphere(1.0, 0.002, snapshot_stride=5))
+               FlowConfig.for_sphere(1.0, 0.002, snapshot_stride=2))
 
 
 def hand_built_trajectory(monkeypatch):
@@ -409,7 +409,7 @@ def test_save_trajectory_memory_does_not_grow_with_snapshots(tmp_path):
     # snapshot at a time, so 80 snapshots peak about where 10 do
     patch = SupportPatch.paraboloid(0.5, kappa=0.5, chart_radius=2.0)
     traj = run(GraphSurface.from_height(lambda a, b: 0.1 * a, patch, 1 / 32, 0.5),
-               FlowConfig(t_end=7.5e-3, cfl=0.15, snapshot_stride=1))
+               FlowConfig(t_end=0.078, cfl=0.15, snapshot_stride=1))
     assert traj.stop_reason == "completed" and len(traj.snapshots) >= 80
     peaks = {}
     for n in (10, 80):
@@ -427,7 +427,7 @@ def sphere_cap_trajectory():
     """A run over a profile that reads y3, whose chart is never memoised."""
     patch = SupportPatch.sphere_cap(2.0)
     return run(GraphSurface.from_height(lambda a, b: 0.1 * a, patch, 1 / 32, 0.5),
-               FlowConfig(t_end=2e-3, snapshot_stride=10))
+               FlowConfig(t_end=2e-3, snapshot_stride=1))
 
 
 @pytest.mark.parametrize("make", [trough_trajectory, flat_trajectory, sphere_cap_trajectory],
@@ -585,6 +585,23 @@ def test_cli_run_outputs(finished_run):
         manifest = json.load(fh)
     assert manifest["stop_reason"] == "completed"
     assert all(len(sha) == 64 for sha in manifest["files"].values())
+
+
+def test_cli_run_prints_and_stores_the_run_stats(tmp_path, capsys):
+    # the summary line and trajectory.json carry what run() counted; a reload keeps it
+    out = str(tmp_path / "out")
+    path = write_scenario(tmp_path, SPHERE_YAML.format(out=out))
+    assert main(["run", path]) == 0
+    scenario = load_scenario(path)
+    stats = run(scenario.build_initial(), scenario.build_flow_config()).stats
+    low, high, stages, s_max = (stats[k] for k in ("tau_min", "tau_max", "stages", "s_max"))
+    assert stats["steps"] == 9 and 0 <= high - low <= 1e-15 and 18 <= stages <= 9 * s_max
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"stop_reason: completed (2 snapshots in {out}; 9 steps, tau {low:.4g} to {high:.4g}, "
+        f"{stages} stages, at most {s_max} in one step)")
+    with open(os.path.join(out, "trajectory.json")) as fh:
+        assert json.load(fh)["stats"] == stats
+    assert load_trajectory(out).stats == stats
 
 
 def test_cli_monitor(finished_run, tmp_path):
