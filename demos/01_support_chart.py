@@ -13,8 +13,8 @@ import numpy as np
 from fbmcf.support import (
     SupportPatch,
     chart_coords,
+    chart_frames,
     project_and_distance,
-    pullback_metric,
     reflect,
     tubular_map,
     verify_kappa_condition,
@@ -39,10 +39,11 @@ Xr = reflect(patch, X)
 print("double reflection error",
       np.max(np.abs(reflect(patch, Xr) - X)))
 
-# the pullback metric is orthonormal in the distance direction:
-# h_22 = 1 and h_12 = h_32 = 0 at every chart point
-h = pullback_metric(patch, Y)
-print("h_22 =", h[1, 1], "  h_12 =", h[0, 1], "  h_32 =", h[2, 1])
+# the pullback metric h_ij = dPhi_i . dPhi_j is orthonormal in the distance
+# direction: h_22 = 1 and h_12 = h_32 = 0 at every chart point
+dPhi = chart_frames(patch, *Y, order=1)["dPhi"]
+h = (dPhi * dPhi[:, 1:2]).sum(axis=0)   # h_i2 = dPhi_i . dPhi_2
+print("h_22 =", h[1], "  h_12 =", h[0], "  h_32 =", h[2])
 
 # the declared curvature bound is checked against the profile's closed-form
 # sups of |Hess phi|, |D^3 phi| and Lip D^3 phi over the chart disk, and

@@ -46,7 +46,8 @@ reads it as it is and keeps:
   grid's axes and of ``fundamental_forms``, for the tilted plane u = 0.1 y1.
   On the trough every ``fundamental_forms`` call after the first reads the
   cross section kept in the patch's chart memo, as the steps of a run do;
-  the flat support evaluates no chart there.  No benchmark workload runs a
+  the flat support and the sphere cap, whose kernel is in closed form,
+  evaluate no chart there.  No benchmark workload runs a
   sphere cap, so these rows are its only timing;
 - monitor memory rows (``monitor_memory``): ``fbmcf monitor`` with the
   ``store-query`` query file (two density series over all 21 snapshots and a

@@ -21,6 +21,7 @@ from .analytic import FieldSample
 from .errors import FbmcfError, SingularMetricError
 from .rescaling import FrameSurface
 from .support import (
+    SphereCapProfile,
     SupportPatch,
     _check_range,
     chart_coords,
@@ -271,8 +272,9 @@ _PAIRS = ((0, 0), (0, 1), (1, 1))
 
 class Section(NamedTuple):
     """At a grid's nodes, the cross section of the cylinder chart Phi(Y) = (psi(y1, y2), y3) of a
-    profile that ignores y3.  Read-only; psi_0 and psi_1 hold an exact 0 as +0.0, as dPhi_i + 0 u_i
-    does in `_generic_front`, so both front halves give the same bits."""
+    profile that ignores y3.  Read-only; psi_0 and psi_1 hold an exact 0 as +0.0: on the trough's
+    axis y1 = 0 its closed form gives nu_0 = -s/W = -0.0, which would give N there zeros of the
+    other sign than on the flat support."""
 
     X01: tuple      # psi
     dpsi: tuple     # (psi_0, psi_1)
@@ -287,7 +289,7 @@ class Section(NamedTuple):
 
     @classmethod
     def of(cls, fr):
-        """The section of `chart_frames` data on a grid's axes whose nu lies on the y1 axis."""
+        """The section of order-2 `chart_frames` data of a profile that ignores y3."""
         X, dPhi, nu = components(fr["X"], 1), components(fr["dPhi"], 2), components(fr["nu"], 1)
         dpsi = tuple(tuple(c + 0.0 for c in col) for col in (dPhi[:2, 0], nu[:2]))
         J = dpsi[0][0] * dpsi[1][1] - dpsi[0][1] * dpsi[1][0]
@@ -299,20 +301,17 @@ class Section(NamedTuple):
 
 
 def _chart(surface, order=2):
-    """The chart at the surface's nodes: a `Section` where the profile ignores y3, else the
-    `chart_frames` dict.  A curved patch's section is built from the chart evaluated on the
-    grid's axes (n1, 1) and (1, n2) where nu comes back on the y1 axis, and kept in its
-    `chart_memo` under the grid's key; order 1 (`positions`) skips d2Phi and keeps nothing."""
+    """The chart at the surface's nodes of a profile that ignores y3 as a `Section`, or at order 1
+    (`positions`) of any profile the `chart_frames` dict where no section is at hand.  A curved
+    patch's section is built from the chart evaluated on the grid's axes (n1, 1) and (1, n2) and
+    kept in its `chart_memo` under the grid's key; order 1 skips d2Phi and keeps nothing."""
     U, patch, grid = surface.u, surface.patch, surface.grid
     sec = Section.flat(grid) if patch.is_flat else patch.chart_memo.get(grid.key)
     if sec is not None:
         _check_range(patch, grid.r2, U)
         return sec
-    y1, y2 = grid.y1[:, None], grid.y2[None, :]
-    fr = chart_frames(patch, y1, y2, U, order=order)
-    if order < 2 or components(fr["nu"], 1).shape[1:] != y1.shape:
-        return fr
-    return patch.chart_memo.setdefault(grid.key, Section.of(fr))
+    fr = chart_frames(patch, grid.y1[:, None], grid.y2[None, :], U, order=order)
+    return fr if order < 2 else patch.chart_memo.setdefault(grid.key, Section.of(fr))
 
 
 def _det_and_normal(g, cross, N):
@@ -340,49 +339,54 @@ def _section_front(sec, U, u, X, g, N):
     return det, N[2], B + (0.0,) if B else None
 
 
-def _generic_front(fr, U, u, X, g, N):
-    """X, g and N of any chart, where T_i = dPhi_i + u_i dPhi_2; returns det g, N . dPhi_2 and
-    B_ij = n_ij + n_i2 u_j + n_j2 u_i + n_22 u_i u_j, n_ab = N . d2Phi_ab (None without d2Phi)."""
-    X[:] = components(fr["X"], 1)
-    dPhi, d2Phi = components(fr["dPhi"], 2), fr.get("d2Phi")
-    T = [[dPhi[c, i] + dPhi[c, 2] * u[i] for c in range(3)] for i in range(2)]
+def _sphere_front(R, grid, U, u, X, g, N):
+    """X, g and N of the sphere cap's chart X = C + t (S - C), C = (0, R, 0), S = (y1, R - w, u),
+    w = sqrt(R^2 - y1^2 - u^2), t = 1 - y2/R: T_0 = t (1, (y1 + u_0 u)/w, u_0) and
+    T_1 = t u_1 (0, u/w, 1) + nu, nu = (-y1, w, -u)/R.  Returns det g, N . dPhi_2 = t k with
+    k = N_1 u/w + N_2, and B_ij, in which S's second derivatives have a y-component only."""
+    y1, y2 = grid.y1[:, None], grid.y2[None, :]
+    w = np.sqrt(R * R - y1 * y1 - U * U)
+    nu = (-y1 / R, w / R, -U / R)
+    X[0], X[1], X[2] = y1 + y2 * nu[0], (R - w) + y2 * nu[1], U + y2 * nu[2]   # as `chart_frames`
+    t, b = 1.0 - y2 / R, U / w
+    tu1 = t * u[1]
+    T = ((t, t * ((y1 + u[0] * U) / w), t * u[0]), (nu[0], tu1 * b + nu[1], tu1 + nu[2]))
     for i, j in _PAIRS:
         g[i, j] = T[i][0] * T[j][0] + T[i][1] * T[j][1] + T[i][2] * T[j][2]
     cross = (T[0][1] * T[1][2] - T[0][2] * T[1][1], T[0][2] * T[1][0] - T[0][0] * T[1][2],
              T[0][0] * T[1][1] - T[0][1] * T[1][0])
     det = _det_and_normal(g, cross, N)
-    phi3N = dPhi[0, 2] * N[0] + dPhi[1, 2] * N[1] + dPhi[2, 2] * N[2]
+    k = N[1] * b + N[2]
+    phi3N = t * k
     if np.any(phi3N >= 0.0):
         raise SingularMetricError("chart is folded past a focal point of the support")
-    if d2Phi is None:
-        return det, phi3N, None
-    # d2Phi_11 = 0, as y2 is a distance
-    n = {ab: N[0] * d2Phi[ab][0] + N[1] * d2Phi[ab][1] + N[2] * d2Phi[ab][2] for ab in d2Phi}
-    n[1, 1] = 0.0
-    return det, phi3N, tuple(n[i, j] + n[i, 2] * u[j] + n[j, 2] * u[i] + n[2, 2] * (u[i] * u[j])
-                             for i, j in _PAIRS)
+    q, c = t * N[1] / (w * w * w), R * R - y1 * y1
+    return det, phi3N, (q * (R * R - U * U + 2.0 * y1 * U * u[0] + c * u[0] * u[0]),
+                        q * u[1] * (y1 * U + c * u[0]), q * c * u[1] * u[1] - 2.0 * k * u[1] / R)
 
 
 def fundamental_forms(surface):
     """Induced metric, second fundamental form, curvature, and quadrature data.
 
     Chart index 2 carries the height: g_ij = T_i . T_j for T_i = dPhi_i + u_i dPhi_2 and
-    N = -(T_0 x T_1) / |T_0 x T_1|.  A front half (`_section_front` where the profile ignores
-    y3, else `_generic_front`) gives g, N and B_ij = N . d2Phi(T~_i, T~_j), T~_i = e_i + u_i e_2;
+    N = -(T_0 x T_1) / |T_0 x T_1|.  A closed-form front half (`_sphere_front` on a sphere cap,
+    else `_section_front`) gives g, N and B_ij = N . d2Phi(T~_i, T~_j), T~_i = e_i + u_i e_2;
     the back half A_ij = B_ij + (N . dPhi_2) D2_ij u, f = g^ij B_ij / (N . dPhi_2), H, |A|^2
     and dA.  Every plane goes into one (29, n1, n2) block, which a step frees and takes again.
     As det dPhi = -|T_0 x T_1| (N . dPhi_2), SingularMetricError is raised where det g <= 0 or,
     after that, N . dPhi_2 >= 0 (a chart folded past a focal point), and ChartRangeError
     where a point (y1, y2, u) leaves the chart radius.
     """
-    U, grid = surface.u, surface.grid
+    U, grid, patch = surface.u, surface.grid, surface.patch
     block = np.empty((29,) + U.shape)
     X, N, u, d2u, g, ginv, A, (H, A2, sqrtg, dA, f) = np.split(block, (3, 6, 8, 12, 16, 20, 24))
     d2u, g, ginv, A = (a.reshape((2, 2) + U.shape) for a in (d2u, g, ginv, A))
     _derivative_planes(U, surface.h, out=(u, d2u))
-    chart = _chart(surface)
-    front = _section_front if isinstance(chart, Section) else _generic_front
-    det, phi3N, B = front(chart, U, u, X, g, N)
+    if isinstance(patch.profile, SphereCapProfile):
+        _check_range(patch, grid.r2, U)
+        det, phi3N, B = _sphere_front(patch.profile.R, grid, U, u, X, g, N)
+    else:
+        det, phi3N, B = _section_front(_chart(surface), U, u, X, g, N)
     g[1, 0] = g[0, 1]
     np.divide(g[::-1, ::-1], det, out=ginv)   # g^01 = -g_01 / det, negated below
     ginv[0, 1] = ginv[1, 0] = -ginv[0, 1]

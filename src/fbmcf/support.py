@@ -40,8 +40,10 @@ def components(a, k):
 #
 # `chart(p, d, q, order)` returns the component-first X, dPhi, nu and, for
 # order >= 2, d2Phi (else None) of `chart_frames` at float arrays (y1, y2, y3).
-# A d2Phi pair with the distance y2 is d_a nu; a tangent pair is
-# y2 d_ab nu + d_ab (y1, phi, y3).
+# d2Phi holds the pairs (0, 0) = y2 d_11 nu + d_11 (y1, phi, y3) and
+# (0, 1) = d_1 nu, which a cylinder chart's `geometry.Section` reads.
+#
+# `rescale(lam)` returns the catalog profile phi(lam y)/lam.
 #
 # `bounds(rho)` returns (sup |D^2 phi|, sup |D^3 phi|, Lip D^3 phi, inf H)
 # over the disk |(y1, y3)| <= rho: the Hessian's spectral norm, the largest
@@ -63,8 +65,10 @@ class FlatProfile:
         nu = np.zeros((3,) + p.shape)
         nu[1] = 1.0
         z = np.zeros(p.shape)
-        d2Phi = dict.fromkeys(((0, 0), (0, 1), (0, 2), (1, 2), (2, 2)), (z, z, z))
-        return X, dPhi, nu, d2Phi if order >= 2 else None
+        return X, dPhi, nu, dict.fromkeys(((0, 0), (0, 1)), (z, z, z)) if order >= 2 else None
+
+    def rescale(self, lam):
+        return self
 
     def bounds(self, rho):
         return 0.0, 0.0, 0.0, 0.0
@@ -106,9 +110,11 @@ class ParaboloidProfile:
         m = a * a / W**5
         z = np.zeros(p.shape)
         d2Phi = {(0, 0): (d * (3.0 * m * s), a + d * (m * (2.0 * s * s - 1.0)), z),
-                 (0, 1): (k, k * s, z), (0, 2): (z, z, z), (1, 2): (z, z, z),
-                 (2, 2): (z, z, z)}
+                 (0, 1): (k, k * s, z)}
         return X, dPhi, nu, d2Phi
+
+    def rescale(self, lam):
+        return ParaboloidProfile(self.a * lam)
 
     def bounds(self, rho):
         # D^2 phi is constant; H = a/(1 + a^2 y1^2)^(3/2) is least at the rim
@@ -148,12 +154,13 @@ class SphereCapProfile:
         dPhi[:, 1] = nu
         if order < 2:
             return X, dPhi, nu, None
-        w3 = w2 * w
-        z, r = np.zeros(w.shape), np.full(w.shape, -1.0 / R)
-        d2Phi = {(0, 1): (r, -g0 / R, z), (1, 2): (z, -g1 / R, r),
-                 (0, 0): (z, t * ((R * R - q * q) / w3), z), (0, 2): (z, t * (p * q / w3), z),
-                 (2, 2): (z, t * ((R * R - p * p) / w3), z)}
+        z = np.zeros(w.shape)
+        d2Phi = {(0, 1): (np.full(w.shape, -1.0 / R), -g0 / R, z),
+                 (0, 0): (z, t * ((R * R - q * q) / (w2 * w)), z)}
         return X, dPhi, nu, d2Phi
+
+    def rescale(self, lam):
+        return SphereCapProfile(self.R / lam)
 
     def bounds(self, rho):
         # phi is radial and every bound is reached at the rim, w = sqrt(R^2 - rho^2)
@@ -163,28 +170,6 @@ class SphereCapProfile:
         w = math.sqrt(R * R - rho * rho)
         return (R * R / w**3, 3.0 * rho * R * R / w**5,
                 3.0 * R * R * (R * R + 4.0 * rho * rho) / w**7, 2.0 / R)
-
-
-class ScaledProfile:
-    """phi^lam(y) = phi(lam*y)/lam, the profile of Gamma/lam: Phi^lam(Y) = Phi(lam Y)/lam."""
-
-    def __init__(self, base, lam):
-        self.base = base
-        self.lam = float(lam)
-        self.curvature = self.lam * base.curvature
-        self.name = f"{base.name}@/{_spec_text(self.lam)}"
-
-    def chart(self, p, d, q, order=2):
-        lam = self.lam
-        X, dPhi, nu, d2Phi = self.base.chart(lam * p, lam * d, lam * q, order)
-        if d2Phi is not None:
-            d2Phi = {ab: tuple(lam * c for c in pair) for ab, pair in d2Phi.items()}
-        return X / lam, dPhi, nu, d2Phi
-
-    def bounds(self, rho):
-        lam = self.lam
-        b2, b3, b4, H = self.base.bounds(lam * rho)
-        return lam * b2, lam**2 * b3, lam**3 * b4, lam * H
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +234,8 @@ class SupportPatch:
     @classmethod
     def from_spec(cls, phi, kappa=None, chart_radius=None):
         """Catalog lookup: 'flat', 'paraboloid:a', 'sphere_cap:R', and
-        '<spec>@/lam', the name `rescale(lam)` gives the patch of <spec>.
+        '<spec>@/lam', an older name of `from_spec(<spec>).rescale(lam)` that
+        stored runs may carry.
 
         A flat patch ignores kappa; a left-out value takes the constructor's
         default, or for '<spec>@/lam' the value of `from_spec(<spec>).rescale(lam)`.
@@ -282,13 +268,12 @@ class SupportPatch:
         return self.kind == "flat"
 
     def rescale(self, lam):
-        """The patch of Gamma/lam; satisfies the (lam*kappa)-graph condition."""
+        """The patch of Gamma/lam on the catalog profile phi(lam y)/lam, a (lam*kappa)-graph; kappa
+        is raised to the profile's curvature where 1/(R/lam) rounds above lam * (1/R)."""
         lam = float(lam)
-        if self.is_flat:
-            return SupportPatch("flat", FlatProfile(), 0.0, self.chart_radius / lam)
-        return SupportPatch(
-            self.kind, ScaledProfile(self.profile, lam), lam * self.kappa, self.chart_radius / lam
-        )
+        profile = self.profile.rescale(lam)
+        return replace(self, profile=profile, kappa=max(lam * self.kappa, profile.curvature),
+                       chart_radius=self.chart_radius / lam)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +299,10 @@ def chart_frames(patch, y1, y2, y3, order=2):
     depend on y3 -- and only products with the distance y2 fill the full shape.
     Returns a dict with 'X' (..., 3) and 'dPhi' (..., 3, i) over the full shape,
     component-first views (see `trailing`), 'nu' (..., 3) and, for order >= 2,
-    'd2Phi', mapping the chart pairs (0, 0), (0, 1), (0, 2), (1, 2) and (2, 2)
-    to their three ambient components; d2Phi_11 = 0, as y2 is a distance.
-    The profile states them in closed form (see its `chart`).
+    'd2Phi', mapping the chart pairs (0, 0) and (0, 1), all that a cylinder
+    chart's cross section has besides d2Phi_11 = 0 (y2 is a distance), to
+    their three ambient components.  The profile states them in closed form
+    (see its `chart`).
     """
     p, d, q = (np.asarray(y, dtype=float) for y in (y1, y2, y3))
     _check_range(patch, p * p + d * d, q)
@@ -389,18 +375,6 @@ def in_complementary_ball(patch, P, r, X):
     Xr = tubular_map(patch, Yr)
     in_ball = np.linalg.norm(Xr - P, axis=-1) < r
     return inside & in_ball
-
-
-def pullback_metric(patch, Y):
-    """Pull-back metric h_ij = dPhi_i . dPhi_j at the chart points Y (..., 3)."""
-    Y = np.asarray(Y, dtype=float)
-    dPhi = components(chart_frames(patch, *components(Y, 1), order=1)["dPhi"], 2)
-    h = np.empty((3,) + dPhi.shape[1:])
-    for i in range(3):
-        for j in range(i, 3):
-            h[i, j] = h[j, i] = (dPhi[0, i] * dPhi[0, j] + dPhi[1, i] * dPhi[1, j]
-                                 + dPhi[2, i] * dPhi[2, j])
-    return trailing(h, 2)
 
 
 # ---------------------------------------------------------------------------

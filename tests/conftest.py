@@ -30,19 +30,25 @@ def checkout_python():
 
 
 class GeometryLog:
-    """Stands in for `geometry.fundamental_forms` and keeps a weak reference to each
-    geometry it builds and to the surface it was built for.  With `exclusive` set,
-    a build that starts while an earlier logged geometry is alive fails."""
+    """Stands in for `geometry.fundamental_forms`: counts its builds in `builds` and keeps a
+    weak reference to each geometry it builds and, with the build's number, to the surface
+    it was built for.  A reference is dropped once what it names is gone, so the log grows
+    with the surfaces a run keeps, not with its kernel calls.  With `exclusive` set, a build
+    that starts while an earlier logged geometry is alive fails."""
 
     def __init__(self, real):
-        self.real, self.geometries, self.surfaces, self.exclusive = real, [], [], False
+        self.real, self.builds, self.geometries, self.surfaces = real, 0, [], []
+        self.exclusive = False
 
     def __call__(self, surface):
         if self.exclusive:
             assert self.alive() == 0, "a build started while another geometry was alive"
         g = self.real(surface)
+        self.geometries = [ref for ref in self.geometries if ref() is not None]
         self.geometries.append(weakref.ref(g))
-        self.surfaces.append(weakref.ref(surface))
+        self.surfaces = [(k, ref) for k, ref in self.surfaces if ref() is not None]
+        self.surfaces.append((self.builds, weakref.ref(surface)))
+        self.builds += 1
         return g
 
     def alive(self):
@@ -53,7 +59,7 @@ class GeometryLog:
     def built_for(self, surfaces):
         """The index in surfaces of each logged build of one of them, in build order."""
         index = {id(s): k for k, s in enumerate(surfaces)}
-        return [index[id(ref())] for ref in self.surfaces if id(ref()) in index]
+        return [index[id(ref())] for _, ref in self.surfaces if id(ref()) in index]
 
 
 @pytest.fixture

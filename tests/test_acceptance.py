@@ -33,7 +33,7 @@ def test_criterion_3_keeps_no_geometry_on_the_cached_run(geometry_log):
     # a stored snapshot keeps only its heights, so at most the last geometry
     # read outlives the criterion
     snaps = _sphere_run(64, 0.02, 5).snapshots
-    built = len(geometry_log.geometries)
+    built = geometry_log.builds
     assert criterion_3()[0]
-    assert len(snaps) > 2 and len(geometry_log.geometries) - built >= len(snaps) - 1
+    assert len(snaps) > 2 and geometry_log.builds - built >= len(snaps) - 1
     assert geometry_log.alive() <= 1

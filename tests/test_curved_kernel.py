@@ -28,11 +28,9 @@ from fbmcf.geometry import GraphSurface, _derivative_planes, disk_cell_weights, 
 from fbmcf.support import (
     FlatProfile,
     ParaboloidProfile,
-    ScaledProfile,
     SphereCapProfile,
     SupportPatch,
     chart_frames,
-    pullback_metric,
 )
 
 _TANGENT_IDX = (0, 2)
@@ -40,10 +38,6 @@ FIELDS = ("X", "N", "du", "d2u", "g", "ginv", "A", "H", "A2", "sqrtg", "dA", "co
 
 
 def ref_derivs(profile, p, q):
-    if isinstance(profile, ScaledProfile):
-        lam = profile.lam
-        phi, d1, d2, d3 = ref_derivs(profile.base, lam * p, lam * q)
-        return phi / lam, d1, lam * d2, lam**2 * d3
     shape = p.shape
     if isinstance(profile, FlatProfile):
         return (np.zeros(shape), np.zeros(shape + (2,)), np.zeros(shape + (2, 2)),
@@ -217,26 +211,21 @@ def grid_coords(s):
     return (*s.grid.nodes, s.u)
 
 
-def d2Phi_array(d2Phi, shape):
-    """The d2Phi pairs of chart_frames as the reference's symmetric (..., 3, 3, 3) array."""
-    out = np.zeros(shape + (3, 3, 3))
-    for (i, j), pair in d2Phi.items():
-        for c in range(3):
-            out[..., c, i, j] = out[..., c, j, i] = pair[c]
-    return out
-
-
 @pytest.mark.parametrize("name", sorted(PATCHES))
 def test_profile_chart_matches_generic_reference(name):
     # each profile's closed-form chart, on the grid's axes as the kernel calls it,
-    # against the generic chart built from D^3 phi
+    # against the generic chart built from D^3 phi; d2Phi holds the pairs (0, 0) and
+    # (0, 1) of a cylinder chart's cross section, and no other
     s = curved_surface(PATCHES[name])
     X, dPhi, d2Phi = ref_chart_frames(s.patch, np.stack(grid_coords(s), axis=-1))
     fr = chart_frames(s.patch, s.grid.y1[:, None], s.grid.y2[None, :], s.u)
     assert rel_err(fr["X"], X) <= 1e-15
     assert rel_err(fr["dPhi"], dPhi) <= 1e-15
     assert rel_err(np.broadcast_to(fr["nu"], X.shape), dPhi[..., 1]) <= 1e-15
-    assert rel_err(d2Phi_array(fr["d2Phi"], s.u.shape), d2Phi) <= 1e-15
+    assert sorted(fr["d2Phi"]) == [(0, 0), (0, 1)]
+    for (i, j), pair in fr["d2Phi"].items():
+        got = np.stack([np.broadcast_to(c, s.u.shape) for c in pair], axis=-1)
+        assert rel_err(got, d2Phi[..., i, j]) <= 1e-15, (i, j)
 
 
 def derivative_samples(profile, p, q):
@@ -281,7 +270,7 @@ BASES = st.one_of(st.just(FlatProfile()),
 @given(base=BASES, lam=st.none() | st.floats(0.25, 4.0), frac=st.floats(0.02, 0.95))
 def test_closed_form_bounds_hold_on_the_lattice(base, lam, frac):
     # rho reaches a fraction of the way to a sphere cap's equator
-    profile = base if lam is None else ScaledProfile(base, lam)
+    profile = base if lam is None else base.rescale(lam)
     rho = frac * getattr(base, "R", 4.0) / (lam or 1.0)
     b2, b3, b4, inf_H = profile.bounds(rho)
     hess, third, lip, H = lattice_samples(profile, rho)
@@ -312,7 +301,7 @@ def test_fundamental_forms_match_einsum_reference(name):
         assert np.max(np.abs(got.coeff_f)) > 1e-3   # the lower-order term is exercised
 
 
-@pytest.mark.parametrize("name", [name for name in sorted(PATCHES) if name != "flat"])
+@pytest.mark.parametrize("name", [name for name in sorted(PATCHES) if name.startswith("paraboloid")])
 def test_grid_axes_chart_matches_point_cloud_chart(name, monkeypatch):
     # fundamental_forms hands the chart the static axes as (n1, 1) and (1, n2)
     # arrays; the same kernel fed a chart evaluated at the full (n1, n2, 3)
@@ -349,31 +338,16 @@ def bit_equal(a, b):
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
-def counting_chart(monkeypatch, full_nu=False):
-    """Record each chart evaluation of fundamental_forms; with full_nu, hand back
-    nu over the full node shape, so that no section is kept and every call takes
-    the generic front half, and leave out the flat chart's d2Phi, which is 0."""
+def counting_chart(monkeypatch):
+    """Record each chart evaluation of fundamental_forms."""
     calls = []
 
     def chart(patch, y1, y2, y3, order=2):
         calls.append(patch)
-        fr = chart_frames(patch, y1, y2, y3, order=order)
-        if full_nu:
-            fr["nu"] = np.broadcast_to(fr["nu"], np.shape(y3) + (3,))
-            if isinstance(patch.profile, FlatProfile):
-                fr.pop("d2Phi", None)
-        return fr
+        return chart_frames(patch, y1, y2, y3, order=order)
 
     monkeypatch.setattr(geometry, "chart_frames", chart)
     return calls
-
-
-def generic(patch):
-    """A patch with patch's profile and an empty chart memo whose chart is evaluated
-    by `chart_frames`, the flat one included."""
-    if patch.is_flat:
-        return SupportPatch("analytic-quadric", patch.profile, 0.1, patch.chart_radius)
-    return fresh(patch)
 
 
 RUN_PATCHES = {**PATCHES,
@@ -382,54 +356,55 @@ RUN_PATCHES = {**PATCHES,
 
 
 @pytest.mark.parametrize("name", ["paraboloid:0.5", "paraboloid:0.5 rescaled by 0.5",
-                                  "flat", "paraboloid:1", "paraboloid:0.5 tilted plane"])
-def test_chart_memo_matches_fresh_chart_over_a_run(name, monkeypatch):
-    # the section path, kept per grid or the flat grid's own, against the generic
-    # front half on the chart evaluated afresh for each snapshot; the tilted plane
-    # starts with D2 u = 0, whose A_11 = N_2 0 + B_11 is +0.0 on both paths
+                                  "flat", "paraboloid:1", "paraboloid:0.5 tilted plane",
+                                  "sphere_cap:2", "sphere_cap:2 rescaled by 0.5"])
+def test_chart_memo_matches_fresh_chart_over_a_run(name):
+    # the section kept per grid, or the flat grid's own, against a section built
+    # afresh on a fresh patch for each snapshot, bit for bit, and against the einsum
+    # reference; the tilted plane starts with D2 u = 0, and the sphere cap keeps nothing
     patch = fresh(RUN_PATCHES[name])
     initial = curved_surface(patch)
     if name.endswith("tilted plane"):
         initial = initial.with_height(0.1 * initial.grid.nodes[0])
     traj = run(initial, FlowConfig(t_end=0.005))
     assert traj.stop_reason == "completed" and len(traj.snapshots) > 5
-    assert list(patch.chart_memo) == ([] if name == "flat" else [(1 / 32, 0.5)])
-    calls = counting_chart(monkeypatch, full_nu=True)
-    reference = generic(patch)
+    kept = name.startswith("paraboloid")
+    assert list(patch.chart_memo) == ([(1 / 32, 0.5)] if kept else [])
     for s in traj.snapshots:
+        reference = fresh(patch)
         got, want = s.geometry(), fundamental_forms(with_patch(s, reference))
+        assert list(reference.chart_memo) == list(patch.chart_memo)
         for f in FIELDS + ("mask",):
             assert bit_equal(getattr(got, f), getattr(want, f)), (s.t, f)
-    assert len(calls) == len(traj.snapshots) and reference.chart_memo == {}
+        ref = ref_fundamental_forms(s)
+        for f in FIELDS:
+            assert rel_err(getattr(got, f), ref[f]) <= 1e-12, (s.t, f)
 
 
 @pytest.mark.parametrize("phi", ["flat", "flat@/2", "paraboloid:0.5", "paraboloid:2",
                                  "paraboloid:0.5@/0.25", "sphere_cap:2", "sphere_cap:2@/0.5"])
 def test_cylinder_charts_are_the_profiles_that_ignore_y3(phi):
-    # a profile whose nu lies on the y1 axis has dPhi_2 = e3 and every (., 2) pair of
-    # d2Phi zero on the grid's axes: the section path's chart Phi = (psi(y1, y2), y3)
+    # a profile whose nu lies on the y1 axis has dPhi_2 = e3 on the grid's axes: the
+    # section's chart Phi = (psi(y1, y2), y3); the sphere cap has its own front half
     s = GraphSurface.from_height(lambda a, b: 0.1 * a - 0.2 * b**2,
                                  SupportPatch.from_spec(phi), 1 / 32, 0.25)
     fr = chart_frames(s.patch, s.grid.y1[:, None], s.grid.y2[None, :], s.u)
     on_y1_axis = fr["nu"].shape == (len(s.grid.y1), 1, 3)
     e3 = np.array_equal(fr["dPhi"][..., :, 2], np.broadcast_to([0.0, 0.0, 1.0], s.u.shape + (3,)))
-    zero_pairs = not any(np.any(c) for ab in ((0, 2), (1, 2), (2, 2)) for c in fr["d2Phi"][ab])
-    assert on_y1_axis is e3 is zero_pairs is (not phi.startswith("sphere_cap"))
+    assert on_y1_axis is e3 is (not phi.startswith("sphere_cap"))
 
 
 @pytest.mark.parametrize("name", ["paraboloid:0.5", "sphere_cap:2"])
 def test_chart_frames_calls_per_run(name, monkeypatch):
-    # the trough's chart is evaluated once per run; the sphere cap's profile reads
-    # y3, so its chart is evaluated at every stage of every step and nothing is kept
+    # the trough's chart is evaluated once per run and kept; the sphere cap's kernel
+    # is in closed form, so its chart is never evaluated and nothing is kept
     calls = counting_chart(monkeypatch)
     patch = fresh(PATCHES[name])
     traj = run(curved_surface(patch), FlowConfig(t_end=0.005))
     steps = len(traj.monitors["t"]) - 1
     assert traj.stop_reason == "completed" and steps > 5
-    if name == "sphere_cap:2":
-        assert len(calls) == traj.stats["stages"] + 1 and patch.chart_memo == {}
-    else:
-        assert len(calls) == 1 and len(patch.chart_memo) == 1
+    kept = 0 if name == "sphere_cap:2" else 1
+    assert len(calls) == kept and len(patch.chart_memo) == kept
 
 
 def test_chart_memo_keeps_the_range_check():
@@ -441,6 +416,47 @@ def test_chart_memo_keeps_the_range_check():
     r = np.max(np.linalg.norm(np.stack(grid_coords(high), axis=-1), axis=-1))
     with pytest.raises(ChartRangeError, match=re.escape(f"chart point |Y| = {r:g} outside radius 2")):
         fundamental_forms(high)
+
+
+def test_sphere_cap_kernel_keeps_the_range_check():
+    patch = fresh(PATCHES["sphere_cap:2"])   # chart radius 1.8
+    high = GraphSurface.from_height(lambda a, b: np.full(a.shape, 1.7), patch, 1 / 32, 0.5)
+    r = np.max(np.linalg.norm(np.stack(grid_coords(high), axis=-1), axis=-1))   # 1.84
+    with pytest.raises(ChartRangeError, match=re.escape(f"chart point |Y| = {r:g} outside radius 1.8")):
+        fundamental_forms(high)
+
+
+def orthogonal_cap(R, r, h, r_dom):
+    """The sphere of radius r about c = (0, R - D, 0), D = sqrt(R^2 + r^2), which meets the
+    support `sphere_cap:R` orthogonally, as heights in its chart, and c.  With
+    X = C + t (S - C), t = 1 - y2/R and S = (y1, R - w, u), |X - c| = r reduces to
+    w = R^2 (1 + t^2) / (2 t D), and the height is u = sqrt(R^2 - y1^2 - w^2)."""
+    D = np.hypot(R, r)
+
+    def height(y1, y2):
+        t = 1.0 - y2 / R
+        w = R * R * (1.0 + t * t) / (2.0 * t * D)
+        return np.sqrt(R * R - y1 * y1 - w * w)
+
+    return (GraphSurface.from_height(height, SupportPatch.sphere_cap(R), h, r_dom),
+            np.array([0.0, R - D, 0.0]))
+
+
+@pytest.mark.parametrize("r, r_dom", [(0.5, 0.25), (1.0, 0.5)])
+def test_orthogonal_cap_on_a_sphere_support(r, r_dom):
+    # H = 2/r and |A|^2 = 2/r^2 converge at second order off the free edge, whose row
+    # is first order, and off the rim
+    errors = []
+    for h in (1 / 32, 1 / 64, 1 / 128):
+        s, c = orthogonal_cap(2.0, r, h, r_dom)
+        g = s.geometry()
+        assert np.max(np.abs(np.linalg.norm(g.X - c, axis=-1) - r)) <= 1e-14
+        Y1, Y2 = s.grid.nodes
+        inner = (Y2 > 0.0) & (np.hypot(Y1, Y2) <= 0.5 * r_dom)
+        errors.append([np.max(np.abs(g.H[inner] - 2.0 / r)),
+                       np.max(np.abs(g.A2[inner] - 2.0 / r**2))])
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((3.0 <= ratios) & (ratios <= 5.0)), ratios
 
 
 def test_trough_profile_evaluated_on_the_y1_axis(monkeypatch):
@@ -471,23 +487,6 @@ def test_broadcast_chart_point_out_of_range():
     r = np.max(np.linalg.norm(Y, axis=-1))
     with pytest.raises(ChartRangeError, match=re.escape(f"|Y| = {r:g} outside radius 2")):
         fundamental_forms(s)
-
-
-@pytest.mark.parametrize("name", sorted(PATCHES))
-def test_pullback_metric_matches_einsum_reference(name):
-    patch = PATCHES[name]
-    s = curved_surface(patch)
-    Y = np.stack([*s.grid.nodes, s.u], axis=-1)
-    h = pullback_metric(patch, Y)
-    _, _, h_ref, _ = ref_pullback(patch, Y)
-    assert h.shape == h_ref.shape
-    assert rel_err(h, h_ref) <= 1e-12
-
-
-def test_single_point_pullback_shapes():
-    h = pullback_metric(PATCHES["sphere_cap:2"], np.array([0.1, 0.2, -0.3]))
-    assert h.shape == (3, 3)
-    assert np.allclose(h, h.T)
 
 
 class UncheckedPatch(SupportPatch):

@@ -103,9 +103,9 @@ def test_rkl2_steps_one_kernel_call_per_stage(geometry_log):
     snaps, n = traj.snapshots, len(traj.monitors["t"]) - 1
     assert traj.stop_reason == "completed" and n >= 5 and len(snaps) == n + 1
     ids = {id(s) for s in snaps}
-    built = [k for k, ref in enumerate(geometry_log.surfaces) if id(ref()) in ids]
+    built = [k for k, ref in geometry_log.surfaces if id(ref()) in ids]
     stages = np.diff(built)   # the stages of each step build the next snapshot last
-    assert len(built) == n + 1 and len(geometry_log.geometries) == traj.stats["stages"] + 1
+    assert len(built) == n + 1 and geometry_log.builds == traj.stats["stages"] + 1
     taus = []
     for s, nxt, count in zip(snaps, snaps[1:], stages):
         a = components(s.geometry().ginv, 2)
@@ -352,9 +352,9 @@ def test_extension_residual_even():
 
 
 def _traced_stride_one_run(t_end):
-    """A stride-1 trough run at h = 1/64 and its tracemalloc peak."""
+    """A stride-1 trough run at h = 1/32 and its tracemalloc peak."""
     s = GraphSurface.from_height(lambda a, b: 0.1 * a, SupportPatch.paraboloid(0.5),
-                                 1 / 64, 0.5)
+                                 1 / 32, 0.5)
     s.geometry()   # fills the patch's chart memo before tracing starts
     tracemalloc.start()
     try:
@@ -365,9 +365,9 @@ def _traced_stride_one_run(t_end):
 
 
 def test_run_holds_one_geometry_at_a_time(geometry_log):
-    traj, peak = _traced_stride_one_run(0.125)
+    traj, peak = _traced_stride_one_run(0.25)
     assert geometry_log.alive() <= 1
-    traj2, peak2 = _traced_stride_one_run(0.25)
+    traj2, peak2 = _traced_stride_one_run(0.5)
     assert geometry_log.alive() <= 1
     n, n2 = len(traj.snapshots), len(traj2.snapshots)
     assert traj2.stop_reason == "completed" and 250 <= n and 2 * n - 5 <= n2 <= 2 * n + 5

@@ -492,8 +492,7 @@ def test_rescaled_patch_run_reloads(lam, tmp_path):
     for a, b in zip(traj.snapshots, back.snapshots):
         assert a.u.tobytes() == b.u.tobytes()
     got = back.snapshots[0].patch
-    assert got.profile.base.a == patch.profile.base.a == 0.5
-    assert got.profile.lam == patch.profile.lam == lam
+    assert got.profile.a == patch.profile.a == 0.5 * lam
     assert got.kappa == patch.kappa and got.chart_radius == patch.chart_radius
     qpath = tmp_path / "queries.yaml"
     qpath.write_text("- name: center\n  type: density\n  P: [0, 0, 0]\n  T: 0.25\n"
@@ -502,11 +501,18 @@ def test_rescaled_patch_run_reloads(lam, tmp_path):
 
 
 def test_rescaled_spec_text():
+    # a rescaled patch names its catalog profile; a stored '<spec>@/lam' loads as
+    # the rescaled patch
     patch = SupportPatch.from_spec("paraboloid:0.5")
-    assert patch.rescale(0.5).spec()["phi"] == "paraboloid:0.5@/0.5"
-    assert patch.rescale(1 / 3).spec()["phi"] == f"paraboloid:0.5@/{1 / 3!r}"
+    assert patch.rescale(0.5).spec()["phi"] == "paraboloid:0.25"
+    assert patch.rescale(1 / 3).spec()["phi"] == f"paraboloid:{0.5 * (1 / 3)!r}"
+    assert SupportPatch.flat().rescale(2).spec()["phi"] == "flat"
     twice = SupportPatch.from_spec("sphere_cap:2").rescale(0.5).rescale(3)
+    assert twice.spec()["phi"] == f"sphere_cap:{2 / 0.5 / 3!r}"
     assert SupportPatch.from_spec(**twice.spec()).spec() == twice.spec()
+    for old, new in (("sphere_cap:2@/0.5@/3", twice), ("paraboloid:0.5@/0.5", patch.rescale(0.5)),
+                     ("flat@/2", SupportPatch.flat().rescale(2))):
+        assert SupportPatch.from_spec(old).spec() == new.spec(), old
     with pytest.raises(PatchFieldError, match="curvature"):   # below lam |a| = 0.25
         SupportPatch.from_spec("paraboloid:0.5@/0.5", kappa=0.2)
 

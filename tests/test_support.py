@@ -5,9 +5,10 @@ from fbmcf.errors import ChartRangeError, PatchFieldError
 from fbmcf.support import (
     SupportPatch,
     chart_coords,
+    chart_frames,
+    components,
     in_complementary_ball,
     project_and_distance,
-    pullback_metric,
     reflect,
     tubular_map,
     verify_kappa_condition,
@@ -108,12 +109,18 @@ def test_complementary_ball_outside_domain(flat):
     assert not in_complementary_ball(flat, P, 0.5, np.array([0.0, -0.1, 0.0]))
 
 
+def pullback(patch, Y):
+    """The pull-back metric h_ij = dPhi_i . dPhi_j at the chart points Y (..., 3)."""
+    dPhi = chart_frames(patch, *components(np.asarray(Y, dtype=float), 1), order=1)["dPhi"]
+    return np.einsum("...ci,...cj->...ij", dPhi, dPhi)
+
+
 def test_pullback_flat(flat):
-    assert np.array_equal(pullback_metric(flat, np.array([0.3, 0.2, -0.1])), np.eye(3))
+    assert np.array_equal(pullback(flat, np.array([0.3, 0.2, -0.1])), np.eye(3))
 
 
 def test_pullback_paraboloid_h11(parab):
-    h = pullback_metric(parab, np.array([0.2, 0.0, 0.0]))
+    h = pullback(parab, np.array([0.2, 0.0, 0.0]))
     assert abs(h[0, 0] - 1.04) < 1e-12
 
 
@@ -121,7 +128,7 @@ def test_metric_normalization(cap):
     # h_22 = 1 and h_12 = h_32 = 0: the distance direction is orthonormal
     rng = np.random.default_rng(2)
     Y = rng.uniform(-0.2, 0.2, size=(30, 3))
-    h = pullback_metric(cap, Y)
+    h = pullback(cap, Y)
     assert np.max(np.abs(h[:, 1, 1] - 1.0)) < 1e-9
     assert np.max(np.abs(h[:, 0, 1])) < 1e-9
     assert np.max(np.abs(h[:, 2, 1])) < 1e-9
