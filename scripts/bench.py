@@ -64,7 +64,16 @@ reads it as it is and keeps:
   u = 0.1 y1 over ``paraboloid:0.5`` with kappa 0.5, chart radius 2 and
   cfl 0.15, as in ``trough-curved``, but at stride 1 for six of its longest
   steps, t_end = 6 h r_dom / 16, so that it stores 7 snapshots at every h)
-  and on the ``store-query`` workload's 21 flat-support snapshots.
+  and on the ``store-query`` workload's 21 flat-support snapshots;
+- density rows (``density``), one per grid h = 2/grid, 1/grid and
+  1/(2 grid): the median milliseconds per call, over ``DENSITY_CALLS``
+  calls in this process, of ``interior_density_value`` and
+  ``boundary_density_value`` at the ``store-query`` query point on that
+  workload's last snapshot, which holds its geometry and its samples as
+  the calls of one ``fbmcf monitor`` pass share them;
+- the analytic series row (``analytic_series``): the median milliseconds
+  per call, over ``DENSITY_CALLS`` calls, of the ``store-query`` workload's
+  21-sample hemisphere density series (``monitors.monotonicity_report``).
 
 Nothing under ``perfbench/`` is changed.
 """
@@ -100,6 +109,7 @@ MONITOR_PROCESSES = 3
 SCAN_SHAPES = ((1, [0.1, 0.15, 0.2]), (1, [0.05, 0.2]), (2, [0.05, 0.4]), (4, [0.1, 0.15, 0.2]))
 SCAN_CALLS = 5
 WRITER_CALLS = 11
+DENSITY_CALLS = 11
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -175,6 +185,16 @@ def memory_probe(t_end, grid):
 
 def _minflt():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _median_ms(fn, calls):
+    """The median milliseconds of calls calls of fn()."""
+    times = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return {"value": 1e3 * statistics.median(times), "unit": "ms"}
 
 
 def _timed_calls(fn, *args):
@@ -371,16 +391,33 @@ def writer(grid):
             store = StoreQuery(SEED, 1.0 / n, workdir)
             for name, traj, echo in (("trough-curved", trough, None),
                                      ("store-query", store.trajectory, store.echo)):
-                times = []
-                for _ in range(WRITER_CALLS):
-                    t0 = time.perf_counter()
-                    save_trajectory(os.path.join(workdir, "run"), traj, echo)
-                    times.append(time.perf_counter() - t0)
+                ms = _median_ms(lambda: save_trajectory(os.path.join(workdir, "run"), traj,
+                                                        echo), WRITER_CALLS)
                 rows.append({"grid": {"value": n, "unit": "1/h"}, "trajectory": name,
                              "snapshots": {"value": len(traj.snapshots), "unit": "count"},
-                             "save_trajectory_ms": {"value": 1e3 * statistics.median(times),
-                                                    "unit": "ms"}})
+                             "save_trajectory_ms": ms})
     return rows
+
+
+def density(grid):
+    """The density rows and the analytic series row of the store-query workload."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from fbmcf import monitors
+    from workloads import StoreQuery
+
+    rows = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for n in (grid // 2, grid, 2 * grid):
+            store = StoreQuery(SEED, 1.0 / n, workdir)
+            last, P, T = store.trajectory.snapshots[-1], store.params["P"], store.params["T"]
+            row = {"grid": {"value": n, "unit": "1/h"}}
+            for fn in (monitors.interior_density_value, monitors.boundary_density_value):
+                row[f"{fn.__name__}_ms"] = _median_ms(lambda: fn(last, P, T), DENSITY_CALLS)
+            rows.append(row)
+        series = {"snapshots": {"value": len(store.analytic.snapshots), "unit": "count"},
+                  "series_ms": _median_ms(lambda: monitors.monotonicity_report(
+                      store.analytic, store.analytic_query), DENSITY_CALLS)}
+    return rows, series
 
 
 def run_memory(args):
@@ -416,6 +453,7 @@ def main(argv=None):
               "scheme": scheme(args.grid),
               "scan_kernel": scan_kernel(args.grid),
               "writer": writer(args.grid)}
+    report["density"], report["analytic_series"] = density(args.grid)
     path = Path(args.out) / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {path}")

@@ -18,9 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FbmcfError
+from .support import trailing
 
 # Point samples of a surface with quadrature weights and exact geometry:
-# X (M,3), w (M,), N (M,3), H (M,), A2 (M,)
+# X (M,3), w (M,), N (M,3), H (M,), A2 (M,).  A sphere's and a grid snapshot's X and N
+# are (M,3) views of component-first (3,M) storage (`support.components` recovers the
+# planes); a grid snapshot's samples are read-only and live as long as its held geometry.
 FieldSample = namedtuple("FieldSample", ["X", "w", "N", "H", "A2"])
 
 _QUAD_TOL = 1e-8
@@ -120,6 +123,9 @@ class AnalyticSurface:
         return self._plane_samples(m, focus, float(extent))
 
     def _sphere_samples(self, m):
+        """Gauss-Legendre nodes in theta times 2m equal phi-steps.  sin and cos are taken on
+        the two axes and broadcast; X and N are written into component-first (3, M) planes
+        and returned as their (M, 3) views (see `support.trailing`)."""
         R, c = self.radius, self.point
         th_max = np.pi if self.kind == "sphere" else 0.5 * np.pi
         th, wth = _gauss_legendre(m)
@@ -127,16 +133,16 @@ class AnalyticSurface:
         wth = 0.5 * th_max * wth
         ph = 2.0 * np.pi * np.arange(2 * m) / (2 * m)
         wph = np.full(2 * m, np.pi / m)
-        TH, PH = np.meshgrid(th, ph, indexing="ij")
-        W = np.outer(wth, wph) * R**2 * np.sin(TH)
+        sin_th, cos_th = np.sin(th)[:, None], np.cos(th)[:, None]
+        W = np.outer(wth, wph) * R**2 * sin_th
         # polar axis (0,1,0): theta = 0 at the pole pointing into the domain
-        X = c + R * np.stack(
-            [np.sin(TH) * np.cos(PH), np.cos(TH), np.sin(TH) * np.sin(PH)], axis=-1
-        )
-        N = (c - X) / R
-        M = X.reshape(-1, 3).shape[0]
+        X, N = np.empty((2, 3, m, 2 * m))
+        for k, unit in enumerate((sin_th * np.cos(ph), cos_th, sin_th * np.sin(ph))):
+            X[k] = c[k] + R * unit
+            np.divide(c[k] - X[k], R, out=N[k])
+        M = W.size
         return FieldSample(
-            X.reshape(-1, 3), W.ravel(), N.reshape(-1, 3),
+            trailing(X.reshape(3, M), 1), W.ravel(), trailing(N.reshape(3, M), 1),
             np.full(M, 2.0 / R), np.full(M, 2.0 / R**2),
         )
 

@@ -200,10 +200,11 @@ class GraphSurface:
 
     def geometry(self):
         """The SurfaceGeometry.  Only the last one asked for is kept, in `_held`; a call
-        for another surface drops it before building its own, so one is held at a time."""
+        for another surface drops it, with its samples, before building its own, so one
+        is held at a time."""
         if _held[0] is not self:
-            _held[:] = None, None
-            _held[:] = self, fundamental_forms(self)
+            _held[:] = None, None, None
+            _held[:] = self, fundamental_forms(self), None
         return _held[1]
 
     def positions(self):
@@ -222,11 +223,20 @@ class GraphSurface:
     def samples(self, m=None, focus=None, extent=None):
         """Footprint nodes as a FieldSample (positions, dA weights, N, H, |A|^2).
 
-        The arguments only steer analytic sampling.
+        Gathered once per held geometry and dropped with it (see `geometry`): every
+        call until then returns the same read-only FieldSample, whose X and N are
+        (M, 3) views of component-first (3, M) planes.  The arguments only steer
+        analytic sampling.
         """
         g = self.geometry()
-        mask = g.mask
-        return FieldSample(g.X[mask], g.dA[mask], g.N[mask], g.H[mask], g.A2[mask])
+        if _held[2] is None:
+            keep = g.mask.ravel()   # compress keeps (3, M) C-ordered; [:, mask] would not
+            X, N = (np.compress(keep, components(v, 1).reshape(3, -1), axis=1) for v in (g.X, g.N))
+            dA, H, A2 = (np.compress(keep, a.ravel()) for a in (g.dA, g.H, g.A2))
+            for a in (X, dA, N, H, A2):
+                a.setflags(write=False)
+            _held[2] = FieldSample(trailing(X, 1), dA, trailing(N, 1), H, A2)
+        return _held[2]
 
     integral = FrameSurface.integral   # sum of fn(samples) times the node weights
 
@@ -266,7 +276,9 @@ class SurfaceGeometry:
     ginv_max: float     # max eig(g^{ij}) over the grid's active nodes (see flow._stability_bound)
 
 
-_held = [None, None]   # the surface whose geometry was asked for last, and that geometry
+# the surface whose geometry was asked for last, that geometry, and its FieldSample once
+# `samples` has gathered it (else None); all three are dropped together
+_held = [None, None, None]
 _PAIRS = ((0, 0), (0, 1), (1, 1))
 
 

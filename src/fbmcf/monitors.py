@@ -17,16 +17,26 @@ import numpy as np
 from .errors import FbmcfError, TimeWindowError
 from .geometry import integrate  # noqa: F401 -- perfbench/tracing.py wraps this binding
 from .geometry import label_components
+from .support import components, signed_distance, sq_dist, trailing
 from .support import reflect as patch_reflect
-from .support import signed_distance
 
 BOUNDARY_WINDOW = 0.5 * (3.0 / 320.0) ** 5  # times kappa^{-2}
 
 
-def _reflected(X, patch):
+def _reflected_sq_dist(X, P, patch):
+    """|X~ - P|^2 of the points X~ reflected across the support; on a flat patch
+    |X~ - P| = |X - P~|, so P is reflected instead of every point."""
     if patch is None or patch.is_flat:
-        return X * np.array([1.0, -1.0, 1.0])
-    return patch_reflect(patch, X)
+        return sq_dist(X, P * np.array([1.0, -1.0, 1.0]))
+    return sq_dist(patch_reflect(patch, X), P)
+
+
+def _dot(a, b):
+    """a . b over the trailing axis of two (M, 3) arrays, from their component planes, as
+    (a0 b0 + a2 b2) + a1 b1: the order in which numpy (2.4) sums the row products of two
+    C-ordered (M, 3) arrays in a product-sum, so the residuals keep their row-wise values."""
+    (a0, a1, a2), (b0, b1, b2) = components(a, 1), components(b, 1)
+    return (a0 * b0 + a2 * b2) + a1 * b1
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +64,7 @@ def interior_density_value(surface, P, T, r=np.inf, d_gamma=None):
         extent = 40.0 * float(np.sqrt(tau))
 
     def fn(s):
-        q2 = np.sum((s.X - P) ** 2, axis=-1)
+        q2 = sq_dist(s.X, P)
         psi = 1.0 if not np.isfinite(r) else \
             np.maximum(1.0 - (q2 - 4.0 * tau) / r**2, 0.0) ** 3
         return psi / (4.0 * np.pi * tau) * np.exp(-q2 / (4.0 * tau))
@@ -89,9 +99,7 @@ def boundary_density_value(surface, P, T, kappa=0.0, patch=None):
         extent = 40.0 * float(np.sqrt(var * tau))
 
     def fn(s):
-        q2 = np.sum((s.X - P) ** 2, axis=-1)
-        qr2 = np.sum((_reflected(s.X, patch) - P) ** 2, axis=-1)
-        both = q2 + qr2
+        both = sq_dist(s.X, P) + _reflected_sq_dist(s.X, P, patch)
         eta = 1.0 if kappa == 0.0 else \
             np.clip(1.0 - (both - 80.0 * tau) / eta_scale, 0.0, 1.0) ** 4
         psi_g = np.exp(-0.5 * both / (4.0 * var * tau)) / (4.0 * np.pi * tau)
@@ -165,23 +173,19 @@ def self_shrinker_residual(surface, P, T, boundary=False, kappa=0.0, patch=None)
 
     def fn(s):
         rel = s.X - P
-        q2 = np.sum(rel**2, axis=-1)
+        q2 = sq_dist(s.X, P)
         if not boundary:
-            drift = s.H + np.einsum("mc,mc->m", rel, s.N) / (2.0 * tau)
+            drift = s.H + _dot(rel, s.N) / (2.0 * tau)
             w = np.exp(-q2 / (4.0 * tau)) / (4.0 * np.pi * tau)
         else:
-            if patch is None or patch.is_flat:
-                d = s.X[:, 1]
-                gd = np.zeros_like(s.X)
-                gd[:, 1] = 1.0
-                qr2 = np.sum((_reflected(s.X, patch) - P) ** 2, axis=-1)
-            else:
+            if patch is not None and not patch.is_flat:
                 raise NotImplementedError("boundary residual needs a flat patch")
-            core = (np.einsum("mc,mc->m", rel, s.N)
-                    - (np.einsum("mc,mc->m", rel, gd) - d)
-                    * np.einsum("mc,mc->m", gd, s.N))
+            # the support's distance is d = X_1, whose gradient is e_1
+            rel1, d, N1 = (components(a, 1)[1] for a in (rel, s.X, s.N))
+            core = _dot(rel, s.N) - (rel1 - d) * N1
             drift = s.H + core / (2.0 * var * tau)
-            w = np.exp(-0.5 * (q2 + qr2) / (4.0 * var * tau)) / (4.0 * np.pi * tau)
+            w = np.exp(-0.5 * (q2 + _reflected_sq_dist(s.X, P, patch)) / (4.0 * var * tau)) \
+                / (4.0 * np.pi * tau)
         return drift**2 * w
 
     return float(np.sqrt(surface.integral(fn, focus=P, extent=extent)))
@@ -204,7 +208,7 @@ def interior_curvature_norm(trajectory, center, R, rho):
         if abs(snap.t) >= rho or not snap.is_compact:
             continue
         s = snap.samples()
-        dist = np.linalg.norm(s.X - center, axis=-1)
+        dist = np.sqrt(sq_dist(s.X, center))
         r_max = np.minimum(R - dist, np.sqrt(max(rho - abs(snap.t), 0.0)))
         ok = r_max > 0
         if np.any(ok):
@@ -288,9 +292,9 @@ def singular_set_scan(trajectory, epsilon, r_grid):
     spacing = 0.5 * r_grid[0]
     lo, hi = s.X.min(axis=0) - r_grid[0], s.X.max(axis=0) + r_grid[0]
     axes = [np.arange(lo[d], hi[d] + spacing, spacing) for d in range(3)]
-    cand = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    cand = trailing(np.stack(np.meshgrid(*axes, indexing="ij")).reshape(3, -1), 1)
     masses = _lattice_masses(axes, spacing, s.X, s.w * s.A2, r_grid)
-    flagged = np.all(masses >= epsilon, axis=-1)
+    flagged = np.all(masses >= epsilon, axis=1)
     labels, n = label_components(flagged.reshape([len(a) for a in axes]), full=True)
     clusters = np.array([np.average(cand[sel], axis=0, weights=masses[sel, 0]) for sel in
                          (labels.ravel() == lbl for lbl in range(1, n + 1))]).reshape(-1, 3)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .analytic import FieldSample
 from .errors import FbmcfError
+from .support import sq_dist
 
 
 @dataclass
@@ -47,9 +48,11 @@ class FrameSurface:
         return float(np.sum(np.asarray(fn(s)) * s.w))
 
     def translate_scale(self, P, lam):
-        """The samples of (S - P)/lam, with spacing h_frame/lam."""
+        """The samples of (S - P)/lam, with spacing h_frame/lam.  X is stored in rows, also
+        when it comes from a grid snapshot's component planes: `point`, a mean over the rows,
+        depends on the layout in its last bits."""
         return FrameSurface(
-            X=(self.X - P) / lam,
+            X=np.subtract(self.X, P, order="C") / lam,
             w=self.w / lam**2,
             N=self.N.copy(),
             H=lam * self.H,
@@ -100,7 +103,7 @@ def frame_distance(f1, f2):
     s2 = f2.surface.samples(64, focus=np.zeros(3), extent=1.0)
     if s1.X.shape != s2.X.shape:
         raise FbmcfError("frames are sampled incompatibly")
-    return float(np.max(np.linalg.norm(s1.X - s2.X, axis=-1)))
+    return float(np.max(np.sqrt(sq_dist(s1.X, s2.X))))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +129,7 @@ def planarity_multiplicity(frame, region_radius, center=None, boundary_mode=Fals
     """
     center = np.asarray(frame.surface.point if center is None else center, dtype=float)
     s = frame.surface.samples(64, focus=center, extent=1.5 * region_radius)
-    pts = s.X[np.linalg.norm(s.X - center, axis=-1) <= region_radius]
+    pts = s.X[np.sqrt(sq_dist(s.X, center)) <= region_radius]
     if len(pts) == 0:
         raise FbmcfError("empty-region: no frame samples in the fit region")
     h_frame = frame.surface.h_frame or region_radius / 32.0
@@ -148,14 +151,14 @@ def planarity_multiplicity(frame, region_radius, center=None, boundary_mode=Fals
     # sheet count: cluster normal offsets over each in-plane base point
     tol = 3.0 * h_frame
     offsets = (pts - base) @ n
-    inplane = pts - offsets[:, None] * n
+    inplane = (pts.T - n[:, None] * offsets).T   # an (M, 3) view of component planes
     idx = np.arange(len(pts))
     if len(idx) > 200:
         idx = idx[:: len(idx) // 200]
     sheets = 1
     for k in idx:
         b = inplane[k]
-        near = np.linalg.norm(inplane - b, axis=-1) < tol
+        near = np.sqrt(sq_dist(inplane, b)) < tol
         offs = np.sort(offsets[near])
         count = 1 + int(np.sum(np.diff(offs) > tol)) if len(offs) else 0
         sheets = max(sheets, count)

@@ -34,6 +34,14 @@ def components(a, k):
     return a.transpose(tuple(range(n - k, n)) + tuple(range(n - k)))
 
 
+def sq_dist(X, P):
+    """|X - P|^2 of points X (..., 3) from a point P, or from points P shaped like X, summed
+    from the component planes as (d0 d0 + d1 d1) + d2 d2.  That is numpy's order for a sum
+    over a trailing axis of length 3, so it is bit-equal to np.sum((X - P)**2, axis=-1)."""
+    d0, d1, d2 = (x - p for x, p in zip(components(X, 1), components(np.asarray(P), 1)))
+    return (d0 * d0 + d1 * d1) + d2 * d2
+
+
 # ---------------------------------------------------------------------------
 # Height profiles phi(y1, y3): the chart and the kappa-graph bounds
 # ---------------------------------------------------------------------------

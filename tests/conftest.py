@@ -34,11 +34,12 @@ class GeometryLog:
     weak reference to each geometry it builds and, with the build's number, to the surface
     it was built for.  A reference is dropped once what it names is gone, so the log grows
     with the surfaces a run keeps, not with its kernel calls.  With `exclusive` set, a build
-    that starts while an earlier logged geometry is alive fails."""
+    that starts while an earlier logged geometry is alive fails.  With `log_surfaces` unset,
+    no surface is logged, so the log's own size stays flat however many a run keeps."""
 
     def __init__(self, real):
         self.real, self.builds, self.geometries, self.surfaces = real, 0, [], []
-        self.exclusive = False
+        self.exclusive, self.log_surfaces = False, True
 
     def __call__(self, surface):
         if self.exclusive:
@@ -46,8 +47,9 @@ class GeometryLog:
         g = self.real(surface)
         self.geometries = [ref for ref in self.geometries if ref() is not None]
         self.geometries.append(weakref.ref(g))
-        self.surfaces = [(k, ref) for k, ref in self.surfaces if ref() is not None]
-        self.surfaces.append((self.builds, weakref.ref(surface)))
+        if self.log_surfaces:
+            self.surfaces = [(k, ref) for k, ref in self.surfaces if ref() is not None]
+            self.surfaces.append((self.builds, weakref.ref(surface)))
         self.builds += 1
         return g
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fbmcf.analytic import AnalyticSurface, _gauss_legendre
+from fbmcf.support import components
 
 O = np.zeros(3)
 
@@ -76,3 +77,34 @@ def test_gauss_legendre_rule_is_computed_once(m):
     assert not nodes.flags.writeable and not weights.flags.writeable
     again = _gauss_legendre(m)
     assert again[0] is nodes and again[1] is weights
+
+
+def _meshgrid_sphere_samples(s, m):
+    """X, w and N of the m x 2m sphere rule with the trigonometry on the full meshgrid."""
+    R, c = s.radius, s.point
+    th_max = np.pi if s.kind == "sphere" else 0.5 * np.pi
+    th, wth = np.polynomial.legendre.leggauss(m)
+    th = 0.5 * th_max * (th + 1.0)
+    wth = 0.5 * th_max * wth
+    ph = 2.0 * np.pi * np.arange(2 * m) / (2 * m)
+    wph = np.full(2 * m, np.pi / m)
+    TH, PH = np.meshgrid(th, ph, indexing="ij")
+    W = np.outer(wth, wph) * R**2 * np.sin(TH)
+    X = c + R * np.stack(
+        [np.sin(TH) * np.cos(PH), np.cos(TH), np.sin(TH) * np.sin(PH)], axis=-1
+    )
+    N = (c - X) / R
+    return X.reshape(-1, 3), W.ravel(), N.reshape(-1, 3)
+
+
+@pytest.mark.parametrize("m", [48, 96, 192])
+@pytest.mark.parametrize("kind", ["sphere", "hemisphere"])
+def test_sphere_samples_match_the_meshgrid_rule(kind, m):
+    s = getattr(AnalyticSurface, kind)(np.array([0.3, 0.0, -0.1]), 0.77)
+    smp = s.samples(m)
+    X, w, N = _meshgrid_sphere_samples(s, m)
+    assert np.array_equal(smp.X, X) and np.array_equal(smp.w, w) and np.array_equal(smp.N, N)
+    assert np.array_equal(smp.H, np.full(len(w), 2.0 / 0.77))
+    assert np.array_equal(smp.A2, np.full(len(w), 2.0 / 0.77**2))
+    # X and N are views of contiguous component planes
+    assert components(smp.X, 1).flags.c_contiguous and components(smp.N, 1).flags.c_contiguous

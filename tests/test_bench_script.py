@@ -105,3 +105,14 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
         assert row["save_trajectory_ms"]["unit"] == "ms" and row["save_trajectory_ms"]["value"] > 0
     snapshots = [row["snapshots"]["value"] for row in writer]
     assert snapshots == [7, 21] * 3
+    # in-process density timings on the store-query workload's last snapshot, at
+    # half, once and twice the grid's 1/h, and of its analytic hemisphere series
+    density = report["density"]
+    assert [row["grid"]["value"] for row in density] == [8, 16, 32]
+    for row in density:
+        assert row["grid"]["unit"] == "1/h"
+        for key in ("interior_density_value_ms", "boundary_density_value_ms"):
+            assert row[key]["unit"] == "ms" and row[key]["value"] > 0, key
+    series = report["analytic_series"]
+    assert series["snapshots"] == {"value": 21, "unit": "count"}
+    assert series["series_ms"]["unit"] == "ms" and series["series_ms"]["value"] > 0

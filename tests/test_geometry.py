@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,10 @@ from fbmcf.geometry import (
     modified_area_ratio,
     perimeter,
 )
-from fbmcf.support import SupportPatch
+from fbmcf.flow import Trajectory
+from fbmcf.monitors import boundary_density_value, interior_density_value
+from fbmcf.rescaling import parabolic_rescale, planarity_multiplicity
+from fbmcf.support import SupportPatch, components
 
 O = np.zeros(3)
 FLAT = SupportPatch.flat()
@@ -119,6 +125,66 @@ def test_positions_bit_equal_to_kernel_positions(phi, geometry_log):
         assert Y.shape == X.shape and np.array_equal(Y.view(np.int64), X.view(np.int64))
     g = s.geometry()
     assert s.positions() is g.X   # the held geometry's own array
+
+
+def test_samples_are_gathered_once_per_held_geometry():
+    s = GraphSurface.sphere_cap(1.0, 1 / 32, 0.5)
+    smp = s.samples()
+    assert s.samples() is smp
+    g = s.geometry()
+    assert np.array_equal(smp.X, g.X[g.mask]) and np.array_equal(smp.N, g.N[g.mask])
+    assert components(smp.X, 1).flags.c_contiguous and components(smp.N, 1).flags.c_contiguous
+    for name, a in zip(smp._fields, smp):
+        with pytest.raises(ValueError):
+            a[0] = 0.0   # read-only, also through the (M, 3) views
+        assert not components(a, a.ndim - 1).flags.writeable, name
+    # another surface's geometry drops the held one and its samples
+    X = weakref.ref(smp.X)
+    del smp, g
+    GraphSurface.sphere_cap(1.0, 1 / 32, 0.5, t=0.01).geometry()
+    gc.collect()
+    assert X() is None
+    assert s.samples() is s.samples()
+
+
+def _row_planarity(X, radius, h_frame):
+    """The fit and sheet count of planarity_multiplicity on (M, 3) rows, by row norms."""
+    center = X.mean(axis=0)
+    pts = X[np.linalg.norm(X - center, axis=-1) <= radius]
+    mu = pts.mean(axis=0)
+    n = np.linalg.svd(pts - mu, full_matrices=False)[2][-1]
+    offsets = (pts - mu) @ n
+    inplane = pts - offsets[:, None] * n
+    sheets, tol = 1, 3.0 * h_frame
+    for k in np.arange(len(pts))[:: max(len(pts) // 200, 1)]:
+        offs = np.sort(offsets[np.linalg.norm(inplane - inplane[k], axis=-1) < tol])
+        sheets = max(sheets, 1 + int(np.sum(np.diff(offs) > tol)))
+    return float(np.max(np.abs(offsets))), sheets, n
+
+
+def test_sample_integrals_bit_equal_to_row_arithmetic():
+    # the kernels read component planes; the sums match those over (M, 3) rows bit for bit
+    s = GraphSurface.sphere_cap(1.0, 1 / 32, 0.5, t=0.05)
+    smp = s.samples()
+    X, w = np.ascontiguousarray(smp.X), smp.w
+    P, T, r = np.array([0.01, 0.0, -0.02]), 0.26, 0.3
+    tau = T - s.t
+    q2 = np.sum((X - P) ** 2, axis=-1)
+    gauss = np.exp(-q2 / (4.0 * tau))
+    psi = np.maximum(1.0 - (q2 - 4.0 * tau) / r**2, 0.0) ** 3
+    assert interior_density_value(s, P, T) == float(np.sum(1.0 / (4.0 * np.pi * tau) * gauss * w))
+    assert interior_density_value(s, P, T, r=r) == \
+        float(np.sum(psi / (4.0 * np.pi * tau) * gauss * w))
+    both = q2 + np.sum((X * np.array([1.0, -1.0, 1.0]) - P) ** 2, axis=-1)
+    assert boundary_density_value(s, P, T) == \
+        float(np.sum(np.exp(-0.5 * both / (4.0 * tau)) / (4.0 * np.pi * tau) * w))
+
+    lam = 0.4
+    frame = parabolic_rescale(Trajectory([s, s]), P, T, lam, (s.t - T) / lam**2)
+    rep = planarity_multiplicity(frame, 1.0)
+    deviation, sheets, n = _row_planarity((X - P) / lam, 1.0, s.h / lam)
+    assert (rep.deviation, rep.sheet_count) == (deviation, sheets)
+    assert np.array_equal(rep.normal, n)
 
 
 def test_quadrature_refinement_order():
