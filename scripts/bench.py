@@ -38,7 +38,8 @@ reads it as it is and keeps:
 - scheme rows (``scheme``), one per support ``sphere_cap:2`` and
   ``paraboloid:0.5``: in this process, a run of u = 0.1 y1 + 0.2 y1^2 - 0.1 y2^2
   at h = 1/grid with the default cfl to t_end 0.01: its steps, stages,
-  ``fundamental_forms`` calls and wall time;
+  geometry builds (``fundamental_forms`` calls), flow operator calls
+  (``GraphSurface.operator``, one per stage) and wall time;
 - chart kernel rows (``chart_kernel``), one per grid h = 2/grid, 1/grid and
   1/(2 grid) and support ``flat``, ``paraboloid:0.5`` and ``sphere_cap:2``
   with its catalog defaults: the median milliseconds and the mean minor page
@@ -49,6 +50,16 @@ reads it as it is and keeps:
   the flat support and the sphere cap, whose kernel is in closed form,
   evaluate no chart there.  No benchmark workload runs a
   sphere cap, so these rows are its only timing;
+- operator rows (``operator``), on the same grids, supports and surfaces: the
+  median milliseconds and the mean minor page faults per call, over 50 calls,
+  of the flow operator ``GraphSurface.operator`` on a surface that holds no
+  geometry, which evaluates the operator half of the kernel only, as an RKL2
+  stage does, and of the whole ``fundamental_forms``;
+- step rows (``step``), on the same grids, supports and surfaces: the median
+  milliseconds and the mean minor page faults per call, over 50 calls, of
+  one explicit ``step`` of length 0.05 h^2 with cfl 0.15 from a surface that
+  holds no geometry.  Since the RKL2 stages take Euler sub-steps and no
+  ``step``, the workloads' traced ``flow.step`` rows read 0 calls;
 - monitor memory rows (``monitor_memory``): ``fbmcf monitor`` with the
   ``store-query`` query file (two density series over all 21 snapshots and a
   scan) on that workload's stored 21-snapshot run at h = 1/grid, each in a
@@ -241,47 +252,76 @@ def faults_probe(grid):
             "faults_per_stage": {"value": faults / stages, "unit": "count"}}
 
 
+def _kernel_rows(grid, calls):
+    """For each grid h = 2/grid, 1/grid and 1/(2 grid) and support in CHART_PHIS, the
+    tilted plane s and a row of `_timed_calls` of each (name, fn, args) in calls(s)."""
+    rows = []
+    for n in (grid // 2, grid, 2 * grid):
+        for phi in CHART_PHIS:
+            s = _tilted(phi, n)
+            row = {"grid": {"value": n, "unit": "1/h"}, "phi": phi}
+            for name, fn, args in calls(s):
+                row[f"{name}_ms"], row[f"{name}_faults"] = _timed_calls(fn, *args)
+            rows.append(row)
+    return rows
+
+
 def chart_kernel(grid):
     """The chart kernel rows: ms and faults per call of chart_frames and fundamental_forms."""
     sys.path.insert(0, str(ROOT / "src"))
     from fbmcf.geometry import fundamental_forms
     from fbmcf.support import chart_frames
 
-    rows = []
-    for n in (grid // 2, grid, 2 * grid):
-        for phi in CHART_PHIS:
-            s = _tilted(phi, n)
-            row = {"grid": {"value": n, "unit": "1/h"}, "phi": phi}
-            for name, fn, args in (
-                    ("chart_frames", chart_frames,
-                     (s.patch, s.grid.y1[:, None], s.grid.y2[None, :], s.u)),
-                    ("fundamental_forms", fundamental_forms, (s,))):
-                row[f"{name}_ms"], row[f"{name}_faults"] = _timed_calls(fn, *args)
-            rows.append(row)
-    return rows
+    return _kernel_rows(grid, lambda s: (
+        ("chart_frames", chart_frames, (s.patch, s.grid.y1[:, None], s.grid.y2[None, :], s.u)),
+        ("fundamental_forms", fundamental_forms, (s,))))
+
+
+def operator(grid):
+    """The operator rows: ms and faults per call of the flow operator and fundamental_forms."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from fbmcf.geometry import fundamental_forms
+
+    return _kernel_rows(grid, lambda s: (("operator", s.operator, ()),
+                                         ("fundamental_forms", fundamental_forms, (s,))))
+
+
+def step_rows(grid):
+    """The step rows: ms and faults per call of one explicit step of length 0.05 h^2."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from fbmcf.flow import FlowConfig, step
+
+    config = FlowConfig(t_end=1.0, cfl=0.15)
+    return _kernel_rows(grid, lambda s: (("step", step, (s, 0.05 * s.h**2, config)),))
 
 
 def scheme(grid):
-    """The scheme rows: steps, stages, kernel calls and wall time of a run on each support."""
+    """The scheme rows: steps, stages, geometry builds, operator calls and wall time of a
+    run on each support."""
     sys.path.insert(0, str(ROOT / "src"))
     from fbmcf import geometry
     from fbmcf.flow import FlowConfig, run
     from fbmcf.support import SupportPatch
 
-    kernel, calls = geometry.fundamental_forms, []
+    kernel, op, builds, ops = geometry.fundamental_forms, geometry.GraphSurface.operator, [], []
 
-    def counted(surface):
-        calls.append(None)
+    def counted_kernel(surface):
+        builds.append(None)
         return kernel(surface)
 
+    def counted_op(surface):
+        ops.append(None)
+        return op(surface)
+
     rows = []
-    geometry.fundamental_forms = counted
+    geometry.fundamental_forms, geometry.GraphSurface.operator = counted_kernel, counted_op
     try:
         for phi in SCHEME_PHIS:
             initial = geometry.GraphSurface.from_height(
                 lambda a, b: 0.1 * a + 0.2 * a * a - 0.1 * b * b,
                 SupportPatch.from_spec(phi), 1.0 / grid, 0.5)
-            calls.clear()
+            builds.clear()
+            ops.clear()
             t0 = time.perf_counter()
             traj = run(initial, FlowConfig(t_end=0.01))
             wall = time.perf_counter() - t0
@@ -290,10 +330,11 @@ def scheme(grid):
             rows.append({"grid": {"value": grid, "unit": "1/h"}, "phi": phi,
                          "steps": {"value": traj.stats["steps"], "unit": "count"},
                          "stages": {"value": traj.stats["stages"], "unit": "count"},
-                         "kernel_calls": {"value": len(calls), "unit": "count"},
+                         "geometry_builds": {"value": len(builds), "unit": "count"},
+                         "operator_calls": {"value": len(ops), "unit": "count"},
                          "wall_s": {"value": wall, "unit": "s"}})
     finally:
-        geometry.fundamental_forms = kernel
+        geometry.fundamental_forms, geometry.GraphSurface.operator = kernel, op
     return rows
 
 
@@ -450,6 +491,8 @@ def main(argv=None):
               "monitor_memory": monitor_memory(args),
               "run_faults": _script_row(args, "--faults-probe"),
               "chart_kernel": chart_kernel(args.grid),
+              "operator": operator(args.grid),
+              "step": step_rows(args.grid),
               "scheme": scheme(args.grid),
               "scan_kernel": scan_kernel(args.grid),
               "writer": writer(args.grid)}

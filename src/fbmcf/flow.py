@@ -22,7 +22,7 @@ from .errors import (
     PastSingularityError,
     ReflectionConditionError,
 )
-from .geometry import _derivative_planes, integrate, perimeter
+from .geometry import _contract, _derivative_planes, integrate, perimeter
 from .support import components, trailing
 
 MAX_STEPS = 10**6   # hard bound on the steps of one run
@@ -43,7 +43,7 @@ class FlowConfig:
     """Settings of one run.
 
     `run` advances in RKL2 steps of length tau (see `_rkl2_step`), each made
-    of s explicit Euler sub-steps (`step`) of length w1 tau, w1 = 4 / (s^2 + s - 2),
+    of s explicit Euler sub-steps (`_euler`) of length w1 tau, w1 = 4 / (s^2 + s - 2),
     and cfl bounds each sub-step.  cfl <= 1/4 is the whole stability rule of a
     sub-step.  A sub-step is dt <= cfl h^2 / max eig(g^{ij}) (see `_stability_bound`),
     and a symmetric positive 2x2 matrix has sum |g^{ij}| <= 2 max eig(g^{ij}), so
@@ -127,20 +127,11 @@ def _apply_rim(u_new, surface, config, t_new):
     return np.where(grid.active, u_new, rim)
 
 
-def _contract(a, b):
-    """a^{ij} b_ij over component-first 2x2 planes a[i, j] and b[i, j]."""
-    return a[0, 0] * b[0, 0] + a[0, 1] * b[0, 1] + a[1, 0] * b[1, 0] + a[1, 1] * b[1, 1]
-
-
-def _stability_bound(surface, config):
-    """The explicit step bound cfl h^2 / max eig(g^{ij}) (see `FlowConfig`)."""
-    return config.cfl * surface.h**2 / surface.geometry().ginv_max
-
-
-def _rhs(surface):
-    """The right-hand side L(u) = g^{ij} D2_ij u + f at every node."""
-    g = surface.geometry()
-    return _contract(components(g.ginv, 2), components(g.d2u, 2)) + g.coeff_f
+def _stability_bound(surface, config, ginv_max=None):
+    """The explicit step bound cfl h^2 / max eig(g^{ij}) (see `FlowConfig`), with the
+    eigenvalue of the surface's geometry unless ginv_max is given."""
+    return config.cfl * surface.h**2 / (surface.geometry().ginv_max if ginv_max is None
+                                        else ginv_max)
 
 
 def _advance(surface, u_new, config, t_new):
@@ -151,15 +142,23 @@ def _advance(surface, u_new, config, t_new):
     return surface.with_height(u_new, t=t_new)
 
 
+def _euler(surface, dt, config):
+    """The explicit Euler sub-step from surface: (u + dt L, L) for L = g^{ij} D2_ij u + f
+    (`GraphSurface.operator`), the rim not applied, as each caller's `_advance` applies it.
+    Raises CflViolationError where dt exceeds the surface's stability bound."""
+    L, ginv_max = surface.operator()
+    dt_max = _stability_bound(surface, config, ginv_max)
+    if dt > dt_max * (1.0 + 1e-9):
+        raise CflViolationError(f"dt = {dt:g} exceeds cfl bound {dt_max:g}")
+    return surface.u + dt * L, L
+
+
 def step(surface, dt, config):
     """One explicit Euler step u + dt (g^{ij} D2_ij u + f); returns a new surface at t + dt.
 
-    The new surface's chart range is checked where its geometry is built.
+    The new surface's chart range is checked where its operator or geometry is evaluated.
     """
-    dt_max = _stability_bound(surface, config)
-    if dt > dt_max * (1.0 + 1e-9):
-        raise CflViolationError(f"dt = {dt:g} exceeds cfl bound {dt_max:g}")
-    return _advance(surface, surface.u + dt * _rhs(surface), config, surface.t + dt)
+    return _advance(surface, _euler(surface, dt, config)[0], config, surface.t + dt)
 
 
 def _step_length(surface, config):
@@ -197,17 +196,20 @@ def _rkl2_coefficients(s):
 def _rkl2_stages(surface, tau, s, config):
     """The s-stage RKL2 step of length tau from surface; returns the surface at t + tau.
 
-    With Y_0 = surface, Y_1 = step(Y_0, w1 tau / 3) and, for j >= 2,
-    Y_j = mu_j step(Y_{j-1}, w1 tau) + nu_j Y_{j-2} + (1 - mu_j - nu_j) Y_0
-    + gamma_j tau L(Y_0), with the rim applied again at t + c_j tau.  The step
-    is second order in time and, for a linear operator, stable where the Euler
-    step of length w1 tau is.
+    With Y_0 = surface, Y_1 = E(Y_0, w1 tau / 3) and, for j >= 2,
+    Y_j = mu_j E(Y_{j-1}, w1 tau) + nu_j Y_{j-2} + (1 - mu_j - nu_j) Y_0
+    + gamma_j tau L(Y_0), with the rim applied at t + c_j tau, where E is the
+    Euler sub-step `_euler`.  The step is second order in time and, for a
+    linear operator, stable where the Euler step of length w1 tau is.  Each
+    stage evaluates the operator of Y_{j-1} only; Y_0's is read from its held
+    geometry, and no stage builds one.
     """
     w1, stages = _rkl2_coefficients(s)
-    u0, t, tau_l0 = surface.u, surface.t, tau * _rhs(surface)
-    prev2, prev = surface, step(surface, w1 * tau / 3.0, config)
+    u0, t = surface.u, surface.t
+    u1, l0 = _euler(surface, w1 * tau / 3.0, config)
+    prev2, prev, tau_l0 = surface, _advance(surface, u1, config, t + w1 * tau / 3.0), tau * l0
     for mu, nu, gamma, c in stages:
-        u = (mu * step(prev, w1 * tau, config).u + nu * prev2.u
+        u = (mu * _euler(prev, w1 * tau, config)[0] + nu * prev2.u
              + (1.0 - mu - nu) * u0 + gamma * tau_l0)
         prev2, prev = prev, _advance(surface, u, config, t + c * tau)
     return prev
@@ -218,7 +220,7 @@ def _rkl2_step(surface, tau, config):
 
     The count starts at the fewest stages whose Euler sub-step w1 tau keeps
     within the stability bound of surface.  Where a later stage's own bound is
-    smaller, its `step` refuses the sub-step, and the step is taken again with
+    smaller, its `_euler` refuses the sub-step, and the step is taken again with
     one more stage, up to twice the first count.
     """
     first = s = _stage_count(tau, _stability_bound(surface, config))
@@ -269,7 +271,7 @@ def run(initial, config):
                 break
 
             tau = _step_length(surface, config)
-            del g   # so the held geometry goes before the stages build theirs
+            del g   # so the held geometry goes before the next one is built
             new, s = _rkl2_step(surface, tau, config)
             g = new.geometry()
             surface = new

@@ -207,6 +207,19 @@ class GraphSurface:
             _held[:] = self, fundamental_forms(self), None
         return _held[1]
 
+    def operator(self):
+        """(L, max eig(g^{ij}) over the grid's active nodes) of the flow's right-hand side
+        L = g^{ij} D2_ij u + f.  Read from the held geometry where it is this surface's (see
+        `geometry`); else only the operator half of the kernel runs (`_operator`), and
+        nothing is kept."""
+        if _held[0] is self:
+            g = _held[1]
+            return _contract(components(g.ginv, 2), components(g.d2u, 2)) + g.coeff_f, g.ginv_max
+        block = np.empty((_OPERATOR_PLANES,) + self.u.shape)
+        _, ginv_max, _ = _operator(self, block)
+        _, d2u, _, ginv, f = _operator_planes(block)
+        return _contract(ginv, d2u) + f, ginv_max
+
     def positions(self):
         """The (n1, n2, 3) node positions X, bit-equal to `geometry().X`: the held geometry's X
         if it is this surface's, else (psi, u) of a `Section` or the chart's X; no kernel runs."""
@@ -326,40 +339,62 @@ def _chart(surface, order=2):
     return fr if order < 2 else patch.chart_memo.setdefault(grid.key, Section.of(fr))
 
 
-def _det_and_normal(g, cross, N):
-    """det g, once it is > 0 at every node, with N = -(T_0 x T_1) / |T_0 x T_1| written to N."""
+def _det(g):
+    """det g, once it is > 0 at every node."""
     det = g[0, 0] * g[1, 1] - g[0, 1] ** 2
     if np.any(det <= 0.0):
         raise SingularMetricError("induced metric is degenerate")
-    norm = np.sqrt(cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2])
-    for c in range(3):
-        np.divide(-cross[c], norm, out=N[c])
     return det
 
 
-def _section_front(sec, U, u, X, g, N):
-    """X, g and N of a cylinder chart, where T_i = (psi_i, u_i); returns det g, N . dPhi_2 = N_2
-    and B_ij = N . psi_ij (B_11 = 0), or None where psi is linear."""
-    X[0], X[1], X[2] = *sec.X01, U
+def _unit_normal(cross, N):
+    """N = -(T_0 x T_1) / |T_0 x T_1|, written to N."""
+    norm = np.sqrt(cross[0] * cross[0] + cross[1] * cross[1] + cross[2] * cross[2])
+    for c in range(3):
+        np.divide(-cross[c], norm, out=N[c])
+
+
+def _section_cross(sec, u):
+    """T_0 x T_1 of a cylinder chart, where T_i = (psi_i, u_i)."""
     (p0x, p0y), (p1x, p1y) = sec.dpsi
+    return p0y * u[1] - u[0] * p1y, u[0] * p1x - p0x * u[1], sec.J
+
+
+def _section_front(sec, U, u, g):
+    """g of a cylinder chart, where T_i = (psi_i, u_i); returns det g, the forcing terms and
+    `normal`.  The forcing terms are N . dPhi_2 = N_2 and B_ij = N . psi_ij (B_11 = 0) for
+    N = T_0 x T_1, a multiple of the unit normal that leaves f = g^ij B_ij / (N . dPhi_2)
+    as it is, or None where psi is linear and f = 0.  normal(X, N) writes X and the unit
+    normal N and returns N . dPhi_2 and B_ij of that N (None where psi is linear)."""
     for (i, j), G in zip(_PAIRS, sec.G):
         np.add(G, u[i] * u[j], out=g[i, j])
-    det = _det_and_normal(g, (p0y * u[1] - u[0] * p1y, u[0] * p1x - p0x * u[1], sec.J), N)
+    det = _det(g)
     if sec.folded:
         raise SingularMetricError("chart is folded past a focal point of the support")
-    B = tuple(N[0] * px + N[1] * py for px, py in sec.d2psi)
-    return det, N[2], B + (0.0,) if B else None
+    cross = _section_cross(sec, u) if sec.d2psi else None
+
+    def normal(X, N):
+        X[0], X[1], X[2] = *sec.X01, U
+        _unit_normal(cross or _section_cross(sec, u), N)
+        B = tuple(N[0] * px + N[1] * py for px, py in sec.d2psi)
+        return N[2], B + (0.0,) if B else None
+
+    if cross is None:
+        return det, None, normal
+    return det, (sec.J, tuple(cross[0] * px + cross[1] * py for px, py in sec.d2psi)), normal
 
 
-def _sphere_front(R, grid, U, u, X, g, N):
-    """X, g and N of the sphere cap's chart X = C + t (S - C), C = (0, R, 0), S = (y1, R - w, u),
+def _sphere_front(R, grid, U, u, g):
+    """g of the sphere cap's chart X = C + t (S - C), C = (0, R, 0), S = (y1, R - w, u),
     w = sqrt(R^2 - y1^2 - u^2), t = 1 - y2/R: T_0 = t (1, (y1 + u_0 u)/w, u_0) and
-    T_1 = t u_1 (0, u/w, 1) + nu, nu = (-y1, w, -u)/R.  Returns det g, N . dPhi_2 = t k with
-    k = N_1 u/w + N_2, and B_ij, in which S's second derivatives have a y-component only."""
+    T_1 = t u_1 (0, u/w, 1) + nu, nu = (-y1, w, -u)/R.  Returns det g, the forcing terms and
+    `normal` as `_section_front` does: N . dPhi_2 = t k with k = N_1 u/w + N_2, and B_ij, in
+    which S's second derivatives have a y-component only, for N = T_0 x T_1 and, from
+    normal(X, N), for the unit normal.  N . dPhi_2 = -t^2 R / (w |T_0 x T_1|) < 0 wherever
+    t != 0, as det dPhi = t^2 R / w; the fold check stands guard all the same."""
     y1, y2 = grid.y1[:, None], grid.y2[None, :]
     w = np.sqrt(R * R - y1 * y1 - U * U)
     nu = (-y1 / R, w / R, -U / R)
-    X[0], X[1], X[2] = y1 + y2 * nu[0], (R - w) + y2 * nu[1], U + y2 * nu[2]   # as `chart_frames`
     t, b = 1.0 - y2 / R, U / w
     tu1 = t * u[1]
     T = ((t, t * ((y1 + u[0] * U) / w), t * u[0]), (nu[0], tu1 * b + nu[1], tu1 + nu[2]))
@@ -367,60 +402,106 @@ def _sphere_front(R, grid, U, u, X, g, N):
         g[i, j] = T[i][0] * T[j][0] + T[i][1] * T[j][1] + T[i][2] * T[j][2]
     cross = (T[0][1] * T[1][2] - T[0][2] * T[1][1], T[0][2] * T[1][0] - T[0][0] * T[1][2],
              T[0][0] * T[1][1] - T[0][1] * T[1][0])
-    det = _det_and_normal(g, cross, N)
-    k = N[1] * b + N[2]
-    phi3N = t * k
-    if np.any(phi3N >= 0.0):
+    det = _det(g)
+    c = R * R - y1 * y1
+    s0, s1 = R * R - U * U + 2.0 * y1 * U * u[0] + c * u[0] * u[0], y1 * U + c * u[0]
+
+    def forcing(n1, k):   # N . dPhi_2 and B_ij of a normal N with N_1 = n1 and k = N_1 u/w + N_2
+        q = t * n1 / (w * w * w)
+        return t * k, (q * s0, q * u[1] * s1, q * c * u[1] * u[1] - 2.0 * k * u[1] / R)
+
+    def normal(X, N):
+        X[0], X[1], X[2] = y1 + y2 * nu[0], (R - w) + y2 * nu[1], U + y2 * nu[2]   # as `chart_frames`
+        _unit_normal(cross, N)
+        return forcing(N[1], N[1] * b + N[2])
+
+    # T_0 x T_1 is -|T_0 x T_1| times the unit normal, so its N . dPhi_2 <= 0 where the unit
+    # normal's is >= 0
+    terms = forcing(cross[1], cross[1] * b + cross[2])
+    if np.any(terms[0] <= 0.0):
         raise SingularMetricError("chart is folded past a focal point of the support")
-    q, c = t * N[1] / (w * w * w), R * R - y1 * y1
-    return det, phi3N, (q * (R * R - U * U + 2.0 * y1 * U * u[0] + c * u[0] * u[0]),
-                        q * u[1] * (y1 * U + c * u[0]), q * c * u[1] * u[1] - 2.0 * k * u[1] / R)
+    return det, terms, normal
+
+
+_OPERATOR_PLANES = 15   # du, d2u, g, g^-1 and f: the leading planes of a geometry's block
+
+
+def _operator_planes(block):
+    """The component-first views du, d2u, g, g^-1 and f of block's first 15 planes."""
+    pair = (2, 2) + block.shape[1:]
+    return (block[:2], block[2:6].reshape(pair), block[6:10].reshape(pair),
+            block[10:14].reshape(pair), block[14])
+
+
+def _operator(surface, block):
+    """The operator half of `fundamental_forms`: du, D2u, g, g^-1 and f = g^ij B_ij / (N . dPhi_2)
+    written to block's first 15 planes (see `_operator_planes`), with every check of the
+    kernel.  f takes B_ij and N . dPhi_2 of the un-normalized normal T_0 x T_1, as both are
+    linear in N.  Returns det g, max eig(g^ij) over the grid's active nodes, and the front
+    half's normal(X, N) (see `_section_front`), which the curvature half calls."""
+    U, grid, patch = surface.u, surface.grid, surface.patch
+    du, d2u, g, ginv, f = _operator_planes(block)
+    _derivative_planes(U, surface.h, out=(du, d2u))
+    if isinstance(patch.profile, SphereCapProfile):
+        _check_range(patch, grid.r2, U)
+        det, forcing, normal = _sphere_front(patch.profile.R, grid, U, du, g)
+    else:
+        det, forcing, normal = _section_front(_chart(surface), U, du, g)
+    g[1, 0] = g[0, 1]
+    np.divide(g[::-1, ::-1], det, out=ginv)   # g^01 = -g_01 / det, negated below
+    ginv[0, 1] = ginv[1, 0] = -ginv[0, 1]
+    if forcing is None:
+        f[...] = 0.0
+    else:
+        phi3N, B = forcing
+        gB = ginv[0, 0] * B[0] + 2.0 * ginv[0, 1] * B[1]
+        if len(B) > 2:   # a cylinder chart gives B_00 and B_01 only, as B_11 = 0
+            gB += ginv[1, 1] * B[2]
+        np.divide(gB, phi3N, out=f)
+    tr = ginv[0, 0] + ginv[1, 1]
+    dsc = np.sqrt((ginv[0, 0] - ginv[1, 1]) ** 2 + 4.0 * ginv[0, 1] ** 2)
+    return det, float(np.max((0.5 * (tr + dsc))[grid.active])), normal
+
+
+def _contract(a, b):
+    """a^{ij} b_ij over component-first 2x2 planes a[i, j] and b[i, j]."""
+    return a[0, 0] * b[0, 0] + a[0, 1] * b[0, 1] + a[1, 0] * b[1, 0] + a[1, 1] * b[1, 1]
 
 
 def fundamental_forms(surface):
     """Induced metric, second fundamental form, curvature, and quadrature data.
 
     Chart index 2 carries the height: g_ij = T_i . T_j for T_i = dPhi_i + u_i dPhi_2 and
-    N = -(T_0 x T_1) / |T_0 x T_1|.  A closed-form front half (`_sphere_front` on a sphere cap,
-    else `_section_front`) gives g, N and B_ij = N . d2Phi(T~_i, T~_j), T~_i = e_i + u_i e_2;
-    the back half A_ij = B_ij + (N . dPhi_2) D2_ij u, f = g^ij B_ij / (N . dPhi_2), H, |A|^2
-    and dA.  Every plane goes into one (29, n1, n2) block, which a step frees and takes again.
-    As det dPhi = -|T_0 x T_1| (N . dPhi_2), SingularMetricError is raised where det g <= 0 or,
-    after that, N . dPhi_2 >= 0 (a chart folded past a focal point), and ChartRangeError
-    where a point (y1, y2, u) leaves the chart radius.
+    N = -(T_0 x T_1) / |T_0 x T_1|.  The operator half (`_operator`) gives du, D2u, g, g^-1,
+    f and max eig(g^ij); a closed-form front half (`_sphere_front` on a sphere cap, else
+    `_section_front`) inside it gives g, and then X, N and B_ij = N . d2Phi(T~_i, T~_j),
+    T~_i = e_i + u_i e_2, to the curvature half here: A_ij = B_ij + (N . dPhi_2) D2_ij u, H,
+    |A|^2 and dA.  Every plane goes into one (29, n1, n2) block, which a run frees and takes
+    again once per step.  As det dPhi = -|T_0 x T_1| (N . dPhi_2), SingularMetricError is raised where
+    det g <= 0 or, after that, N . dPhi_2 >= 0 (a chart folded past a focal point), and
+    ChartRangeError where a point (y1, y2, u) leaves the chart radius.
     """
-    U, grid, patch = surface.u, surface.grid, surface.patch
+    U, grid = surface.u, surface.grid
     block = np.empty((29,) + U.shape)
-    X, N, u, d2u, g, ginv, A, (H, A2, sqrtg, dA, f) = np.split(block, (3, 6, 8, 12, 16, 20, 24))
-    d2u, g, ginv, A = (a.reshape((2, 2) + U.shape) for a in (d2u, g, ginv, A))
-    _derivative_planes(U, surface.h, out=(u, d2u))
-    if isinstance(patch.profile, SphereCapProfile):
-        _check_range(patch, grid.r2, U)
-        det, phi3N, B = _sphere_front(patch.profile.R, grid, U, u, X, g, N)
-    else:
-        det, phi3N, B = _section_front(_chart(surface), U, u, X, g, N)
-    g[1, 0] = g[0, 1]
-    np.divide(g[::-1, ::-1], det, out=ginv)   # g^01 = -g_01 / det, negated below
-    ginv[0, 1] = ginv[1, 0] = -ginv[0, 1]
+    det, ginv_max, normal = _operator(surface, block)
+    u, d2u, g, ginv, f = _operator_planes(block)
+    X, N, A, (H, A2, sqrtg, dA) = np.split(block[_OPERATOR_PLANES:], (3, 6, 10))
+    A = A.reshape((2, 2) + U.shape)
+    phi3N, B = normal(X, N)
     np.multiply(phi3N, d2u, out=A)
-    f[...] = 0.0
     if B is not None:
         for (i, j), b in zip(_PAIRS, B):
             A[i, j] += b
         A[1, 0] = A[0, 1]
-        np.divide(ginv[0, 0] * B[0] + 2.0 * ginv[0, 1] * B[1] + ginv[1, 1] * B[2], phi3N, out=f)
     # H = g^ij A_ij and |A|^2 = tr((g^-1 A)^2) for symmetric g^-1 and A
     np.add(ginv[0, 0] * A[0, 0] + 2.0 * ginv[0, 1] * A[0, 1], ginv[1, 1] * A[1, 1], out=H)
     GA = [[ginv[i, 0] * A[0, j] + ginv[i, 1] * A[1, j] for j in range(2)] for i in range(2)]
     np.add(GA[0][0] * GA[0][0] + 2.0 * GA[0][1] * GA[1][0], GA[1][1] * GA[1][1], out=A2)
-
-    tr = ginv[0, 0] + ginv[1, 1]
-    dsc = np.sqrt((ginv[0, 0] - ginv[1, 1]) ** 2 + 4.0 * ginv[0, 1] ** 2)
     np.sqrt(det, out=sqrtg)
     np.multiply(sqrtg, grid.weights, out=dA)
     return SurfaceGeometry(trailing(X, 1), trailing(N, 1), trailing(u, 1), trailing(d2u, 2),
                            trailing(g, 2), trailing(ginv, 2), trailing(A, 2), H, A2, sqrtg, dA,
-                           f, grid.mask, float(np.max((0.5 * (tr + dsc))[grid.active])))
+                           f, grid.mask, ginv_max)
 
 
 # ---------------------------------------------------------------------------

@@ -29,28 +29,49 @@ def checkout_python():
     return _checkout_python
 
 
-class GeometryLog:
-    """Stands in for `geometry.fundamental_forms`: counts its builds in `builds` and keeps a
-    weak reference to each geometry it builds and, with the build's number, to the surface
-    it was built for.  A reference is dropped once what it names is gone, so the log grows
-    with the surfaces a run keeps, not with its kernel calls.  With `exclusive` set, a build
-    that starts while an earlier logged geometry is alive fails.  With `log_surfaces` unset,
-    no surface is logged, so the log's own size stays flat however many a run keeps."""
+class SurfaceLog:
+    """Stands in for a kernel that takes one surface: counts its calls in `calls` and keeps,
+    with each call's number, a weak reference to the surface it was called for.  A reference
+    is dropped once its surface is gone, so the log grows with the surfaces a run keeps, not
+    with its kernel calls.  With `log_surfaces` unset, no surface is logged, so the log's own
+    size stays flat however many a run keeps."""
 
     def __init__(self, real):
-        self.real, self.builds, self.geometries, self.surfaces = real, 0, [], []
-        self.exclusive, self.log_surfaces = False, True
+        self.real, self.calls, self.surfaces, self.log_surfaces = real, 0, [], True
+
+    def __call__(self, surface):
+        out = self.real(surface)
+        if self.log_surfaces:
+            self.surfaces = [(k, ref) for k, ref in self.surfaces if ref() is not None]
+            self.surfaces.append((self.calls, weakref.ref(surface)))
+        self.calls += 1
+        return out
+
+    def called_for(self, surfaces):
+        """The index in surfaces of each logged call for one of them, in call order."""
+        index = {id(s): k for k, s in enumerate(surfaces)}
+        return [index[id(ref())] for _, ref in self.surfaces if id(ref()) in index]
+
+
+class GeometryLog(SurfaceLog):
+    """A SurfaceLog of `geometry.fundamental_forms` that also keeps a weak reference to each
+    geometry it builds.  With `exclusive` set, a build that starts while an earlier logged
+    geometry is alive fails."""
+
+    def __init__(self, real):
+        super().__init__(real)
+        self.geometries, self.exclusive = [], False
+
+    @property
+    def builds(self):
+        return self.calls
 
     def __call__(self, surface):
         if self.exclusive:
             assert self.alive() == 0, "a build started while another geometry was alive"
-        g = self.real(surface)
+        g = super().__call__(surface)
         self.geometries = [ref for ref in self.geometries if ref() is not None]
         self.geometries.append(weakref.ref(g))
-        if self.log_surfaces:
-            self.surfaces = [(k, ref) for k, ref in self.surfaces if ref() is not None]
-            self.surfaces.append((self.builds, weakref.ref(surface)))
-        self.builds += 1
         return g
 
     def alive(self):
@@ -58,10 +79,7 @@ class GeometryLog:
         gc.collect()
         return sum(ref() is not None for ref in self.geometries)
 
-    def built_for(self, surfaces):
-        """The index in surfaces of each logged build of one of them, in build order."""
-        index = {id(s): k for k, s in enumerate(surfaces)}
-        return [index[id(ref())] for _, ref in self.surfaces if id(ref()) in index]
+    built_for = SurfaceLog.called_for
 
 
 @pytest.fixture
@@ -69,4 +87,12 @@ def geometry_log(monkeypatch):
     """A GeometryLog in place of `geometry.fundamental_forms` for one test."""
     log = GeometryLog(geometry.fundamental_forms)
     monkeypatch.setattr(geometry, "fundamental_forms", log)
+    return log
+
+
+@pytest.fixture
+def operator_log(monkeypatch):
+    """A SurfaceLog of `GraphSurface.operator`, the flow operator, for one test."""
+    log = SurfaceLog(geometry.GraphSurface.operator)
+    monkeypatch.setattr(geometry.GraphSurface, "operator", lambda surface: log(surface))
     return log

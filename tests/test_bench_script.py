@@ -35,10 +35,10 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
             assert rows[f"{layer}.ms_per_call"]["value"] > 0, layer
             assert rows[f"{layer}.ms_per_call"]["unit"] == "ms", layer
     assert store["analytic.AnalyticSurface.integral.ms_per_call"]["value"] > 0
-    # the trough steps; the store run queries two densities from `fbmcf monitor`
-    # and one analytic series, and scans once
-    assert trough["flow.step.calls"]["value"] > 0
-    assert trough["flow.step.ms_per_call"]["value"] > 0
+    # the trough's RKL2 stages take Euler sub-steps, no explicit `step` (the step rows
+    # below time it); the store run queries two densities from `fbmcf monitor` and
+    # one analytic series, and scans once
+    assert trough["flow.step.calls"]["value"] == 0
     # `fbmcf monitor` evaluates its two density series through monotonicity_reports
     # in one pass, so the traced monotonicity_report is the analytic series alone
     assert store["monitors.singular_set_scan.calls"]["value"] == 1
@@ -53,25 +53,31 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
         assert all(row[key]["value"] > 0 for key in units)
     steps = [row["steps"]["value"] for row in memory]
     assert steps == sorted(steps) and steps[0] < steps[-1]
-    # one run per support to t_end 0.01: each step takes at least two stages, and
-    # every stage and the initial surface build one geometry
+    # one run per support to t_end 0.01: each step takes at least two stages, every
+    # stage calls the flow operator once, and every step and the initial surface build
+    # one geometry
     scheme = report["scheme"]
     assert [row["phi"] for row in scheme] == ["sphere_cap:2", "paraboloid:0.5"]
     for row in scheme:
         assert row["grid"] == {"value": 16, "unit": "1/h"}
         steps, stages = row["steps"]["value"], row["stages"]["value"]
-        assert steps > 0 and stages >= 2 * steps and row["kernel_calls"]["value"] == stages + 1
+        assert steps > 0 and stages >= 2 * steps
+        assert row["geometry_builds"] == {"value": steps + 1, "unit": "count"}
+        assert row["operator_calls"] == {"value": stages, "unit": "count"}
         assert row["wall_s"]["unit"] == "s" and row["wall_s"]["value"] > 0
-    # in-process chart kernel timings and page faults on each support, at half,
-    # once and twice the grid's 1/h
-    kernel = report["chart_kernel"]
-    assert [row["phi"] for row in kernel] == ["flat", "paraboloid:0.5", "sphere_cap:2"] * 3
-    assert [row["grid"]["value"] for row in kernel] == [8] * 3 + [16] * 3 + [32] * 3
-    for row in kernel:
-        for key in ("chart_frames", "fundamental_forms"):
-            ms, faults = row[f"{key}_ms"], row[f"{key}_faults"]
-            assert ms["unit"] == "ms" and ms["value"] > 0, (row["phi"], key)
-            assert faults["unit"] == "count" and faults["value"] >= 0, (row["phi"], key)
+    # in-process timings and page faults on each support, at half, once and twice the
+    # grid's 1/h: of the chart kernel, of the flow operator against the whole kernel,
+    # and of one explicit step
+    for section, keys in (("chart_kernel", ("chart_frames", "fundamental_forms")),
+                          ("operator", ("operator", "fundamental_forms")), ("step", ("step",))):
+        kernel = report[section]
+        assert [row["phi"] for row in kernel] == ["flat", "paraboloid:0.5", "sphere_cap:2"] * 3
+        assert [row["grid"]["value"] for row in kernel] == [8] * 3 + [16] * 3 + [32] * 3
+        for row in kernel:
+            for key in keys:
+                ms, faults = row[f"{key}_ms"], row[f"{key}_faults"]
+                assert ms["unit"] == "ms" and ms["value"] > 0, (section, row["phi"], key)
+                assert faults["unit"] == "count" and faults["value"] >= 0, (section, row["phi"], key)
     # a fresh-process trough run after a sphere-cap phase: faults per step
     faults = report["run_faults"]
     assert faults["grid"]["value"] == 16 and faults["steps"]["value"] > 0

@@ -24,13 +24,20 @@ from fbmcf import geometry
 from fbmcf.cli import main
 from fbmcf.errors import ChartRangeError, SingularMetricError
 from fbmcf.flow import FlowConfig, run
-from fbmcf.geometry import GraphSurface, _derivative_planes, disk_cell_weights, fundamental_forms
+from fbmcf.geometry import (
+    GraphSurface,
+    _contract,
+    _derivative_planes,
+    disk_cell_weights,
+    fundamental_forms,
+)
 from fbmcf.support import (
     FlatProfile,
     ParaboloidProfile,
     SphereCapProfile,
     SupportPatch,
     chart_frames,
+    components,
 )
 
 _TANGENT_IDX = (0, 2)
@@ -201,9 +208,9 @@ PATCHES = {
 }
 
 
-def curved_surface(patch):
+def curved_surface(patch, h=1 / 32):
     return GraphSurface.from_height(lambda a, b: 0.1 * a + 0.05 * a**2 - 0.03 * b**2,
-                                    patch, 1 / 32, 0.5)
+                                    patch, h, 0.5)
 
 
 def grid_coords(s):
@@ -299,6 +306,82 @@ def test_fundamental_forms_match_einsum_reference(name):
         assert np.all(got.coeff_f == 0.0)
     else:
         assert np.max(np.abs(got.coeff_f)) > 1e-3   # the lower-order term is exercised
+
+
+OPERATOR_PATCHES = ["flat", "paraboloid:0.5", "sphere_cap:2", "sphere_cap:2 rescaled by 0.5"]
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("name", OPERATOR_PATCHES)
+def test_operator_is_the_kernels_right_hand_side(name, n):
+    # the operator half gives L = g^ij D2_ij u + f and max eig(g^ij) bit for bit as the
+    # whole kernel does, on a surface without a geometry and on one that holds it
+    s = curved_surface(fresh(PATCHES[name]), 1 / n)
+    L, ginv_max = s.operator()
+    g = fundamental_forms(s)
+    want = _contract(components(g.ginv, 2), components(g.d2u, 2)) + g.coeff_f
+    assert np.array_equal(L, want) and ginv_max == g.ginv_max
+    s.geometry()
+    held, held_max = s.operator()
+    assert np.array_equal(held, want) and held_max == g.ginv_max
+    ref = ref_fundamental_forms(s)
+    assert rel_err(L, np.einsum("...ij,...ij->...", ref["ginv"], ref["d2u"]) + ref["coeff_f"]) <= 1e-12
+
+
+def raised(fn, *args):
+    """The exception fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except Exception as err:   # noqa: BLE001 -- compared by class and message below
+        return err
+    return None
+
+
+@pytest.mark.parametrize("case", ["trough memo", "sphere cap", "flat corners", "degenerate",
+                                  "folded"])
+def test_operator_raises_what_the_kernel_raises(case):
+    # the operator half keeps every check of the kernel: the chart range, with its
+    # message, a degenerate metric and a folded cylinder chart
+    if case == "trough memo":
+        s = GraphSurface.zero(fresh(PATCHES["paraboloid:0.5"]), 1 / 32, 0.5)
+        fundamental_forms(s)   # the section is kept; the range is checked on every call
+        s, kind = s.with_height(np.full(s.u.shape, 1.9)), ChartRangeError
+    elif case == "sphere cap":
+        s = GraphSurface.from_height(lambda a, b: np.full(a.shape, 1.7),
+                                     fresh(PATCHES["sphere_cap:2"]), 1 / 32, 0.5)
+        kind = ChartRangeError
+    elif case == "flat corners":
+        s, kind = GraphSurface.zero(SupportPatch.flat(chart_radius=0.6), 1 / 16, 0.5), ChartRangeError
+    else:
+        s = (GraphSurface.zero(OVERREACH, 1 / 32, 0.5) if case == "degenerate"
+             else GraphSurface.zero(OVERREACH, 0.03, 0.75))
+        kind = SingularMetricError
+    err, kernel_err = raised(GraphSurface.operator, s), raised(fundamental_forms, s)
+    assert type(err) is type(kernel_err) is kind
+    assert str(err) == str(kernel_err)
+    if kind is SingularMetricError:
+        assert ("degenerate" if case == "degenerate" else "folded") in str(err)
+
+
+@pytest.mark.parametrize("R", [2.0, 4.0])
+def test_sphere_cap_fold_check_cannot_fire(R):
+    # det dPhi = t^2 R / w > 0 on the sphere cap's chart, so N . dPhi_2 =
+    # -t^2 R / (w |T_0 x T_1|) < 0 at every node of random admissible heights: the
+    # kernel's fold check guards a sign that the chart never takes
+    patch = SupportPatch.from_spec(f"sphere_cap:{R:g}")
+    rng = np.random.default_rng(int(R))
+    for _ in range(6):
+        c = rng.uniform(-1.0, 1.0, 6) * (0.5, 0.4, 0.4, 0.5, 0.5, 0.5)
+        s = GraphSurface.from_height(
+            lambda a, b: (c[0] + c[1] * a + c[2] * b + c[3] * a * a + c[4] * a * b + c[5] * b * b
+                          + 0.01 * rng.uniform(-1.0, 1.0, a.shape)), patch, 1 / 32, 0.5)
+        block = np.empty((29,) + s.u.shape)
+        det, _, normal = geometry._operator(s, block)
+        phi3N, _ = normal(*np.split(block[geometry._OPERATOR_PLANES:][:6], 2))
+        y1, y2 = s.grid.nodes
+        t, w = 1.0 - y2 / R, np.sqrt(R * R - y1 * y1 - s.u * s.u)
+        assert np.all(phi3N < 0.0)
+        assert rel_err(phi3N, -t * t * R / (w * np.sqrt(det))) <= 1e-14
 
 
 @pytest.mark.parametrize("name", [name for name in sorted(PATCHES) if name.startswith("paraboloid")])

@@ -94,18 +94,23 @@ def graph(h, fn=lambda a, b: 0.1 * a, phi="paraboloid:0.5"):
     return GraphSurface.from_height(fn, SupportPatch.from_spec(phi), h, 0.5)
 
 
-def test_rkl2_steps_one_kernel_call_per_stage(geometry_log):
-    # one kernel call per stage, the fewest stages whose Euler sub-step w1 tau keeps
-    # within cfl h^2 / max eig(g^{ij}) of the step's first surface, and equal steps
+def test_rkl2_steps_one_kernel_call_per_stage(geometry_log, operator_log):
+    # one operator call per stage and one geometry per step, built for the snapshot the
+    # step ends on; the fewest stages whose Euler sub-step w1 tau keeps within
+    # cfl h^2 / max eig(g^{ij}) of the step's first surface, and equal steps
     # tau = rem / ceil(rem / (h r_dom / 16)) bit for bit
     cfg = FlowConfig(t_end=0.005, snapshot_stride=1)
     traj = run(graph(1 / 32), cfg)
     snaps, n = traj.snapshots, len(traj.monitors["t"]) - 1
     assert traj.stop_reason == "completed" and n >= 5 and len(snaps) == n + 1
+    assert geometry_log.builds == n + 1 and geometry_log.built_for(snaps) == list(range(n + 1))
     ids = {id(s) for s in snaps}
-    built = [k for k, ref in geometry_log.surfaces if id(ref()) in ids]
-    stages = np.diff(built)   # the stages of each step build the next snapshot last
-    assert len(built) == n + 1 and geometry_log.builds == traj.stats["stages"] + 1
+    first = [k for k, ref in operator_log.surfaces if id(ref()) in ids]
+    # each step's first stage reads the operator of its first surface, once; the last
+    # snapshot starts no step
+    assert operator_log.called_for(snaps) == list(range(n))
+    stages = np.diff(first + [operator_log.calls])
+    assert operator_log.calls == traj.stats["stages"]
     taus = []
     for s, nxt, count in zip(snaps, snaps[1:], stages):
         a = components(s.geometry().ginv, 2)
@@ -126,7 +131,7 @@ def test_rkl2_steps_one_kernel_call_per_stage(geometry_log):
 
 def test_rkl2_retries_with_more_stages_where_a_stage_bound_is_smaller(monkeypatch):
     # a step of exactly 1x the first surface's Euler bound takes s = 2 stages, but the
-    # tilted plane's bound falls within the step, so the second stage's `step`
+    # tilted plane's bound falls within the step, so the second stage's Euler sub-step
     # refuses w1 tau; the step is taken again with s = 3
     s = graph(1 / 32)
     dt_fe = _stability_bound(s, FlowConfig(t_end=1.0))
@@ -135,15 +140,15 @@ def test_rkl2_retries_with_more_stages_where_a_stage_bound_is_smaller(monkeypatc
     assert traj.stop_reason == "completed" and traj.stats["s_max"] == 3
     # a stage that keeps refusing ends the run at twice the first count, with its
     # cause and the surface before the step
-    calls = []
+    calls, euler = [], flow._euler
 
     def refuse(surface, dt, config):
         calls.append(surface)
         if surface is not s:
             raise CflViolationError("refused")
-        return step(surface, dt, config)
+        return euler(surface, dt, config)
 
-    monkeypatch.setattr(flow, "step", refuse)
+    monkeypatch.setattr(flow, "_euler", refuse)
     traj = run(s, FlowConfig(t_end=4 * dt_fe))
     first = _stage_count(4 * dt_fe, dt_fe)
     assert isinstance(traj.error, CflViolationError) and traj.snapshots == [s]
