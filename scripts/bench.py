@@ -52,7 +52,8 @@ reads it as it is and keeps:
   sphere cap, so these rows are its only timing;
 - operator rows (``operator``), on the same grids, supports and surfaces: the
   median milliseconds and the mean minor page faults per call, over 50 calls,
-  of the flow operator ``GraphSurface.operator`` on a surface that holds no
+  of the difference quotients ``_derivative_planes`` into fresh planes, of the
+  flow operator ``GraphSurface.operator`` on a surface that holds no
   geometry, which evaluates the operator half of the kernel only, as an RKL2
   stage does, and of the whole ``fundamental_forms``;
 - step rows (``step``), on the same grids, supports and surfaces: the median
@@ -278,11 +279,13 @@ def chart_kernel(grid):
 
 
 def operator(grid):
-    """The operator rows: ms and faults per call of the flow operator and fundamental_forms."""
+    """The operator rows: ms and faults per call of the difference quotients, the flow
+    operator and fundamental_forms."""
     sys.path.insert(0, str(ROOT / "src"))
-    from fbmcf.geometry import fundamental_forms
+    from fbmcf.geometry import _derivative_planes, fundamental_forms
 
-    return _kernel_rows(grid, lambda s: (("operator", s.operator, ()),
+    return _kernel_rows(grid, lambda s: (("derivative_planes", _derivative_planes, (s.u, s.h)),
+                                         ("operator", s.operator, ()),
                                          ("fundamental_forms", fundamental_forms, (s,))))
 
 

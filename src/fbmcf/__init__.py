@@ -2,7 +2,7 @@
 
 Surfaces evolve by mean curvature inside a mean-convex container and meet
 its boundary orthogonally.  The package provides the support-surface tubular
-chart, discrete graph geometry, an explicit Euler flow solver,
+chart, discrete graph geometry, a Runge-Kutta-Legendre (RKL2) flow solver,
 Gaussian-density and energy monitors, parabolic rescalings, and a scenario
 driven CLI.
 """

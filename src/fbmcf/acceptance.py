@@ -16,7 +16,6 @@ from .errors import FbmcfError
 from .flow import (
     FlowConfig,
     exact_trajectory,
-    extension_residual,
     run,
     shrinking_radius,
     step,
@@ -200,17 +199,28 @@ def criterion_9():
                 + f"; worst margin over bound = {worst:.2e}")
 
 
+def _trough_edge_residual(h_inv):
+    """The last snapshot's `neumann_residual` of the trough u0 = 0.1 y1 + 0.2 y1^2 - 0.1 y2^2
+    over paraboloid:0.5, run to t = 0.002 at h = 1/h_inv, and the run's stop reason."""
+    surf = GraphSurface.from_height(lambda a, b: 0.1 * a + 0.2 * a**2 - 0.1 * b**2,
+                                    SupportPatch.paraboloid(0.5), 1.0 / h_inv, 0.5)
+    traj = run(surf, FlowConfig(t_end=0.002, outer_bc="frozen"))
+    return traj.snapshots[-1].neumann_residual(), traj.stop_reason
+
+
 def criterion_10():
-    """Reflection principle: extended operator is even, mixed coefficient zero."""
-    surf = GraphSurface.sphere_cap(1.0, 1.0 / 64.0, 0.5)
-    res = extension_residual(surf)
-    asym = float(np.max(np.abs(res - res[:, ::-1])))
-    scale = float(np.max(np.abs(res)))
-    a12 = float(np.max(np.abs(surf.geometry().ginv[:, 0, 0, 1])))
-    tol_n = surf.h**2
-    ok = asym <= 1e-10 * (1.0 + scale) and a12 <= tol_n
-    return ok, (f"extension asymmetry = {asym:.2e} (machine level), "
-                f"edge a12 = {a12:.2e} (tol {tol_n:.2e})")
+    """Free-boundary Neumann order: the one-sided edge derivative u_2 of a curved-support
+    run falls at second order, and heights with u_2 = 0.3 + 0.2 y1 read their u_2."""
+    res, reasons = zip(*(_trough_edge_residual(n) for n in (32, 64, 128)))
+    if any(r != "completed" for r in reasons):
+        return False, "runs stopped: " + ", ".join(reasons)
+    ratios = [a / b for a, b in zip(res, res[1:])]
+    control = GraphSurface.from_height(lambda a, b: 0.1 * a + 0.3 * b + 0.2 * a * b,
+                                       SupportPatch.flat(), 1.0 / 64.0, 0.5).neumann_residual()
+    ok = all(3.0 <= r <= 5.0 for r in ratios) and abs(control - 0.4) <= 1e-10
+    return ok, (f"edge residual {res[0]:.3e} -> {res[1]:.3e} -> {res[2]:.3e}, ratios = "
+                f"{ratios[0]:.2f}, {ratios[1]:.2f} (need [3, 5]); control = {control:.6f} "
+                f"(want 0.4)")
 
 
 def criterion_11():
@@ -261,7 +271,7 @@ CRITERIA = [
     (7, "Gauss-Bonnet energy identity", criterion_7),
     (8, "self-shrinker residual", criterion_8),
     (9, "modified area ratio bound", criterion_9),
-    (10, "reflection principle", criterion_10),
+    (10, "free-boundary Neumann order", criterion_10),
     (11, "rescaling self-similarity", criterion_11),
     (12, "singular-set scan", criterion_12),
 ]

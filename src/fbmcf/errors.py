@@ -33,10 +33,6 @@ class TimeWindowError(FbmcfError):
     """Boundary-kernel time window exceeded for a curved support surface."""
 
 
-class ReflectionConditionError(FbmcfError):
-    """Mixed coefficient does not vanish on the free-boundary edge."""
-
-
 class PatchFieldError(ValueError):
     """A support-patch setting breaks the graph-patch rules; `field` names it."""
 

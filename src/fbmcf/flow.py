@@ -15,15 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import AnalyticSurface
-from .errors import (
-    CflViolationError,
-    FbmcfError,
-    NonFiniteError,
-    PastSingularityError,
-    ReflectionConditionError,
-)
-from .geometry import _contract, _derivative_planes, integrate, perimeter
-from .support import components, trailing
+from .errors import CflViolationError, FbmcfError, NonFiniteError, PastSingularityError
+from .geometry import integrate, perimeter
 
 MAX_STEPS = 10**6   # hard bound on the steps of one run
 
@@ -325,43 +318,3 @@ def exact_trajectory(kind, times, R0=1.0):
     mon = {"t": times, "area": area, "perimeter": per, "energy": en,
            "max_H": 2.0 / R, "max_A": np.sqrt(2.0) / R}
     return Trajectory(snaps, mon, "completed")
-
-
-# ---------------------------------------------------------------------------
-# Reflection principle
-# ---------------------------------------------------------------------------
-
-def even_extension(surface):
-    """Even extension of the height and PDE coefficients across y2 = 0.
-
-    Returns (ubar, abar, fbar) on the full rectangle; abar components flip
-    sign once per distance index, so continuity of the mixed coefficient
-    across the edge requires a^{12}(y1, 0) = 0, which is asserted up to 10 h^2.
-    """
-    g = surface.geometry()
-    a, f = components(g.ginv, 2), g.coeff_f
-    a12_edge = float(np.max(np.abs(a[0, 1, :, 0])))
-    if a12_edge > 10.0 * surface.h**2:
-        raise ReflectionConditionError(
-            f"mixed coefficient {a12_edge:g} does not vanish on the edge"
-        )
-
-    def ext(field, sign):
-        out = np.concatenate([sign * field[:, :0:-1], field], axis=1)
-        return out
-
-    ubar = ext(surface.u, +1.0)
-    fbar = ext(f, +1.0)
-    abar = np.empty((2, 2) + ubar.shape)
-    abar[0, 0] = ext(a[0, 0], +1.0)
-    abar[1, 1] = ext(a[1, 1], +1.0)
-    abar[0, 1] = abar[1, 0] = ext(a[0, 1], -1.0)
-    return ubar, trailing(abar, 2), fbar
-
-
-def extension_residual(surface):
-    """Spatial PDE operator evaluated on the even extension (full rectangle)."""
-    ubar, abar, fbar = even_extension(surface)
-    _, d2u = _derivative_planes(ubar, surface.h, half=False)
-    return _contract(components(abar, 2), d2u) + fbar
-

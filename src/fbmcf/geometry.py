@@ -105,9 +105,9 @@ class Grid(NamedTuple):
 # Finite differences (second order, ghost-row even reflection at y2 = 0)
 # ---------------------------------------------------------------------------
 
-def _derivative_planes(U, h, half=True, out=None):
+def _derivative_planes(U, h, out=None):
     """Difference quotients as component-first planes du[i] and d2u[i, j], into out = (du, d2u)
-    if given.  Row y2 = 0 is the Neumann edge; half False (`flow.extension_residual`) one-sided."""
+    if given.  Row y2 = 0 is the Neumann edge, read through the ghost row u(y1, -h) = u(y1, h)."""
     du, d2u = out or (np.empty((2,) + U.shape), np.empty((2, 2) + U.shape))
     d1, d2, d11, d12, d22 = du[0], du[1], d2u[0, 0], d2u[0, 1], d2u[1, 1]
     d1[1:-1] = (U[2:] - U[:-2]) / (2 * h)
@@ -120,21 +120,14 @@ def _derivative_planes(U, h, half=True, out=None):
 
     d2[:, 1:-1] = (U[:, 2:] - U[:, :-2]) / (2 * h)
     d22[:, 1:-1] = (U[:, 2:] - 2 * U[:, 1:-1] + U[:, :-2]) / h**2
-    if half:
-        # ghost value u(y1, -h) = u(y1, h): Neumann exact at stencil level
-        d2[:, 0] = 0.0
-        d22[:, 0] = 2.0 * (U[:, 1] - U[:, 0]) / h**2
-    else:
-        d2[:, 0] = (-3 * U[:, 0] + 4 * U[:, 1] - U[:, 2]) / (2 * h)
-        d22[:, 0] = (2 * U[:, 0] - 5 * U[:, 1] + 4 * U[:, 2] - U[:, 3]) / h**2
+    # ghost value u(y1, -h) = u(y1, h): Neumann exact at stencil level
+    d2[:, 0] = 0.0
+    d22[:, 0] = 2.0 * (U[:, 1] - U[:, 0]) / h**2
     d2[:, -1] = (3 * U[:, -1] - 4 * U[:, -2] + U[:, -3]) / (2 * h)
     d22[:, -1] = (2 * U[:, -1] - 5 * U[:, -2] + 4 * U[:, -3] - U[:, -4]) / h**2
 
     d12[:, 1:-1] = (d1[:, 2:] - d1[:, :-2]) / (2 * h)
-    if half:
-        d12[:, 0] = 0.0  # d1 is even across the edge
-    else:
-        d12[:, 0] = (-3 * d1[:, 0] + 4 * d1[:, 1] - d1[:, 2]) / (2 * h)
+    d12[:, 0] = 0.0  # d1 is even across the edge
     d12[:, -1] = (3 * d1[:, -1] - 4 * d1[:, -2] + d1[:, -3]) / (2 * h)
     d2u[1, 0] = d12
     return du, d2u

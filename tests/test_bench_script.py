@@ -66,10 +66,11 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
         assert row["operator_calls"] == {"value": stages, "unit": "count"}
         assert row["wall_s"]["unit"] == "s" and row["wall_s"]["value"] > 0
     # in-process timings and page faults on each support, at half, once and twice the
-    # grid's 1/h: of the chart kernel, of the flow operator against the whole kernel,
-    # and of one explicit step
+    # grid's 1/h: of the chart kernel, of the difference quotients and the flow operator
+    # against the whole kernel, and of one explicit step
     for section, keys in (("chart_kernel", ("chart_frames", "fundamental_forms")),
-                          ("operator", ("operator", "fundamental_forms")), ("step", ("step",))):
+                          ("operator", ("derivative_planes", "operator", "fundamental_forms")),
+                          ("step", ("step",))):
         kernel = report[section]
         assert [row["phi"] for row in kernel] == ["flat", "paraboloid:0.5", "sphere_cap:2"] * 3
         assert [row["grid"]["value"] for row in kernel] == [8] * 3 + [16] * 3 + [32] * 3

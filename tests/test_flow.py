@@ -18,10 +18,8 @@ from fbmcf.flow import (
     _rkl2_coefficients,
     _stability_bound,
     _stage_count,
-    even_extension,
     exact_surface,
     exact_trajectory,
-    extension_residual,
     run,
     shrinking_radius,
     step,
@@ -330,30 +328,6 @@ def test_exact_surface_radius_law():
 def test_past_singularity():
     with pytest.raises(PastSingularityError):
         exact_surface("sphere", t=0.25, R0=1.0)
-
-
-def test_even_extension_flat_zero():
-    s = GraphSurface.zero(FLAT, 1 / 16, 0.5)
-    ubar, abar, fbar = even_extension(s)
-    assert np.allclose(ubar, 0.0)
-    assert np.allclose(abar, np.eye(2))
-    assert np.allclose(fbar, 0.0)
-
-
-def test_even_extension_matches_full_sphere():
-    # the sphere's closed-form heights on the reflected rectangle y2 in [-r_dom, r_dom]
-    s = GraphSurface.sphere_cap(1.0, 1 / 32, 0.5)
-    Y1, Y2 = np.meshgrid(s.grid.y1, np.concatenate([-s.grid.y2[:0:-1], s.grid.y2]),
-                         indexing="ij")
-    ubar, _, _ = even_extension(s)
-    assert ubar.shape == Y1.shape
-    assert np.max(np.abs(ubar - np.sqrt(1.0 - Y1**2 - Y2**2))) < 1e-12
-
-
-def test_extension_residual_even():
-    s = GraphSurface.sphere_cap(1.0, 1 / 32, 0.5)
-    res = extension_residual(s)
-    assert np.max(np.abs(res - res[:, ::-1])) < 1e-10 * (1 + np.max(np.abs(res)))
 
 
 def _traced_stride_one_run(t_end):

@@ -271,10 +271,14 @@ def test_gauss_bonnet_refuses_grid_surface():
 
 
 def test_neumann_residual_zero_for_even_data():
+    # cos(-b) = cos(b): heights even in y2 read O(h^2)
     s = GraphSurface.from_height(lambda a, b: 0.1 * np.cos(a) * np.cos(b),
                                  FLAT, 1 / 32, 0.5)
-    # cos is not even in y2 around 0? it is: cos(-b) = cos(b)
     assert s.neumann_residual() < 10 * s.h**2
+    # heights linear in y2 read their u_2 = 0.3 + 0.2 y1 exactly, at most 0.4
+    s = GraphSurface.from_height(lambda a, b: 0.1 * a + 0.3 * b + 0.2 * a * b,
+                                 FLAT, 1 / 64, 0.5)
+    assert abs(s.neumann_residual() - 0.4) <= 1e-10
 
 
 def test_shape_validation():
