@@ -45,6 +45,9 @@ reads it as it is and keeps:
   with its catalog defaults: the median milliseconds and the mean minor page
   faults per call, over 50 calls in this process, of ``chart_frames`` on the
   grid's axes and of ``fundamental_forms``, for the tilted plane u = 0.1 y1.
+  ``chart_frames`` builds d2Phi for the trough only: the flat and sphere-cap
+  rows evaluate X, dPhi and nu alone, so they are not comparable with those
+  of ``BENCH_30.json`` and earlier files, which also built d2Phi there.
   On the trough every ``fundamental_forms`` call after the first reads the
   cross section kept in the patch's chart memo, as the steps of a run do;
   the flat support and the sphere cap, whose kernel is in closed form,

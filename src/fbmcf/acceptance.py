@@ -163,14 +163,12 @@ def criterion_7():
                 f"{gb_s['lhs']:.6f}, residual = {gb_s['residual']:.2e}")
 
 
-def criterion_8(fast=False):
+def criterion_8():
     """Self-shrinker residual: exact in analytic mode, O(h^2) on the grid."""
     sph = AnalyticSurface.sphere(ORIGIN, 1.0)
     res_a = self_shrinker_residual(sph, ORIGIN, 0.25)
     if res_a > 1e-8:
         return False, f"analytic residual = {res_a:.2e} (tol 1e-8)"
-    if fast:
-        return True, f"analytic residual = {res_a:.2e}; grid part skipped (fast)"
     res = {}
     for h_inv in (64, 128):
         surf = GraphSurface.sphere_cap(1.0, 1.0 / h_inv, 0.5)
@@ -276,27 +274,15 @@ CRITERIA = [
     (12, "singular-set scan", criterion_12),
 ]
 
-_FAST_SKIP = {2, 3}
-
-
-def run_all(fast=False):
+def run_all():
     """Execute every criterion; returns a list of result dicts."""
     results = []
     for num, name, fn in CRITERIA:
-        if fast and num in _FAST_SKIP:
-            results.append({"criterion": num, "name": name, "passed": True,
-                            "skipped": True, "detail": "skipped (fast mode)",
-                            "seconds": 0.0})
-            continue
         t0 = time.perf_counter()
         try:
-            if num == 8:
-                passed, detail = fn(fast=fast)
-            else:
-                passed, detail = fn()
+            passed, detail = fn()
         except FbmcfError as err:
             passed, detail = False, f"aborted: {err}"
         results.append({"criterion": num, "name": name, "passed": passed,
-                        "skipped": False, "detail": detail,
-                        "seconds": time.perf_counter() - t0})
+                        "detail": detail, "seconds": time.perf_counter() - t0})
     return results

@@ -195,11 +195,13 @@ def _rkl2_stages(surface, tau, s, config):
     Euler sub-step `_euler`.  The step is second order in time and, for a
     linear operator, stable where the Euler step of length w1 tau is.  Each
     stage evaluates the operator of Y_{j-1} only; Y_0's is read from its held
-    geometry, and no stage builds one.
+    geometry, which is then released, so stages 2 .. s hold no geometry and
+    none builds one.
     """
     w1, stages = _rkl2_coefficients(s)
     u0, t = surface.u, surface.t
     u1, l0 = _euler(surface, w1 * tau / 3.0, config)
+    surface.release_geometry()
     prev2, prev, tau_l0 = surface, _advance(surface, u1, config, t + w1 * tau / 3.0), tau * l0
     for mu, nu, gamma, c in stages:
         u = (mu * _euler(prev, w1 * tau, config)[0] + nu * prev2.u

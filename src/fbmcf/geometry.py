@@ -200,6 +200,11 @@ class GraphSurface:
             _held[:] = self, fundamental_forms(self), None
         return _held[1]
 
+    def release_geometry(self):
+        """Drop this surface's geometry if `geometry` holds it; the next call rebuilds it."""
+        if _held[0] is self:
+            _held[:] = None, None, None
+
     def operator(self):
         """(L, max eig(g^{ij}) over the grid's active nodes) of the flow's right-hand side
         L = g^{ij} D2_ij u + f.  Read from the held geometry where it is this surface's (see

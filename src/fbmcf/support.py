@@ -5,8 +5,8 @@ x2 = phi(x1, x3) through the origin, with unit inward normal (0, 1, 0) at
 the base point.  Chart coordinates are Y = (y1, y2, y3): (y1, y3) are
 tangent coordinates of the projection onto the surface and y2 is the signed
 distance (positive on the inside).  Each catalog profile states its chart
-Phi(Y) = (y1, phi, y3) + y2 nu(y1, y3), with its first and second
-derivatives, and its kappa-graph bounds over a disk in closed form.
+Phi(Y) = (y1, phi, y3) + y2 nu(y1, y3), its first derivatives (and the second
+ones a kernel reads) and its kappa-graph bounds over a disk in closed form.
 """
 
 from __future__ import annotations
@@ -46,10 +46,11 @@ def sq_dist(X, P):
 # Height profiles phi(y1, y3): the chart and the kappa-graph bounds
 # ---------------------------------------------------------------------------
 #
-# `chart(p, d, q, order)` returns the component-first X, dPhi, nu and, for
-# order >= 2, d2Phi (else None) of `chart_frames` at float arrays (y1, y2, y3).
-# d2Phi holds the pairs (0, 0) = y2 d_11 nu + d_11 (y1, phi, y3) and
-# (0, 1) = d_1 nu, which a cylinder chart's `geometry.Section` reads.
+# `chart(p, d, q, order)` returns the component-first X, dPhi, nu and d2Phi of
+# `chart_frames` at float arrays (y1, y2, y3).  d2Phi is None but for the
+# paraboloid at order >= 2, whose cylinder chart `geometry.Section` reads the
+# pairs (0, 0) = y2 d_11 nu + d_11 (y1, phi, y3) and (0, 1) = d_1 nu; the
+# sphere cap's kernel (`geometry._sphere_front`) and the flat chart need none.
 #
 # `rescale(lam)` returns the catalog profile phi(lam y)/lam.
 #
@@ -72,8 +73,7 @@ class FlatProfile:
         dPhi[0, 0] = dPhi[1, 1] = dPhi[2, 2] = 1.0
         nu = np.zeros((3,) + p.shape)
         nu[1] = 1.0
-        z = np.zeros(p.shape)
-        return X, dPhi, nu, dict.fromkeys(((0, 0), (0, 1)), (z, z, z)) if order >= 2 else None
+        return X, dPhi, nu, None
 
     def rescale(self, lam):
         return self
@@ -142,7 +142,7 @@ class SphereCapProfile:
     def chart(self, p, d, q, order=2):
         # with centre C = (0, R, 0) and support point S = (y1, phi, y3):
         # nu = (C - S)/R and Phi = S + y2 nu = C + t (S - C) with t = 1 - y2/R,
-        # so d_a Phi = t d_a S, d_a nu = -d_a S/R and d_ab Phi = t d_ab S
+        # so d_a Phi = t d_a S and d_a nu = -d_a S/R
         R, shape = self.R, np.broadcast_shapes(p.shape, d.shape, q.shape)
         w2 = R * R - p * p - q * q
         if np.any(w2 <= 0.0):
@@ -160,12 +160,7 @@ class SphereCapProfile:
         dPhi[0, 0] = dPhi[2, 2] = t
         dPhi[1, 0], dPhi[1, 2] = t * g0, t * g1
         dPhi[:, 1] = nu
-        if order < 2:
-            return X, dPhi, nu, None
-        z = np.zeros(w.shape)
-        d2Phi = {(0, 1): (np.full(w.shape, -1.0 / R), -g0 / R, z),
-                 (0, 0): (z, t * ((R * R - q * q) / (w2 * w)), z)}
-        return X, dPhi, nu, d2Phi
+        return X, dPhi, nu, None
 
     def rescale(self, lam):
         return SphereCapProfile(self.R / lam)
@@ -198,7 +193,6 @@ class SupportPatch:
     chart disk: `sphere_cap(R)` with its defaults is built, yet fails that check.
     """
 
-    kind: str
     profile: object
     kappa: float
     chart_radius: float
@@ -207,7 +201,7 @@ class SupportPatch:
     def __post_init__(self):
         if self.kappa < 0:
             raise PatchFieldError("kappa must be >= 0", "kappa")
-        if self.kappa == 0 and self.kind != "flat":
+        if self.kappa == 0 and not self.is_flat:
             raise PatchFieldError("kappa = 0 is only admitted for flat patches", "kappa")
         # below the profile's curvature the chart radius 1/kappa could reach the
         # support's focal line
@@ -223,37 +217,28 @@ class SupportPatch:
 
     @classmethod
     def flat(cls, chart_radius=10.0):
-        return cls("flat", FlatProfile(), 0.0, chart_radius)
+        return cls(FlatProfile(), 0.0, chart_radius)
 
     @classmethod
     def paraboloid(cls, a, kappa=None, chart_radius=None):
         kappa = float(abs(a)) if kappa is None else float(kappa)
         if chart_radius is None:   # kappa = 0 is refused in __post_init__
             chart_radius = 1.0 / kappa if kappa else np.inf
-        return cls("analytic-quadric", ParaboloidProfile(a), kappa, chart_radius)
+        return cls(ParaboloidProfile(a), kappa, chart_radius)
 
     @classmethod
     def sphere_cap(cls, R, kappa=None, chart_radius=None):
         kappa = 1.0 / float(R) if kappa is None else float(kappa)
         if chart_radius is None:
             chart_radius = min(1.0 / kappa if kappa else np.inf, 0.9 * float(R))
-        return cls("analytic-quadric", SphereCapProfile(R), kappa, chart_radius)
+        return cls(SphereCapProfile(R), kappa, chart_radius)
 
     @classmethod
     def from_spec(cls, phi, kappa=None, chart_radius=None):
-        """Catalog lookup: 'flat', 'paraboloid:a', 'sphere_cap:R', and
-        '<spec>@/lam', an older name of `from_spec(<spec>).rescale(lam)` that
-        stored runs may carry.
+        """Catalog lookup: 'flat', 'paraboloid:a' or 'sphere_cap:R'.
 
-        A flat patch ignores kappa; a left-out value takes the constructor's
-        default, or for '<spec>@/lam' the value of `from_spec(<spec>).rescale(lam)`.
+        A flat patch ignores kappa; a left-out value takes the constructor's default.
         """
-        if "@/" in phi:
-            spec, lam = phi.rsplit("@/", 1)
-            patch = cls.from_spec(spec).rescale(float(lam))
-            return replace(patch, kappa=patch.kappa if kappa is None else float(kappa),
-                           chart_radius=(patch.chart_radius if chart_radius is None
-                                         else chart_radius))
         if phi == "flat":
             return cls.flat(10.0 if chart_radius is None else chart_radius)
         if ":" in phi:
@@ -273,7 +258,7 @@ class SupportPatch:
 
     @property
     def is_flat(self):
-        return self.kind == "flat"
+        return isinstance(self.profile, FlatProfile)
 
     def rescale(self, lam):
         """The patch of Gamma/lam on the catalog profile phi(lam y)/lam, a (lam*kappa)-graph; kappa
@@ -306,8 +291,8 @@ def chart_frames(patch, y1, y2, y3, order=2):
     data take the shape of (y1, y3) -- (n1, 1) on a support that does not
     depend on y3 -- and only products with the distance y2 fill the full shape.
     Returns a dict with 'X' (..., 3) and 'dPhi' (..., 3, i) over the full shape,
-    component-first views (see `trailing`), 'nu' (..., 3) and, for order >= 2,
-    'd2Phi', mapping the chart pairs (0, 0) and (0, 1), all that a cylinder
+    component-first views (see `trailing`), 'nu' (..., 3) and, for order >= 2 on
+    a paraboloid, 'd2Phi', mapping the chart pairs (0, 0) and (0, 1), all that a cylinder
     chart's cross section has besides d2Phi_11 = 0 (y2 is a distance), to
     their three ambient components.  The profile states them in closed form
     (see its `chart`).
@@ -323,21 +308,13 @@ def chart_frames(patch, y1, y2, y3, order=2):
 
 def tubular_map(patch, Y):
     """Phi(Y) = (y1, phi(y1,y3), y3) + y2 * nu(y1, y3)."""
-    Y = np.asarray(Y, dtype=float)
-    p, d, q = components(Y, 1)
-    if patch.is_flat:
-        _check_range(patch, p * p + d * d, q)
-        return Y.copy()
-    return chart_frames(patch, p, d, q, order=1)["X"]
+    return chart_frames(patch, *components(np.asarray(Y, dtype=float), 1), order=1)["X"]
 
 
 def chart_coords(patch, X):
-    """Invert the tubular map by Newton iteration from Y = X, to 1e-12 chart radii in 50 steps."""
+    """Invert the tubular map by Newton iteration from Y = X, to 1e-12 chart radii in 50 steps;
+    the flat chart is the identity, so its iteration returns at the first evaluation."""
     X = np.asarray(X, dtype=float)
-    if patch.is_flat:
-        p, d, q = components(X, 1)
-        _check_range(patch, p * p + d * d, q)
-        return X.copy()
     Y = X.copy()
     tol = 1e-12 * patch.chart_radius
     for _ in range(50):

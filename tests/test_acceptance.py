@@ -15,7 +15,7 @@ from fbmcf.acceptance import CRITERIA, _sphere_run, criterion_3, criterion_10, r
 
 @pytest.fixture(scope="module")
 def results():
-    out = run_all(fast=False)
+    out = run_all()
     return {r["criterion"]: r for r in out}
 
 

@@ -127,6 +127,31 @@ def test_rkl2_steps_one_kernel_call_per_stage(geometry_log, operator_log):
                           "tau_min": min(taus), "tau_max": max(taus)}
 
 
+def test_rkl2_stages_after_the_first_hold_no_geometry(monkeypatch, geometry_log):
+    # a step's first stage reads L and max eig(g^{ij}) from the held geometry of its
+    # first surface, which is then released: the later stages evaluate their operators
+    # with no geometry alive, and the heights are those of a run that keeps it
+    stages, euler, alive = flow._rkl2_stages, flow._euler, []
+
+    def logged_stages(surface, tau, s, config):
+        alive.append([])
+        return stages(surface, tau, s, config)
+
+    def logged_euler(surface, dt, config):
+        alive[-1].append(geometry_log.alive())
+        return euler(surface, dt, config)
+
+    monkeypatch.setattr(flow, "_rkl2_stages", logged_stages)
+    monkeypatch.setattr(flow, "_euler", logged_euler)
+    cfg = FlowConfig(t_end=0.005)
+    traj = run(graph(1 / 32), cfg)
+    assert traj.stop_reason == "completed" and len(alive) == traj.stats["steps"] >= 5
+    assert alive == [[1] + [0] * (len(a) - 1) for a in alive]
+    monkeypatch.setattr(GraphSurface, "release_geometry", lambda surface: None)
+    kept = run(graph(1 / 32), cfg)
+    assert [s.u.tobytes() for s in kept.snapshots] == [s.u.tobytes() for s in traj.snapshots]
+
+
 def test_rkl2_retries_with_more_stages_where_a_stage_bound_is_smaller(monkeypatch):
     # a step of exactly 1x the first surface's Euler bound takes s = 2 stages, but the
     # tilted plane's bound falls within the step, so the second stage's Euler sub-step

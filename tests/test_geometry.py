@@ -109,11 +109,12 @@ def test_grid_data_is_built_once_per_grid(monkeypatch):
         assert not a.flags.writeable
 
 
-@pytest.mark.parametrize("phi", [   # the ids name the half-disk grid every surface has
-    pytest.param(phi, id=f"{phi}-half-disk")
-    for phi in ("flat", "paraboloid:0.5", "sphere_cap:2", "paraboloid:0.5@/0.5")])
-def test_positions_bit_equal_to_kernel_positions(phi, geometry_log):
-    patch = SupportPatch.from_spec(phi)
+@pytest.mark.parametrize("phi,lam", [   # the ids name the half-disk grid every surface has
+    pytest.param(phi, lam, id=phi + f" rescaled by {lam:g}" * (lam != 1.0) + "-half-disk")
+    for phi, lam in (("flat", 1.0), ("paraboloid:0.5", 1.0), ("sphere_cap:2", 1.0),
+                     ("paraboloid:0.5", 0.5))])
+def test_positions_bit_equal_to_kernel_positions(phi, lam, geometry_log):
+    patch = SupportPatch.from_spec(phi).rescale(lam)
     s = GraphSurface.from_height(lambda a, b: 0.1 * a + 0.2 * b * b, patch, 1 / 32, 0.25)
     before = s.positions()   # no chart memo yet on a fresh patch
     assert geometry_log.builds == 0 and not patch.chart_memo   # no kernel ran

@@ -501,8 +501,7 @@ def test_rescaled_patch_run_reloads(lam, tmp_path):
 
 
 def test_rescaled_spec_text():
-    # a rescaled patch names its catalog profile; a stored '<spec>@/lam' loads as
-    # the rescaled patch
+    # a rescaled patch names its catalog profile, and only catalog names load
     patch = SupportPatch.from_spec("paraboloid:0.5")
     assert patch.rescale(0.5).spec()["phi"] == "paraboloid:0.25"
     assert patch.rescale(1 / 3).spec()["phi"] == f"paraboloid:{0.5 * (1 / 3)!r}"
@@ -510,11 +509,10 @@ def test_rescaled_spec_text():
     twice = SupportPatch.from_spec("sphere_cap:2").rescale(0.5).rescale(3)
     assert twice.spec()["phi"] == f"sphere_cap:{2 / 0.5 / 3!r}"
     assert SupportPatch.from_spec(**twice.spec()).spec() == twice.spec()
-    for old, new in (("sphere_cap:2@/0.5@/3", twice), ("paraboloid:0.5@/0.5", patch.rescale(0.5)),
-                     ("flat@/2", SupportPatch.flat().rescale(2))):
-        assert SupportPatch.from_spec(old).spec() == new.spec(), old
     with pytest.raises(PatchFieldError, match="curvature"):   # below lam |a| = 0.25
-        SupportPatch.from_spec("paraboloid:0.5@/0.5", kappa=0.2)
+        SupportPatch.from_spec(patch.rescale(0.5).spec()["phi"], kappa=0.2)
+    with pytest.raises(ValueError, match="0.5@/0.5"):   # no longer a name of the rescaled patch
+        SupportPatch.from_spec("paraboloid:0.5@/0.5")
 
 
 def test_trajectory_roundtrip(tmp_path):
@@ -759,6 +757,19 @@ def test_cli_rescale_out_of_range_is_numerical(finished_run):
     assert rc == 3
 
 
+def test_cli_rescale_abort_writes_no_frame(trough_run, tmp_path, capsys):
+    # the frame's samples all lie outside the boundary fit region: the abort leaves the
+    # output directory as it was, with no new frame.obj beside an older planarity.csv
+    out = tmp_path / "frames"
+    out.mkdir()
+    (out / "planarity.csv").write_text("older\n")
+    rc = main(["rescale", trough_run, "--terminal-time", "0.0021", "--lambda", "0.01",
+               "--boundary", "--out", str(out)])
+    assert rc == 3 and "empty-region" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["planarity.csv"]
+    assert (out / "planarity.csv").read_text() == "older\n"
+
+
 @pytest.mark.parametrize("arg, value", [
     ("--lambda", "0"), ("--lambda", "-0.5"), ("--lambda", "inf"), ("--lambda", "abc"),
     ("--point", "0,0"), ("--point", "0,0,nan"), ("--point", "0,x,0"),
@@ -803,12 +814,12 @@ def test_cli_missing_dir_exit_2(tmp_path):
     assert main(["monitor", str(tmp_path / "absent"), str(qpath)]) == 2
 
 
-def test_cli_verify_fast_subprocess(checkout_python):
-    proc = checkout_python(["-m", "fbmcf.cli", "verify", "--fast"])
+def test_cli_verify_subprocess(checkout_python):
+    proc = checkout_python(["-m", "fbmcf.cli", "verify"])
     output = proc.stdout + proc.stderr
     assert proc.returncode == 0, output
     assert "verification PASSED" in proc.stdout, output
-    assert proc.stdout.count("[SKIP]") == 2, output
+    assert proc.stdout.count("[PASS]") == 12 and "[SKIP]" not in proc.stdout, output
 
 
 def test_monitor_and_rescale_run_without_scipy(finished_run, tmp_path, checkout_python):

@@ -10,6 +10,7 @@ from fbmcf.support import (
     in_complementary_ball,
     project_and_distance,
     reflect,
+    signed_distance,
     tubular_map,
     verify_kappa_condition,
 )
@@ -33,6 +34,23 @@ def cap():
 def test_tubular_map_flat_identity(flat):
     Y = np.array([0.3, 0.2, -0.1])
     assert np.allclose(tubular_map(flat, Y), Y)
+
+
+def test_flat_chart_is_the_identity_bit_for_bit(flat):
+    # the flat patch runs through the generic chart, whose Newton inversion returns
+    # at its first evaluation
+    X = np.random.default_rng(3).uniform(-5.0, 5.0, size=(40, 3))
+    for got, want in ((tubular_map(flat, X), X), (chart_coords(flat, X), X),
+                      (signed_distance(flat, X), X[:, 1]),
+                      (reflect(flat, X), X * np.array([1.0, -1.0, 1.0]))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fn", [chart_coords, signed_distance, reflect])
+def test_flat_chart_refuses_a_point_at_its_radius(flat, fn):
+    # tubular_map's own case is test_tubular_map_range_error
+    with pytest.raises(ChartRangeError, match="outside radius 10"):
+        fn(flat, np.array([[1.0, 0.5, 0.0], [6.0, 8.0, 0.0]]))   # |X| = 10
 
 
 def test_tubular_map_paraboloid_vertex(parab):
@@ -232,9 +250,8 @@ def test_patch_refuses_kappa_below_curvature(build):
 @pytest.mark.parametrize("build", [
     lambda: SupportPatch.from_spec("paraboloid:-2"),
     lambda: SupportPatch.from_spec("paraboloid:-2", kappa=2.0),
-    lambda: SupportPatch.from_spec("paraboloid:-2@/0.5"),
     lambda: SupportPatch.paraboloid(-0.5),
-], ids=["paraboloid:-2", "paraboloid:-2 kappa=2", "paraboloid:-2@/0.5", "paraboloid(-0.5)"])
+], ids=["paraboloid:-2", "paraboloid:-2 kappa=2", "paraboloid(-0.5)"])
 def test_patch_refuses_a_support_that_is_not_mean_convex(build):
     # the paper's support is mean-convex: inf H >= 0 over the chart disk, to
     # KappaReport's tolerance; a trough that opens outward has H = a < 0 on its axis
@@ -259,6 +276,6 @@ ADMITTED = {
 def test_admitted_patch_rebuilds_from_its_spec(name, rescaled):
     patch = ADMITTED[name].rescale(0.5) if rescaled else ADMITTED[name]
     back = SupportPatch.from_spec(**patch.spec())
-    assert back.kind == patch.kind
+    assert back.is_flat == patch.is_flat
     assert back.spec() == patch.spec()
     assert back.profile.curvature == patch.profile.curvature <= patch.kappa
