@@ -64,15 +64,20 @@ reads it as it is and keeps:
   one explicit ``step`` of length 0.05 h^2 with cfl 0.15 from a surface that
   holds no geometry.  Since the RKL2 stages take Euler sub-steps and no
   ``step``, the workloads' traced ``flow.step`` rows read 0 calls;
-- monitor memory rows (``monitor_memory``): ``fbmcf monitor`` with the
-  ``store-query`` query file (two density series over all 21 snapshots and a
-  scan) on that workload's stored 21-snapshot run at h = 1/grid, each in a
-  fresh process: its ``ru_maxrss`` and wall time;
+- monitor memory rows (``monitor_memory``): ``fbmcf monitor`` on the
+  ``store-query`` workload's stored 21-snapshot run at h = 1/grid, each in a
+  fresh process, with that workload's query file (two density series over all
+  21 snapshots and a scan with r_grid [0.1, 0.15, 0.2], 5,250 candidates at
+  h = 1/128) and with the same file but the scan's r_grid set to
+  ``WIDE_R_GRID`` [0.05, 0.2] (26,910 candidates at h = 1/128): its
+  ``ru_maxrss`` and wall time, ``MONITOR_PROCESSES`` rounds alternating the two;
 - scan kernel rows (``scan_kernel``): the median milliseconds per call, over
   ``SCAN_CALLS`` calls in this process, of ``singular_set_scan`` on the last
-  ``store-query`` snapshot, which holds its geometry, at h = 1/grid with
-  r_grid [0.1, 0.15, 0.2] and [0.05, 0.2], at h = 2/grid with [0.05, 0.4] and
-  at h = 4/grid with [0.1, 0.15, 0.2] (h at most 1/8);
+  ``store-query`` snapshot, which holds its samples as the density pass of
+  ``fbmcf monitor`` leaves them, at h = 1/grid with r_grid [0.1, 0.15, 0.2]
+  and [0.05, 0.2], at h = 2/grid with [0.05, 0.4] and at h = 4/grid with
+  [0.1, 0.15, 0.2] (h at most 1/8), and the ``tracemalloc`` peak of one more
+  call in MB;
 - writer rows (``writer``), one per grid h = 2/grid, 1/grid and 1/(2 grid) and
   trajectory: the median milliseconds per call, over ``WRITER_CALLS`` calls in
   this process, of ``save_trajectory`` on a trough run (the tilted plane
@@ -107,6 +112,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from importlib.metadata import version
 from pathlib import Path
 
@@ -121,7 +127,8 @@ SCHEME_PHIS = ("sphere_cap:2", "paraboloid:0.5")
 CHART_PHIS = ("flat", "paraboloid:0.5", "sphere_cap:2")
 CHART_CALLS = 50
 MONITOR_PROCESSES = 3
-SCAN_SHAPES = ((1, [0.1, 0.15, 0.2]), (1, [0.05, 0.2]), (2, [0.05, 0.4]), (4, [0.1, 0.15, 0.2]))
+WIDE_R_GRID = [0.05, 0.2]
+SCAN_SHAPES = ((1, [0.1, 0.15, 0.2]), (1, WIDE_R_GRID), (2, [0.05, 0.4]), (4, [0.1, 0.15, 0.2]))
 SCAN_CALLS = 5
 WRITER_CALLS = 11
 DENSITY_CALLS = 11
@@ -361,13 +368,18 @@ def monitor_probe(run_dir, query_path):
 
 
 def store_run(workdir, grid):
-    """Save the store-query run and its query file under workdir; returns its row part."""
+    """Save the store-query run and its query file under workdir, and the same queries with
+    the scan's r_grid set to WIDE_R_GRID as queries_wide.yaml; returns its row part."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import yaml
     from fbmcf.io import save_trajectory
     from workloads import StoreQuery
 
     store = StoreQuery(SEED, 1.0 / grid, workdir)
     save_trajectory(os.path.join(workdir, "run"), store.trajectory, store.echo)
+    with open(os.path.join(workdir, "queries_wide.yaml"), "w") as fh:
+        yaml.safe_dump([{**q, "r_grid": WIDE_R_GRID} if q["type"] == "scan" else q
+                        for q in store.queries], fh)
     return {"snapshots": {"value": len(store.trajectory.snapshots), "unit": "count"}}
 
 
@@ -387,16 +399,21 @@ def _script_row(args, *flags):
 
 
 def monitor_memory(args):
-    """The monitor probe rows: one process stores the run, then each probe is a fresh one."""
+    """The monitor probe rows: one process stores the run, then each probe is a fresh one,
+    alternating the workload's query file and its wide-scan copy."""
     with tempfile.TemporaryDirectory() as workdir:
         stored = _script_row(args, "--store-run", workdir)
-        return [{**stored, **_script_row(args, "--monitor-probe", os.path.join(workdir, "run"),
-                                         os.path.join(workdir, "queries.yaml"))}
-                for _ in range(MONITOR_PROCESSES)]
+        return [{**stored, "scan_r_grid": r_grid,
+                 **_script_row(args, "--monitor-probe", os.path.join(workdir, "run"),
+                               os.path.join(workdir, name))}
+                for _ in range(MONITOR_PROCESSES)
+                for name, r_grid in (("queries.yaml", [0.1, 0.15, 0.2]),
+                                     ("queries_wide.yaml", WIDE_R_GRID))]
 
 
 def scan_kernel(grid):
-    """The scan kernel rows: median ms per call of singular_set_scan at each shape."""
+    """The scan kernel rows: median ms per call of singular_set_scan at each shape, and the
+    tracemalloc peak of one more call."""
     sys.path.insert(0, str(ROOT / "src"))
     from fbmcf.flow import Trajectory
     from fbmcf.geometry import GraphSurface
@@ -406,16 +423,23 @@ def scan_kernel(grid):
     for coarsen, r_grid in SCAN_SHAPES:
         n = max(grid // coarsen, 8)
         last = GraphSurface.sphere_cap(1.0, 1.0 / n, 0.5, t=0.1)   # store-query's last snapshot
-        last.geometry()
+        last.samples()   # held, as the density pass of `fbmcf monitor` leaves it
         traj = Trajectory([last, last])   # the scan reads the last snapshot only
         times = []
         for _ in range(SCAN_CALLS):
             t0 = time.perf_counter()
             scan = singular_set_scan(traj, 1.0, r_grid)
             times.append(time.perf_counter() - t0)
+        tracemalloc.start()
+        try:
+            singular_set_scan(traj, 1.0, r_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         rows.append({"grid": {"value": n, "unit": "1/h"}, "r_grid": r_grid,
                      "candidates": {"value": len(scan.candidates), "unit": "count"},
-                     "scan_ms": {"value": 1e3 * statistics.median(times), "unit": "ms"}})
+                     "scan_ms": {"value": 1e3 * statistics.median(times), "unit": "ms"},
+                     "scan_peak_mb": {"value": peak / 1e6, "unit": "MB"}})
     return rows
 
 

@@ -23,7 +23,7 @@ from .support import trailing
 # Point samples of a surface with quadrature weights and exact geometry:
 # X (M,3), w (M,), N (M,3), H (M,), A2 (M,).  A sphere's and a grid snapshot's X and N
 # are (M,3) views of component-first (3,M) storage (`support.components` recovers the
-# planes); a grid snapshot's samples are read-only and live as long as its held geometry.
+# planes); a grid snapshot's samples are read-only and are held in place of its geometry.
 FieldSample = namedtuple("FieldSample", ["X", "w", "N", "H", "A2"])
 
 _QUAD_TOL = 1e-8

@@ -46,6 +46,9 @@ def command_run(args):
 _QUERY_FIELDS = {"density": {"P": 3, "T": 0, "sample_times": -1, "r": 0, "kappa": 0},
                  "scan": {"epsilon": 0, "r_grid": -1}}
 _OPTIONAL = ("r", "kappa")
+# the other keys each query type reads; a query holding any key outside these and its
+# fields is refused
+_QUERY_KEYS = {"density": ("name", "type", "location"), "scan": ("name", "type")}
 
 
 def _parse_queries(path, kappa):   # kappa: the run's patch kappa
@@ -62,6 +65,9 @@ def _parse_queries(path, kappa):   # kappa: the run's patch kappa
         kind = q.get("type", "density")
         if kind not in tuple(_QUERY_FIELDS):   # a tuple: kind may be unhashable
             raise ScenarioError(f"unknown query type {kind!r}", key=f"[{k}].type")
+        for key in q:
+            if key not in _QUERY_FIELDS[kind] and key not in _QUERY_KEYS[kind]:
+                raise ScenarioError(f"unknown key {key} in {kind} query {k}", key=f"[{k}].{key}")
         if q.get("location", "interior") not in ("interior", "boundary"):
             raise ScenarioError("location must be interior or boundary", key=f"[{k}].location")
         for name, size in _QUERY_FIELDS[kind].items():
@@ -96,7 +102,7 @@ def command_monitor(args):
     queries = _parse_queries(args.query_file, patch.kappa)
     scans = [q for q in queries if q.get("type", "density") == "scan"]
     # one pass over the snapshots for the densities; the scans then read the last
-    # one, whose geometry that pass leaves held if it sampled it
+    # one, whose samples that pass leaves held if it sampled it
     reports = iter(monotonicity_reports(trajectory, [DensityQuery(
         P=np.asarray(q["P"], dtype=float), T=float(q["T"]), location=q.get("location", "interior"),
         r=float(q.get("r", np.inf)), kappa=float(q["kappa"]),

@@ -193,15 +193,15 @@ class GraphSurface:
 
     def geometry(self):
         """The SurfaceGeometry.  Only the last one asked for is kept, in `_held`; a call
-        for another surface drops it, with its samples, before building its own, so one
-        is held at a time."""
-        if _held[0] is not self:
+        for another surface, or for this one once `samples` has dropped its geometry, drops
+        what is held before building its own, so one is held at a time."""
+        if _held[0] is not self or _held[1] is None:
             _held[:] = None, None, None
             _held[:] = self, fundamental_forms(self), None
         return _held[1]
 
     def release_geometry(self):
-        """Drop this surface's geometry if `geometry` holds it; the next call rebuilds it."""
+        """Drop what `_held` keeps of this surface; the next `geometry` call rebuilds it."""
         if _held[0] is self:
             _held[:] = None, None, None
 
@@ -210,8 +210,8 @@ class GraphSurface:
         L = g^{ij} D2_ij u + f.  Read from the held geometry where it is this surface's (see
         `geometry`); else only the operator half of the kernel runs (`_operator`), and
         nothing is kept."""
-        if _held[0] is self:
-            g = _held[1]
+        g = _held[1] if _held[0] is self else None
+        if g is not None:
             return _contract(components(g.ginv, 2), components(g.d2u, 2)) + g.coeff_f, g.ginv_max
         block = np.empty((_OPERATOR_PLANES,) + self.u.shape)
         _, ginv_max, _ = _operator(self, block)
@@ -221,7 +221,7 @@ class GraphSurface:
     def positions(self):
         """The (n1, n2, 3) node positions X, bit-equal to `geometry().X`: the held geometry's X
         if it is this surface's, else (psi, u) of a `Section` or the chart's X; no kernel runs."""
-        if _held[0] is self:
+        if _held[0] is self and _held[1] is not None:
             return _held[1].X
         chart = _chart(self, order=1)
         return np.stack((*chart.X01, self.u), axis=-1) if isinstance(chart, Section) else chart["X"]
@@ -234,19 +234,19 @@ class GraphSurface:
     def samples(self, m=None, focus=None, extent=None):
         """Footprint nodes as a FieldSample (positions, dA weights, N, H, |A|^2).
 
-        Gathered once per held geometry and dropped with it (see `geometry`): every
-        call until then returns the same read-only FieldSample, whose X and N are
-        (M, 3) views of component-first (3, M) planes.  The arguments only steer
-        analytic sampling.
+        Gathered once from this surface's geometry, which is then dropped: `_held` keeps
+        the samples alone, and every call until another surface's geometry or samples are
+        asked for returns the same read-only FieldSample, whose X and N are (M, 3) views
+        of component-first (3, M) planes.  The arguments only steer analytic sampling.
         """
-        g = self.geometry()
-        if _held[2] is None:
+        if _held[0] is not self or _held[2] is None:
+            g = self.geometry()
             keep = g.mask.ravel()   # compress keeps (3, M) C-ordered; [:, mask] would not
             X, N = (np.compress(keep, components(v, 1).reshape(3, -1), axis=1) for v in (g.X, g.N))
             dA, H, A2 = (np.compress(keep, a.ravel()) for a in (g.dA, g.H, g.A2))
             for a in (X, dA, N, H, A2):
                 a.setflags(write=False)
-            _held[2] = FieldSample(trailing(X, 1), dA, trailing(N, 1), H, A2)
+            _held[1:] = None, FieldSample(trailing(X, 1), dA, trailing(N, 1), H, A2)
         return _held[2]
 
     integral = FrameSurface.integral   # sum of fn(samples) times the node weights
@@ -287,8 +287,8 @@ class SurfaceGeometry:
     ginv_max: float     # max eig(g^{ij}) over the grid's active nodes (see flow._stability_bound)
 
 
-# the surface whose geometry was asked for last, that geometry, and its FieldSample once
-# `samples` has gathered it (else None); all three are dropped together
+# the surface whose geometry or samples were asked for last, and either that geometry and
+# None or, once `samples` has gathered its FieldSample, None and that FieldSample
 _held = [None, None, None]
 _PAIRS = ((0, 0), (0, 1), (1, 1))
 

@@ -15,6 +15,7 @@ from .geometry import GraphSurface
 from .support import SupportPatch
 
 MONITOR_COLUMNS = ("t", "area", "perimeter", "energy", "max_H", "max_A")
+CSV_BLOCK_ROWS = 1024   # rows of a CSV table formatted and written at a time
 
 
 def _texts(values):
@@ -133,11 +134,16 @@ def write_csv(path, columns, rows):
     """Header line, then one line per row with every value as %.17g.
 
     The output is exact: float() of each field gives back the value written.
-    No rows give the header line alone.
+    No rows give the header line alone.  Rows are formatted and written
+    CSV_BLOCK_ROWS at a time, so the text of one block is held at once.
     """
     rows = np.asarray(rows, dtype=float).reshape(-1, len(columns))
+    line = ",".join(["%s"] * len(columns)) + "\n"
     with open(path, "w") as fh:
-        fh.writelines((",".join(columns) + "\n", _LineTemplate.build([rows], "", ",").text))
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(_texts(block)))
 
 
 def save_trajectory(outdir, trajectory, scenario_echo=None):

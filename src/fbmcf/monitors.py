@@ -21,6 +21,7 @@ from .support import components, signed_distance, sq_dist, trailing
 from .support import reflect as patch_reflect
 
 BOUNDARY_WINDOW = 0.5 * (3.0 / 320.0) ** 5  # times kappa^{-2}
+SCAN_WINDOW = 1 << 15   # (node, z offset) elements of the scan's window taken at once
 
 
 def _reflected_sq_dist(X, P, patch):
@@ -240,7 +241,9 @@ def _lattice_masses(axes, spacing, X, wA2, r_grid):
     points around its cell (axes padded with inf), looping over x and y offsets, the z
     offsets at once; no partial sum of d2 = (dx^2 + dy^2) + dz^2 exceeds it, so pruning
     on one drops no pair the strict test keeps.  A pair adds its weight at the least
-    radius it lies within; cumulative sums over the radii give the masses."""
+    radius it lies within; cumulative sums over the radii give the masses.  The
+    (node, z offset) window of one x and y offset is taken in runs of nodes of at most
+    SCAN_WINDOW elements, so its size does not grow with the grid."""
     shape, nr, r2 = [len(a) for a in axes], len(r_grid), r_grid ** 2
     reach = int(np.ceil(r_grid[-1] / spacing)) + 1   # one offset more, for rounding
     ax, ay, az = (np.pad(a, reach, constant_values=np.inf) for a in axes)
@@ -261,15 +264,18 @@ def _lattice_masses(axes, spacing, X, wA2, r_grid):
             n1, dxy = n0[near], dxy[near]
             rz = int(np.ceil(np.sqrt(r2[-1] - dxy.min()) / spacing)) + 1
             oz = slice(reach - rz, reach + rz + 1)
-            d2 = dz2[n1, oz] + dxy[:, None]
-            pair = d2 < r2[-1]
-            k = ((cell[n1, 0] + ox - reach) * shape[1] + iy[near] - reach) * shape[2] \
-                + cell[n1, 2] - reach
-            k, d2 = (nr * (k[:, None] + offsets[oz]))[pair], d2[pair]
-            for j in range(nr - 1):
-                k += d2 >= r2[j]
-            sums += np.bincount(k, weights=np.repeat(wA2[n1], np.count_nonzero(pair, axis=1)),
-                                minlength=sums.size)
+            k0 = nr * (((cell[n1, 0] + ox - reach) * shape[1] + iy[near] - reach) * shape[2]
+                       + cell[n1, 2] - reach)
+            run = max(SCAN_WINDOW // (2 * rz + 1), 1)
+            for c in range(0, n1.size, run):
+                nodes = slice(c, c + run)
+                d2 = dz2[n1[nodes], oz] + dxy[nodes, None]
+                pair = np.flatnonzero(d2 < r2[-1])   # flat (node, z offset) window indices
+                k = (k0[nodes, None] + nr * offsets[oz]).ravel()[pair]
+                d2 = d2.ravel()[pair]
+                for j in range(nr - 1):
+                    k += d2 >= r2[j]
+                np.add.at(sums, k, wA2[n1[nodes]][pair // (2 * rz + 1)])
     return np.cumsum(sums.reshape(-1, nr), axis=1)
 
 

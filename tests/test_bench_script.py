@@ -86,15 +86,16 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
     for key in ("faults_per_step", "faults_per_stage"):
         assert faults[key]["unit"] == "count" and faults[key]["value"] >= 0
     assert faults["sphere_cap_faults_per_call"]["value"] >= 0
-    # fresh-process `fbmcf monitor` runs on the stored 21-snapshot run
+    # fresh-process `fbmcf monitor` runs on the stored 21-snapshot run, alternating the
+    # workload's query file and its copy with a wider scan
     monitor = report["monitor_memory"]
-    assert len(monitor) == 3
+    assert [row["scan_r_grid"] for row in monitor] == [[0.1, 0.15, 0.2], [0.05, 0.2]] * 3
     units = {"snapshots": "count", "peak_rss_mb": "MB", "wall_s": "s"}
     for row in monitor:
         assert {key: row[key]["unit"] for key in units} == units
         assert row["snapshots"]["value"] == 21
         assert row["peak_rss_mb"]["value"] > 0 and row["wall_s"]["value"] > 0
-    # in-process scan timings at four shapes
+    # in-process scan timings and traced peaks at four shapes
     scans = report["scan_kernel"]
     assert [row["r_grid"] for row in scans] == [[0.1, 0.15, 0.2], [0.05, 0.2], [0.05, 0.4],
                                                 [0.1, 0.15, 0.2]]
@@ -102,6 +103,7 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
     for row in scans:
         assert row["grid"]["unit"] == "1/h" and row["candidates"]["unit"] == "count"
         assert row["scan_ms"]["unit"] == "ms" and row["scan_ms"]["value"] > 0
+        assert row["scan_peak_mb"]["unit"] == "MB" and row["scan_peak_mb"]["value"] > 0
     # in-process save_trajectory timings on each workload's trajectory, at half,
     # once and twice the grid's 1/h
     writer = report["writer"]

@@ -148,6 +148,24 @@ def test_samples_are_gathered_once_per_held_geometry():
     assert s.samples() is s.samples()
 
 
+def test_samples_drop_the_geometry_they_are_gathered_from(geometry_log):
+    s = GraphSurface.sphere_cap(1.0, 1 / 32, 0.5)
+    smp = s.samples()
+    assert geometry_log.builds == 1 and geometry_log.alive() == 0
+    again = s.samples()   # the held samples, read-only as they were: nothing is built
+    assert geometry_log.builds == 1
+    assert all(a is b for a, b in zip(again, smp)) and not again.X.flags.writeable
+    # held samples are not a held geometry: positions and the flow operator run no
+    # kernel, and geometry builds it again, with the same values
+    X = s.positions()
+    s.operator()
+    assert geometry_log.builds == 1
+    g = s.geometry()
+    assert geometry_log.builds == 2 and s.positions() is g.X
+    for a, b in ((X, g.X), (smp.X, g.X[g.mask]), (smp.A2, g.A2[g.mask])):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def _row_planarity(X, radius, h_frame):
     """The fit and sheet count of planarity_multiplicity on (M, 3) rows, by row norms."""
     center = X.mean(axis=0)

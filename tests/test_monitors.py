@@ -276,22 +276,22 @@ def test_scan_node_at_exact_radius_does_not_count():
 
 
 def test_readers_leave_each_snapshot_as_they_found_it(tmp_path, monkeypatch, geometry_log):
-    # a reader builds each geometry it needs and GraphSurface.geometry keeps only
-    # the last one: a snapshot keeps its heights alone, at most one geometry
-    # outlives each reader, and in fbmcf monitor no build overlaps another
+    # a reader builds each geometry it needs and keeps only the samples it reads: a
+    # snapshot keeps its heights alone, no geometry outlives a reader of samples,
+    # and in fbmcf monitor no build overlaps another
     def snapshots():
         return [GraphSurface.sphere_cap(1.0, 1 / 32, 0.5, t=0.02 * k) for k in range(6)]
 
     traj = Trajectory(snapshots())
     times = [0.02 * k for k in range(6)]
     monotonicity_report(traj, DensityQuery(P=O, T=0.25, sample_times=times))
-    assert geometry_log.alive() <= 1
+    assert geometry_log.alive() == 0
     singular_set_scan(traj, epsilon=1.0, r_grid=[0.1, 0.2])
-    assert geometry_log.alive() <= 1
+    assert geometry_log.alive() == 0
     assert interior_curvature_norm(traj, O, 1.5, 0.5) > 0.0
-    # the scan reads the last snapshot's geometry, which the density pass left held
+    # the scan reads the last snapshot's samples, which the density pass left held
     assert geometry_log.built_for(traj.snapshots) == [0, 1, 2, 3, 4, 5] * 2
-    assert geometry_log.alive() <= 1
+    assert geometry_log.alive() == 0
 
     stored = Trajectory(snapshots())   # a reloaded run: no geometry of it is held
     geometry_log.exclusive = True
@@ -304,6 +304,6 @@ def test_readers_leave_each_snapshot_as_they_found_it(tmp_path, monkeypatch, geo
                      f"  sample_times: {times[-2::-1]}\n"
                      f"- type: scan\n  epsilon: 1.0\n  r_grid: [0.15]\n")
     assert cli.main(["monitor", str(tmp_path), str(qpath)]) == 0
-    assert geometry_log.alive() <= 1
+    assert geometry_log.alive() == 0
     # one build per snapshot, the last one's shared by both scans
     assert geometry_log.built_for(stored.snapshots) == [0, 1, 2, 3, 4, 5]

@@ -305,8 +305,24 @@ MIXED_ROWS = np.column_stack([
 ])
 
 
+def _block_rows():
+    """Two and a half blocks of rows: -0.0 and a value repeated in the rows on both
+    sides of each block edge, the last block a partial one."""
+    block = fbmcf_io.CSV_BLOCK_ROWS
+    rows = np.random.default_rng(7).random((2 * block + block // 2 + 1, 3))
+    for edge in (block, 2 * block):
+        rows[edge - 1:edge + 1, 0] = -0.0
+        rows[edge - 2:edge + 2, 1] = 0.1
+    assert len(rows) % block != 0
+    return rows
+
+
+BLOCK_ROWS = _block_rows()
+
+
 @pytest.mark.parametrize("rows", [EDGE_ROWS, np.random.default_rng(5).random((7, 3)),
-                                  MIXED_ROWS], ids=["repeated", "distinct", "mixed"])
+                                  MIXED_ROWS, BLOCK_ROWS],
+                         ids=["repeated", "distinct", "mixed", "blocks"])
 def test_csv_bytes_match_per_row_writer(tmp_path, rows):
     if rows is MIXED_ROWS:
         assert 2 * len(np.unique(rows.view(np.int64))) <= rows.size
@@ -326,6 +342,27 @@ def test_csv_without_rows_is_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_csv(str(path), ("t", "value"), np.empty((0, 2)))
     assert path.read_bytes() == b"t,value\n"
+
+
+def test_csv_text_is_written_a_block_at_a_time(tmp_path):
+    # a scan table of 5,250 candidates at three radii: 15,750 rows of 6 values, 1.5 MB
+    # of text; formatted with one str per value of the whole table, it peaked at 4.5 MB
+    cand = np.stack(np.meshgrid(*[0.05 * np.arange(n) for n in (35, 15, 10)],
+                                indexing="ij"), axis=-1).reshape(-1, 3)
+    rows = np.column_stack([np.repeat(cand, 3, axis=0), np.tile([0.1, 0.15, 0.2], len(cand)),
+                            np.random.default_rng(11).random(3 * len(cand)),
+                            np.repeat(np.arange(len(cand)) % 2, 3)])
+    assert rows.shape == (15_750, 6)
+    path = tmp_path / "scan.csv"
+    tracemalloc.start()
+    try:
+        write_csv(str(path), ("px", "py", "pz", "r", "mass", "flagged"), rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 1_000_000
+    assert peak < 1_000_000
+    assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1), rows)
 
 
 def trough_trajectory():
@@ -711,10 +748,14 @@ DENSITY_QUERY = "-" + DENSITY_BODY[1:]
     ("- name: ''\n" + DENSITY_BODY, "[0].name"),
     ("- name: hot\n" + DENSITY_BODY + "- name: hot\n  type: scan\n  epsilon: 1.0\n"
      "  r_grid: [0.1]\n", "[1].name"),
+    # keys a query type does not read: a misspelt cutoff would run the series without it
+    (DENSITY_QUERY + "  radius: 0.1\n", "[0].radius"),
+    ("- type: scan\n  epsilon: 1.0\n  r_grid: [0.1]\n  P: [0, 0, 0]\n", "[0].P"),
 ], ids=["empty-sample_times", "density-without-P", "P-of-two", "T-list", "bad-location",
         "item-not-a-mapping", "empty-r_grid", "scan-without-epsilon", "unknown-type",
         "type-list", "kappa-list", "r-mapping", "r-word", "T-null", "name-with-slash",
-        "name-repeats-a-default", "name-not-a-string", "name-empty", "name-repeated"])
+        "name-repeats-a-default", "name-not-a-string", "name-empty", "name-repeated",
+        "density-radius", "scan-P"])
 def test_cli_monitor_malformed_query_is_validation_error(trough_run, tmp_path, capsys, text, key):
     # every entry is checked before any query runs: exit 2, keyed, no traceback
     qpath = tmp_path / "queries.yaml"
