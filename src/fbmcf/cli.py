@@ -12,7 +12,6 @@ import sys
 import time
 
 import numpy as np
-import yaml
 
 from .errors import FbmcfError, ScenarioError
 from .flow import run as flow_run
@@ -20,7 +19,7 @@ from .io import load_trajectory, save_trajectory, write_csv, write_manifest, wri
 from .monitors import DensityQuery, monotonicity_reports, singular_set_scan
 from .monitors import monotonicity_report  # noqa: F401 -- perfbench/tracing.py wraps this binding
 from .rescaling import normalized_frame, parabolic_rescale, planarity_multiplicity
-from .scenario import load_scenario
+from .scenario import load_queries, load_scenario
 
 EXIT_OK, EXIT_VERIFY, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 1, 2, 3
 
@@ -41,85 +40,25 @@ def command_run(args):
     return EXIT_OK if trajectory.error is None else _report(trajectory.error)
 
 
-# the numbers each query type needs: 0 for one number, n for n numbers and
-# -1 for a non-empty list of numbers; a field in _OPTIONAL may be left out
-_QUERY_FIELDS = {"density": {"P": 3, "T": 0, "sample_times": -1, "r": 0, "kappa": 0},
-                 "scan": {"epsilon": 0, "r_grid": -1}}
-_OPTIONAL = ("r", "kappa")
-# the other keys each query type reads; a query holding any key outside these and its
-# fields is refused
-_QUERY_KEYS = {"density": ("name", "type", "location"), "scan": ("name", "type")}
-
-
-def _parse_queries(path, kappa):   # kappa: the run's patch kappa
-    """The queries of a query file, each checked and named (`q<index>` by default) before
-    any of them runs; a bad entry raises ScenarioError keyed as in `[0].P`."""
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
-    if not isinstance(data, list):
-        raise ScenarioError("query file must contain a list of queries")
-    names = set()
-    for k, q in enumerate(data):
-        if not isinstance(q, dict):
-            raise ScenarioError(f"query {k} must be a mapping", key=f"[{k}]")
-        kind = q.get("type", "density")
-        if kind not in tuple(_QUERY_FIELDS):   # a tuple: kind may be unhashable
-            raise ScenarioError(f"unknown query type {kind!r}", key=f"[{k}].type")
-        for key in q:
-            if key not in _QUERY_FIELDS[kind] and key not in _QUERY_KEYS[kind]:
-                raise ScenarioError(f"unknown key {key} in {kind} query {k}", key=f"[{k}].{key}")
-        if q.get("location", "interior") not in ("interior", "boundary"):
-            raise ScenarioError("location must be interior or boundary", key=f"[{k}].location")
-        for name, size in _QUERY_FIELDS[kind].items():
-            if (name in q or name not in _OPTIONAL) and not _holds_numbers(q, name, size):
-                want = {0: "a number", -1: "a non-empty list"}.get(size, f"{size} numbers")
-                raise ScenarioError(f"{kind} query {k} needs {name}: {want}", key=f"[{k}].{name}")
-        # a boundary kernel is only admissible for the run's own kappa or above
-        if kind == "density" and float(q.setdefault("kappa", kappa)) < kappa:
-            raise ScenarioError(f"kappa {q['kappa']:g} is below the run's patch kappa "
-                                f"{kappa:g}", key=f"[{k}].kappa")
-        name = q.setdefault("name", f"q{k}")   # it names a file in the run's directory
-        if not isinstance(name, str) or name in ("", *names) or os.path.basename(name) != name:
-            raise ScenarioError(f"query {k} needs a name of its own, with no path separator",
-                                key=f"[{k}].name")
-        names.add(name)
-    return data
-
-
-def _holds_numbers(q, name, size):
-    """Whether q[name] holds the numbers that size in _QUERY_FIELDS asks for."""
-    try:
-        v = np.asarray(q[name], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        return False
-    return not np.isnan(v).any() and (   # NaN also stands for a null, which float() refuses
-        v.ndim == 0 if size == 0 else v.ndim == 1 and v.size > 0 and size in (-1, v.size))
-
-
 def command_monitor(args):
     trajectory = load_trajectory(args.dir)
     patch = trajectory.snapshots[-1].patch
-    queries = _parse_queries(args.query_file, patch.kappa)
-    scans = [q for q in queries if q.get("type", "density") == "scan"]
+    queries = load_queries(args.query_file, patch.kappa)
     # one pass over the snapshots for the densities; the scans then read the last
     # one, whose samples that pass leaves held if it sampled it
-    reports = iter(monotonicity_reports(trajectory, [DensityQuery(
-        P=np.asarray(q["P"], dtype=float), T=float(q["T"]), location=q.get("location", "interior"),
-        r=float(q.get("r", np.inf)), kappa=float(q["kappa"]),
-        sample_times=[float(t) for t in q["sample_times"]]) for q in queries if q not in scans],
-        patch=patch))
+    reports = iter(monotonicity_reports(
+        trajectory, [q for _, q in queries if isinstance(q, DensityQuery)], patch=patch))
     tables = []   # written only once every query has succeeded
-    for q in queries:
-        if q not in scans:
+    for name, q in queries:
+        if isinstance(q, DensityQuery):
             rep = next(reports)
             rise = np.maximum(np.diff(rep.values, prepend=rep.values[:1]), 0.0)
-            tables.append((f"density_{q['name']}.csv", ("t", "value", "violation"),
+            tables.append((f"density_{name}.csv", ("t", "value", "violation"),
                            np.column_stack([rep.times, rep.values, rise])))
         else:
-            scan = singular_set_scan(trajectory, float(q["epsilon"]),
-                                     [float(r) for r in q["r_grid"]])
+            scan = singular_set_scan(trajectory, q.epsilon, q.r_grid)
             nr = len(scan.r_grid)
-            tables.append((f"scan_{q['name']}.csv", ("px", "py", "pz", "r", "mass", "flagged"),
+            tables.append((f"scan_{name}.csv", ("px", "py", "pz", "r", "mass", "flagged"),
                            np.column_stack([np.repeat(scan.candidates, nr, axis=0),
                                             np.tile(scan.r_grid, len(scan.candidates)),
                                             scan.masses.ravel(), np.repeat(scan.flagged, nr)])))
@@ -137,7 +76,8 @@ def command_rescale(args):
         frame = normalized_frame(trajectory, args.point, args.s, args.terminal_time, patch=patch)
     else:
         frame = parabolic_rescale(trajectory, args.point, args.terminal_time,
-                                  args.lam, args.tau, patch=patch)
+                                  1.0 if args.lam is None else args.lam,
+                                  -1.0 if args.tau is None else args.tau, patch=patch)
     # measured before anything is written, so an abort leaves the directory as it was
     rep = planarity_multiplicity(frame, args.region_radius, boundary_mode=args.boundary)
     outdir = args.out or args.dir
@@ -199,9 +139,9 @@ def build_parser():
     p.add_argument("dir")
     p.add_argument("--point", type=_numbers(3, "a point x,y,z"), default="0,0,0")
     p.add_argument("--terminal-time", type=_FINITE, required=True)
-    p.add_argument("--lambda", dest="lam", type=_POSITIVE, default=1.0)
-    p.add_argument("--tau", type=_FINITE, default=-1.0)
-    p.add_argument("--s", type=_FINITE, default=None)
+    p.add_argument("--lambda", dest="lam", type=_POSITIVE, help="default 1")
+    p.add_argument("--tau", type=_FINITE, help="default -1")
+    p.add_argument("--s", type=_FINITE, help="in place of --lambda and --tau")
     p.add_argument("--region-radius", type=_POSITIVE, default=0.5)
     p.add_argument("--boundary", action="store_true")
     p.add_argument("--out", default=None)
@@ -214,15 +154,7 @@ def build_parser():
 
 def _report(err):
     """Print err on stderr and return the exit code its class calls for."""
-    if isinstance(err, ScenarioError):
-        loc = ""
-        if err.key:
-            loc = f" (key: {err.key})"
-        elif err.line is not None:
-            loc = f" (line {err.line}, column {err.column})"
-        print(f"validation error: {err}{loc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if isinstance(err, (FileNotFoundError, ValueError)):
+    if isinstance(err, (ScenarioError, FileNotFoundError, ValueError)):
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     print(f"numerical abort: {type(err).__name__}: {err}", file=sys.stderr)
@@ -230,7 +162,10 @@ def _report(err):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "s", None) is not None and (args.lam, args.tau) != (None, None):
+        parser.error("argument --s: not allowed with argument --lambda or --tau")
     try:
         return args.fn(args)
     except (FbmcfError, FileNotFoundError, ValueError) as err:

@@ -42,10 +42,10 @@ class PatchFieldError(ValueError):
 
 
 class ScenarioError(FbmcfError):
-    """Scenario file failed to parse or validate."""
+    """Scenario or query file failed to parse or validate.  The message ends with
+    where: the key, such as `(key: grid.h)`, else the line and column if known."""
 
     def __init__(self, message, key=None, line=None, column=None):
-        super().__init__(message)
-        self.key = key
-        self.line = line
-        self.column = column
+        where = f" (key: {key})" if key else f" (line {line}, column {column})" if line else ""
+        super().__init__(message + where)
+        self.key, self.line, self.column = key, line, column

@@ -16,22 +16,28 @@ from .support import SupportPatch
 
 MONITOR_COLUMNS = ("t", "area", "perimeter", "energy", "max_H", "max_A")
 CSV_BLOCK_ROWS = 1024   # rows of a CSV table formatted and written at a time
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)   # every bit of a float64 but its sign
 
 
 def _texts(values):
     """The %.17g text of each value of the float array values, in C order.
 
-    Values are told apart by their bit patterns, so -0.0 and 0.0 keep their
-    own text.  Where at most half the values are distinct, each distinct one
-    is formatted once; otherwise the lookup costs more than formatting every
-    value.
+    Values are told apart by their bit patterns with the sign bit cleared, so
+    x and -x share one text, to which a negative value that is not NaN adds
+    its `-` (-0.0 and -inf too; `"%.17g" % -nan` is `nan`).  Where at most
+    half the magnitudes are distinct, each distinct one is formatted once;
+    otherwise the lookup costs more than formatting every value.
     """
     values = np.ravel(values)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    bits, inverse = np.unique(values.view(np.int64) & _MAGNITUDE, return_inverse=True)
     distinct = 2 * len(bits) <= values.size
     floats = bits.view(float) if distinct else values
     texts = ("%.17g\n" * floats.size % tuple(floats.tolist())).splitlines()
-    return np.array(texts, dtype=object)[inverse].tolist() if distinct else texts
+    if not distinct:
+        return texts
+    minus = np.signbit(values) & ~np.isnan(values)
+    table = np.array(texts + ["-" + t for t in texts], dtype=object)   # then each with a "-"
+    return table[inverse + len(texts) * minus].tolist()
 
 
 class _LineTemplate(NamedTuple):

@@ -23,8 +23,18 @@ from fbmcf.io import (
     write_obj,
 )
 from fbmcf.monitors import DensityQuery, monotonicity_report
-from fbmcf.rescaling import parabolic_rescale
-from fbmcf.scenario import _CHECKS, _SECTIONS, _TOP_KEYS, load_scenario, validate_scenario
+from fbmcf.rescaling import normalized_frame, parabolic_rescale
+from fbmcf.scenario import (
+    _CHECKS,
+    _QUERY_CHECKS,
+    _QUERY_NEEDS,
+    _SECTIONS,
+    _TOP_KEYS,
+    ScanQuery,
+    load_queries,
+    load_scenario,
+    validate_scenario,
+)
 from fbmcf.support import SupportPatch
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -196,6 +206,48 @@ def test_scenario_yaml_error_location(tmp_path):
     assert exc.value.line is not None
 
 
+# the fields README lists for each query type
+README_QUERY_FIELDS = {
+    "density": {"name", "type", "location", "P", "T", "sample_times", "r", "kappa"},
+    "scan": {"name", "type", "epsilon", "r_grid"},
+}
+
+
+def test_every_query_field_has_a_check():
+    assert set(_QUERY_CHECKS) == {f"{kind}.{field}" for kind, fields in README_QUERY_FIELDS.items()
+                                  for field in fields}
+    assert all(callable(ok) and want for ok, want in _QUERY_CHECKS.values())
+    assert set(_QUERY_NEEDS) == set(README_QUERY_FIELDS)
+    assert all(set(needs) <= README_QUERY_FIELDS[kind] for kind, needs in _QUERY_NEEDS.items())
+
+
+def test_query_yaml_error_location(tmp_path):
+    path = tmp_path / "queries.yaml"
+    path.write_text("- P: [0, 0, 0\n  T: 0.25\n")
+    with pytest.raises(ScenarioError) as exc:
+        load_queries(path, 0.0)
+    assert exc.value.line is not None and exc.value.column is not None
+
+
+def test_load_queries_returns_typed_queries_in_file_order(tmp_path):
+    # defaults: name q<k>, location interior, no cutoff, the run's kappa
+    path = tmp_path / "queries.yaml"
+    path.write_text("- type: scan\n  epsilon: 1\n  r_grid: [0.2, 0.1]\n"
+                    "- name: edge\n  location: boundary\n  P: [0, 0, 1]\n  T: 1\n"
+                    "  sample_times: [0, 0.5]\n  kappa: 0.75\n"
+                    "- P: [0.5, 0, 0]\n  T: 0.25\n  sample_times: [0.0]\n  r: 0.1\n")
+    (n0, scan), (n1, edge), (n2, inner) = load_queries(path, 0.5)
+    assert (n0, n1, n2) == ("q0", "edge", "q2")
+    assert scan == ScanQuery(1.0, [0.2, 0.1])
+    assert isinstance(edge, DensityQuery) and isinstance(inner, DensityQuery)
+    assert np.array_equal(edge.P, [0.0, 0.0, 1.0]) and edge.P.dtype == float
+    assert (edge.T, edge.location, edge.r, edge.kappa, edge.sample_times) == (
+        1.0, "boundary", np.inf, 0.75, [0.0, 0.5])
+    assert (inner.location, inner.r, inner.kappa) == ("interior", 0.1, 0.5)
+    assert all(type(v) is float
+               for q in (edge, inner) for v in (q.T, q.r, q.kappa, *q.sample_times))
+
+
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
@@ -336,6 +388,40 @@ def test_csv_bytes_match_per_row_writer(tmp_path, rows):
     back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     assert np.array_equal(back, rows)
     assert np.array_equal(_signbits(back), _signbits(rows))
+
+
+# Each magnitude under both signs: the zeros, the infinities, a subnormal, and NaN
+# of either sign, plain and with a payload.  At most half the magnitudes are
+# distinct, so each is formatted once and a negative value is given its "-".
+_NAN_PAYLOAD = np.array([0x7FF8_0000_0000_0001], dtype=np.int64).view(float)[0]
+SIGNED_ROWS = np.array([
+    [0.1, -0.1, 0.0],
+    [-0.0, np.inf, -np.inf],
+    [np.nan, -np.nan, 2.5],
+    [-2.5, 5e-324, -5e-324],
+    [_NAN_PAYLOAD, -_NAN_PAYLOAD, 0.1],
+    [-0.1, -0.0, np.nan],
+])
+
+
+@pytest.mark.parametrize("rows", [SIGNED_ROWS,
+                                  np.random.default_rng(9).standard_normal((6, 3))],
+                         ids=["signed-repeats", "signed-distinct"])
+def test_signed_and_nan_values_match_per_value_writer(tmp_path, rows):
+    assert np.signbit(rows).any() and not np.signbit(rows).all()
+    texts = [f"{v:.17g}" for v in rows.ravel().tolist()]
+    if rows is SIGNED_ROWS:
+        assert 2 * len(np.unique(np.abs(rows).view(np.int64))) <= rows.size
+        assert np.signbit(rows[np.isnan(rows)]).any() and "-nan" not in texts
+        assert {"-0", "-inf", "nan", "-4.9406564584124654e-324"} <= set(texts)
+    assert fbmcf_io._texts(rows) == texts
+    path = tmp_path / "rows.csv"
+    write_csv(str(path), ("a", "b", "c"), rows)
+    assert path.read_bytes() == ("a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                                    for row in rows.tolist())).encode()
+    pts = tmp_path / "points.obj"
+    write_obj(str(pts), rows.reshape(-1, 2, 3))
+    assert pts.read_bytes() == per_node_obj(rows.reshape(-1, 2, 3), faces=False).encode()
 
 
 def test_csv_without_rows_is_header_only(tmp_path):
@@ -751,11 +837,19 @@ DENSITY_QUERY = "-" + DENSITY_BODY[1:]
     # keys a query type does not read: a misspelt cutoff would run the series without it
     (DENSITY_QUERY + "  radius: 0.1\n", "[0].radius"),
     ("- type: scan\n  epsilon: 1.0\n  r_grid: [0.1]\n  P: [0, 0, 0]\n", "[0].P"),
+    # numbers follow the scenario rule: YAML numbers only, finite, and no bools; PyYAML
+    # reads 1e-4, which has no dot, as a string
+    ("- P: [0, 0, 0]\n  T: 1e-4\n  sample_times: [0.0]\n", "[0].T"),
+    ("- P: [0, 0, 0]\n  T: true\n  sample_times: [0.0]\n", "[0].T"),
+    (DENSITY_QUERY + "  r: .inf\n", "[0].r"),
+    ("- P: [0, 0, '0']\n  T: 0.25\n  sample_times: [0.0]\n", "[0].P"),
+    ("- type: scan\n  epsilon: 1.0\n  r_grid: [0.1, false]\n", "[0].r_grid"),
 ], ids=["empty-sample_times", "density-without-P", "P-of-two", "T-list", "bad-location",
         "item-not-a-mapping", "empty-r_grid", "scan-without-epsilon", "unknown-type",
         "type-list", "kappa-list", "r-mapping", "r-word", "T-null", "name-with-slash",
         "name-repeats-a-default", "name-not-a-string", "name-empty", "name-repeated",
-        "density-radius", "scan-P"])
+        "density-radius", "scan-P", "T-1e-4-string", "T-bool", "r-inf", "P-string",
+        "r_grid-bool"])
 def test_cli_monitor_malformed_query_is_validation_error(trough_run, tmp_path, capsys, text, key):
     # every entry is checked before any query runs: exit 2, keyed, no traceback
     qpath = tmp_path / "queries.yaml"
@@ -763,6 +857,23 @@ def test_cli_monitor_malformed_query_is_validation_error(trough_run, tmp_path, c
     assert main(["monitor", trough_run, str(qpath)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("validation error: ") and f"(key: {key})" in err
+    assert not [f for f in os.listdir(trough_run) if f.endswith(".csv") and f != "monitors.csv"]
+
+
+@pytest.mark.parametrize("text, where", [
+    ("- P: [0, 0, 0\n  T: 0.25\n  sample_times: [0.0]\n", "(line 2, column 4)"),
+    ("- P: [0, 0, 0]\n  T: 0.25\n   sample_times: [0.0]\n", "(line 3, column 16)"),
+    ("P: [0, 0, 0]\nT: 0.25\nsample_times: [0.0]\n", ""),
+], ids=["unclosed-bracket", "bad-indent", "mapping-not-list"])
+def test_cli_monitor_malformed_query_yaml_is_validation_error(trough_run, tmp_path, capsys,
+                                                            text, where):
+    # like a scenario: exit 2, the parse error's line and column, no traceback, no CSV
+    qpath = tmp_path / "queries.yaml"
+    qpath.write_text(text)
+    assert main(["monitor", trough_run, str(qpath)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("validation error: ") and "Traceback" not in err
+    assert err.rstrip().endswith(where) if where else "list of queries" in err
     assert not [f for f in os.listdir(trough_run) if f.endswith(".csv") and f != "monitors.csv"]
 
 
@@ -823,6 +934,34 @@ def test_cli_rescale_bad_value_is_usage_error(finished_run, capsys, arg, value):
     err = capsys.readouterr().err
     assert exc.value.code == 2 and "usage:" in err and f"argument {arg}" in err, err
     assert not os.path.exists(os.path.join(finished_run, "frame.obj"))
+
+
+@pytest.mark.parametrize("arg, value", [("--lambda", "0.1"), ("--tau", "0.0")])
+def test_cli_rescale_s_excludes_lambda_and_tau(finished_run, capsys, arg, value):
+    # --s picks the frame on its own; beside --lambda or --tau it would override them
+    with pytest.raises(SystemExit) as exc:
+        main(["rescale", finished_run, "--terminal-time=0.002", "--s=0.5", f"{arg}={value}"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "usage:" in err
+    assert "argument --s: not allowed with argument --lambda or --tau" in err, err
+    assert not os.path.exists(os.path.join(finished_run, "frame.obj"))
+
+
+# the run's snapshots span t in [0, 0.004]; each frame reads a time inside it
+@pytest.mark.parametrize("args, frame", [
+    (["--s=1.39"], lambda traj, patch: normalized_frame(traj, np.zeros(3), 1.39, 0.25,
+                                                        patch=patch)),
+    (["--lambda=0.5"], lambda traj, patch: parabolic_rescale(traj, np.zeros(3), 0.25, 0.5, -1.0,
+                                                             patch=patch)),
+    (["--tau=-0.248"], lambda traj, patch: parabolic_rescale(traj, np.zeros(3), 0.25, 1.0, -0.248,
+                                                             patch=patch)),
+], ids=["s", "lambda-with-default-tau", "tau-with-default-lambda"])
+def test_cli_rescale_frame_choice(finished_run, args, frame):
+    assert main(["rescale", finished_run, "--terminal-time=0.25", "--region-radius=20",
+                 *args]) == 0
+    traj = load_trajectory(finished_run)
+    X = frame(traj, traj.snapshots[-1].patch).surface.samples().X
+    assert (Path(finished_run) / "frame.obj").read_bytes() == per_node_obj(X, faces=False).encode()
 
 
 def test_cli_bad_scenario_exit_2(tmp_path):
