@@ -83,8 +83,15 @@ reads it as it is and keeps:
   this process, of ``save_trajectory`` on a trough run (the tilted plane
   u = 0.1 y1 over ``paraboloid:0.5`` with kappa 0.5, chart radius 2 and
   cfl 0.15, as in ``trough-curved``, but at stride 1 for six of its longest
-  steps, t_end = 6 h r_dom / 16, so that it stores 7 snapshots at every h)
-  and on the ``store-query`` workload's 21 flat-support snapshots;
+  steps, t_end = 6 h r_dom / 16, so that it stores 7 snapshots at every h),
+  on the ``store-query`` workload's 21 flat-support snapshots and on the
+  tilted plane u = 0.1 y1 over ``sphere_cap:2`` with its catalog defaults and
+  the default cfl, run as the trough is (7 snapshots at every h), and the
+  ``chart_frames`` calls of one more ``save_trajectory`` call.  The sphere
+  cap's chart is evaluated afresh by each ``positions()`` call, as its kernel
+  keeps no chart memo.  That plane passes through the sphere's centre (the
+  ``equatorial_disk.yaml`` surface), so the flow barely moves it, and its y
+  column, which reads the height, is still bit-equal across its snapshots;
 - density rows (``density``), one per grid h = 2/grid, 1/grid and
   1/(2 grid): the median milliseconds per call, over ``DENSITY_CALLS``
   calls in this process, of ``interior_density_value`` and
@@ -102,6 +109,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -443,8 +451,22 @@ def scan_kernel(grid):
     return rows
 
 
+def _chart_calls(fn):
+    """The number of chart_frames calls that fn() makes through the kernel's binding."""
+    from fbmcf import geometry
+
+    real, calls = geometry.chart_frames, []
+    geometry.chart_frames = lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
+    try:
+        fn()
+    finally:
+        geometry.chart_frames = real
+    return len(calls)
+
+
 def writer(grid):
-    """The writer rows: median ms per save_trajectory call on each workload's trajectory."""
+    """The writer rows: median ms and chart_frames calls per save_trajectory call on each
+    workload's trajectory and on a sphere-cap run."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from fbmcf.flow import FlowConfig, run
     from fbmcf.io import save_trajectory
@@ -457,16 +479,19 @@ def writer(grid):
             # six steps of the longest length h r_dom / 16 = 1 / (32 n)
             trough = run(_tilted(SupportPatch.paraboloid(0.5, kappa=0.5, chart_radius=2.0), n),
                          FlowConfig(t_end=6.0 / (32 * n), cfl=0.15))
-            if trough.error is not None:
-                sys.exit(f"bench: writer run stopped: {trough.stop_reason}")
+            cap = run(_tilted("sphere_cap:2", n), FlowConfig(t_end=6.0 / (32 * n)))
+            for traj in (trough, cap):
+                if traj.error is not None:
+                    sys.exit(f"bench: writer run stopped: {traj.stop_reason}")
             store = StoreQuery(SEED, 1.0 / n, workdir)
             for name, traj, echo in (("trough-curved", trough, None),
-                                     ("store-query", store.trajectory, store.echo)):
-                ms = _median_ms(lambda: save_trajectory(os.path.join(workdir, "run"), traj,
-                                                        echo), WRITER_CALLS)
+                                     ("store-query", store.trajectory, store.echo),
+                                     ("sphere_cap:2", cap, None)):
+                save = functools.partial(save_trajectory, os.path.join(workdir, "run"), traj, echo)
                 rows.append({"grid": {"value": n, "unit": "1/h"}, "trajectory": name,
                              "snapshots": {"value": len(traj.snapshots), "unit": "count"},
-                             "save_trajectory_ms": ms})
+                             "save_trajectory_ms": _median_ms(save, WRITER_CALLS),
+                             "chart_frames": {"value": _chart_calls(save), "unit": "count"}})
     return rows
 
 

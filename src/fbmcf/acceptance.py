@@ -76,16 +76,21 @@ def _sphere_error(h_inv):
     return float(np.max(np.abs(surf.u - exact)[mask])), traj.stop_reason
 
 
+def _second_order(errors):
+    """Ratios e_h / e_{h/2} of errors at halving h, whether all are in [3, 5], and their text."""
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    text = f"ratio{'s' * (len(ratios) > 1)} = {', '.join(f'{r:.2f}' for r in ratios)} (need [3, 5])"
+    return ratios, all(3.0 <= r <= 5.0 for r in ratios), text
+
+
 def criterion_2():
     """Second-order convergence on the shrinking-sphere solution."""
     e_coarse, reason_c = _sphere_error(64)
     e_fine, reason_f = _sphere_error(128)
     if reason_c != "completed" or reason_f != "completed":
         return False, f"runs stopped: {reason_c}, {reason_f}"
-    ratio = e_coarse / e_fine
-    ok = 3.0 <= ratio <= 5.0
-    return ok, (f"err(1/64) = {e_coarse:.3e}, err(1/128) = {e_fine:.3e}, "
-                f"ratio = {ratio:.2f} (need [3, 5])")
+    _, ok, gate = _second_order([e_coarse, e_fine])
+    return ok, f"err(1/64) = {e_coarse:.3e}, err(1/128) = {e_fine:.3e}, {gate}"
 
 
 def criterion_3():
@@ -114,7 +119,7 @@ def criterion_4():
     """Gaussian density ground truth: plane -> 1, half-plane edge -> 1/2."""
     P = np.array([0.0, 0.5, 0.0])
     plane = AnalyticSurface.plane(P, (0.0, 1.0, 0.0))
-    v1 = interior_density_value(plane, P, T=1e-4, r=0.2, d_gamma=np.inf)
+    v1 = interior_density_value(plane, P, T=1e-4, r=0.2)
     hp = AnalyticSurface.half_plane(ORIGIN, (1.0, 0.0, 0.0))
     v2 = boundary_density_value(hp, ORIGIN, T=1e-4, kappa=0.0)
     ok = abs(v1 - 1.0) <= 1e-3 and abs(v2 - 0.5) <= 1e-3
@@ -169,14 +174,10 @@ def criterion_8():
     res_a = self_shrinker_residual(sph, ORIGIN, 0.25)
     if res_a > 1e-8:
         return False, f"analytic residual = {res_a:.2e} (tol 1e-8)"
-    res = {}
-    for h_inv in (64, 128):
-        surf = GraphSurface.sphere_cap(1.0, 1.0 / h_inv, 0.5)
-        res[h_inv] = self_shrinker_residual(surf, ORIGIN, 0.25)
-    ratio = res[64] / res[128]
-    ok = 3.0 <= ratio <= 5.0
-    return ok, (f"analytic = {res_a:.2e}; grid {res[64]:.3e} -> {res[128]:.3e}, "
-                f"ratio = {ratio:.2f} (need [3, 5])")
+    res = [self_shrinker_residual(GraphSurface.sphere_cap(1.0, 1.0 / h_inv, 0.5), ORIGIN, 0.25)
+           for h_inv in (64, 128)]
+    _, ok, gate = _second_order(res)
+    return ok, f"analytic = {res_a:.2e}; grid {res[0]:.3e} -> {res[1]:.3e}, {gate}"
 
 
 def criterion_9():
@@ -212,13 +213,12 @@ def criterion_10():
     res, reasons = zip(*(_trough_edge_residual(n) for n in (32, 64, 128)))
     if any(r != "completed" for r in reasons):
         return False, "runs stopped: " + ", ".join(reasons)
-    ratios = [a / b for a, b in zip(res, res[1:])]
+    _, ok, gate = _second_order(res)
     control = GraphSurface.from_height(lambda a, b: 0.1 * a + 0.3 * b + 0.2 * a * b,
                                        SupportPatch.flat(), 1.0 / 64.0, 0.5).neumann_residual()
-    ok = all(3.0 <= r <= 5.0 for r in ratios) and abs(control - 0.4) <= 1e-10
-    return ok, (f"edge residual {res[0]:.3e} -> {res[1]:.3e} -> {res[2]:.3e}, ratios = "
-                f"{ratios[0]:.2f}, {ratios[1]:.2f} (need [3, 5]); control = {control:.6f} "
-                f"(want 0.4)")
+    return ok and abs(control - 0.4) <= 1e-10, (
+        f"edge residual {res[0]:.3e} -> {res[1]:.3e} -> {res[2]:.3e}, {gate}; "
+        f"control = {control:.6f} (want 0.4)")
 
 
 def criterion_11():

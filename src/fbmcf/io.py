@@ -45,39 +45,25 @@ class _LineTemplate(NamedTuple):
 
     The columns not listed in `open` are written into `text`; each open
     column leaves a %s field per line, which `fill` completes from a table's
-    values.
+    values.  `key` names the tables that hold the written values.
     """
 
     text: str
     open: tuple   # indices of the columns left open
+    key: object
 
     @classmethod
-    def build(cls, tables, head, sep):
-        """The lines of the first table, each head, then its values joined by sep.
-
-        tables is an iterable of arrays of one shape (..., k), such as the
-        vertex arrays of a trajectory's snapshots, read one at a time: each is
-        compared with the one before, so at most three are held at once.  A
-        column that every table keeps bit for bit from the one before is
-        formatted here, once; the others are left open.  A single table is
-        therefore written in full.
-        """
-        tables = iter(tables)
-        first = prev = next(tables)
-        kept = [True] * first.shape[-1]
-        for table in tables:
-            kept = [keep and np.array_equal(prev[..., j].view(np.int64),
-                                            table[..., j].view(np.int64))
-                    for j, keep in enumerate(kept)]
-            prev = table
-        line = head + sep.join("%s" if keep else "%%s" for keep in kept) + "\n"
-        texts = tuple(_texts(first[..., [j for j, keep in enumerate(kept) if keep]]))
-        return cls(line * (first.size // len(kept)) % texts,
-                   tuple(j for j, keep in enumerate(kept) if not keep))
+    def build(cls, table, head, sep, fixed, key):
+        """The lines of table, each head, then its values joined by sep; the
+        columns listed in fixed are formatted here, the others left open."""
+        k = table.shape[-1]
+        line = head + sep.join("%s" if j in fixed else "%%s" for j in range(k)) + "\n"
+        return cls(line * (table.size // k) % tuple(_texts(table[..., list(fixed)])),
+                   tuple(j for j in range(k) if j not in fixed), key)
 
     def fill(self, table):
         """The lines of table, an array of the shape the template was built
-        from whose kept columns hold the values already written in."""
+        from whose fixed columns hold the values already written in."""
         return self.text % tuple(_texts(table[..., self.open]))
 
 
@@ -102,21 +88,29 @@ def write_obj(path, surface, template=None):
     at its `positions()`, which run no kernel; any other surface as the
     points of `samples()`, and an array of points as it is.  Coordinates
     are written with %.17g, so the output is exact: float() of each field
-    gives back the stored value.  template, a `_LineTemplate` of vertex
-    lines, already holds the coordinates that the snapshots of one
-    trajectory share (see `save_trajectory`).
+    gives back the stored value.
+
+    Returns the `_LineTemplate` of the vertex lines, with the columns that a
+    GraphSurface's chart fixes on its profile and grid (the profile's
+    `height_free` components) written in.  Passed back as template for the
+    next snapshot on that profile and grid, it saves formatting them again
+    (see `save_trajectory`); a template for another profile, grid or shape
+    is rebuilt.
     """
     if isinstance(surface, GraphSurface):
         X = surface.positions()
         faces = _face_lines(*X.shape[:2])
+        profile = surface.patch.profile   # its name and the grid fix the height-free columns
+        fixed, key = profile.height_free, (profile.name, surface.grid.key)
     else:
         X = np.asarray(surface if isinstance(surface, np.ndarray) else surface.samples().X,
                        dtype=float)
-        faces = ""
-    if template is None:
-        template = _LineTemplate.build([X], "v ", " ")
+        faces, fixed, key = "", (), X.shape
+    if template is None or template.key != key:
+        template = _LineTemplate.build(X, "v ", " ", fixed, key)
     with open(path, "w") as fh:   # block by block: no joined copy of the text
         fh.writelines((template.fill(X), faces))
+    return template
 
 
 def save_snapshot(path, surface):
@@ -155,25 +149,23 @@ def write_csv(path, columns, rows):
 def save_trajectory(outdir, trajectory, scenario_echo=None):
     """Persist monitors, OBJ dumps, and exact-round-trip snapshots.
 
-    Vertex coordinates that no snapshot changes, such as x and y over a trough
-    or the flat support, are formatted once for all the OBJ dumps.  Vertex
-    arrays are made one snapshot at a time, and at most three are held at once.
+    The vertex columns that the support's chart fixes, its profile's
+    `height_free` components such as x and y over a trough or the flat
+    support, are formatted once per profile and grid, from the first
+    snapshot on them.  Each vertex array is made once, as its OBJ is written.
     """
     os.makedirs(outdir, exist_ok=True)
-    files = []
     write_csv(os.path.join(outdir, "monitors.csv"), MONITOR_COLUMNS,
               np.column_stack([trajectory.monitors[c] for c in MONITOR_COLUMNS]))
-    files.append("monitors.csv")
+    files = ["monitors.csv"]
     meta = {"stop_reason": trajectory.stop_reason, "stats": trajectory.stats, "snapshots": []}
     if scenario_echo is not None:
         meta["scenario"] = scenario_echo
-    snaps = trajectory.snapshots
-    template = (_LineTemplate.build((snap.positions() for snap in snaps), "v ", " ")
-                if len({snap.u.shape for snap in snaps}) == 1 else None)
-    for k, snap in enumerate(snaps):
+    template = None
+    for k, snap in enumerate(trajectory.snapshots):
         obj = f"snap_{k:05d}.obj"
         npz = f"snap_{k:05d}.npz"
-        write_obj(os.path.join(outdir, obj), snap, template)
+        template = write_obj(os.path.join(outdir, obj), snap, template)
         save_snapshot(os.path.join(outdir, npz), snap)
         meta["snapshots"].append({"t": snap.t, "obj": obj, "npz": npz})
         files += [obj, npz]

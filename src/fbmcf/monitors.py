@@ -121,7 +121,6 @@ class DensityQuery:
     r: float = np.inf
     kappa: float = 0.0
     sample_times: list = field(default_factory=list)
-    d_gamma: float = None
 
 
 @dataclass
@@ -143,7 +142,7 @@ def monotonicity_reports(trajectory, queries, patch=None):
     for snap in sorted(visits.values(), key=lambda s: s.t):
         for q, pairs, v in zip(queries, near, values):
             for i in (i for i, (s, _) in enumerate(pairs) if s is snap):
-                v[i] = (interior_density_value(snap, q.P, q.T, q.r, d_gamma=q.d_gamma)
+                v[i] = (interior_density_value(snap, q.P, q.T, q.r)
                         if q.location == "interior" else
                         boundary_density_value(snap, q.P, q.T, q.kappa, patch=patch))
     return [DensityReport(np.array([s.t for s, _ in pairs]), v,

@@ -164,10 +164,11 @@ def _read_yaml(path, what):
     try:
         with open(path) as fh:
             return yaml.safe_load(fh)
-    except yaml.YAMLError as err:
+    except yaml.YAMLError as err:   # str(err) names the place too, so only its parts are read
         mark = getattr(err, "problem_mark", None)
         line, column = (None, None) if mark is None else (mark.line + 1, mark.column + 1)
-        raise ScenarioError(f"{what} parse error: {err}", line=line, column=column) from err
+        text = ", ".join(filter(None, map(vars(err).get, ("problem", "context"))))
+        raise ScenarioError(f"{what} parse error: {text or err}", line=line, column=column) from err
 
 
 def load_scenario(path):

@@ -52,6 +52,8 @@ def sq_dist(X, P):
 # pairs (0, 0) = y2 d_11 nu + d_11 (y1, phi, y3) and (0, 1) = d_1 nu; the
 # sphere cap's kernel (`geometry._sphere_front`) and the flat chart need none.
 #
+# `height_free` lists the components of Phi(y1, y2, y3) that do not read the height y3.
+#
 # `rescale(lam)` returns the catalog profile phi(lam y)/lam.
 #
 # `bounds(rho)` returns (sup |D^2 phi|, sup |D^3 phi|, Lip D^3 phi, inf H)
@@ -64,6 +66,7 @@ class FlatProfile:
 
     name = "flat"
     curvature = 0.0
+    height_free = (0, 1)   # x = y1 and y = y2
 
     def chart(self, p, d, q, order=2):
         shape = np.broadcast_shapes(p.shape, d.shape, q.shape)
@@ -89,6 +92,8 @@ def _spec_text(v):
 
 class ParaboloidProfile:
     """phi = a * y1**2 / 2 (a cylinder-like parabolic trough)."""
+
+    height_free = (0, 1)   # x = y1 + y2 nu_0(y1) and y = phi(y1) + y2 nu_1(y1)
 
     def __init__(self, a):
         self.a = float(a)
@@ -133,6 +138,8 @@ class ParaboloidProfile:
 
 class SphereCapProfile:
     """phi = R - sqrt(R**2 - y1**2 - y3**2): sphere of radius R seen from inside."""
+
+    height_free = (0,)   # x = y1 (1 - y2/R); y reads y3 through sqrt(R^2 - y1^2 - y3^2)
 
     def __init__(self, R):
         self.R = float(R)

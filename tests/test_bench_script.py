@@ -104,16 +104,22 @@ def test_bench_script_writes_rows(checkout_python, tmp_path):
         assert row["grid"]["unit"] == "1/h" and row["candidates"]["unit"] == "count"
         assert row["scan_ms"]["unit"] == "ms" and row["scan_ms"]["value"] > 0
         assert row["scan_peak_mb"]["unit"] == "MB" and row["scan_peak_mb"]["value"] > 0
-    # in-process save_trajectory timings on each workload's trajectory, at half,
-    # once and twice the grid's 1/h
+    # in-process save_trajectory timings on each workload's trajectory and on a
+    # sphere-cap run, at half, once and twice the grid's 1/h, with the chart
+    # evaluations of one save
     writer = report["writer"]
-    assert [row["trajectory"] for row in writer] == ["trough-curved", "store-query"] * 3
-    assert [row["grid"]["value"] for row in writer] == [8] * 2 + [16] * 2 + [32] * 2
+    assert [row["trajectory"] for row in writer] == ["trough-curved", "store-query",
+                                                     "sphere_cap:2"] * 3
+    assert [row["grid"]["value"] for row in writer] == [8] * 3 + [16] * 3 + [32] * 3
     for row in writer:
         assert row["grid"]["unit"] == "1/h" and row["snapshots"]["unit"] == "count"
         assert row["save_trajectory_ms"]["unit"] == "ms" and row["save_trajectory_ms"]["value"] > 0
+        assert row["chart_frames"]["unit"] == "count"
     snapshots = [row["snapshots"]["value"] for row in writer]
-    assert snapshots == [7, 21] * 3
+    assert snapshots == [7, 21, 7] * 3
+    # the flat and memoised trough charts are not evaluated to write a file; the
+    # sphere cap's, which no memo keeps, once per snapshot, as none holds its geometry
+    assert [row["chart_frames"]["value"] for row in writer] == [0, 0, 7] * 3
     # in-process density timings on the store-query workload's last snapshot, at
     # half, once and twice the grid's 1/h, and of its analytic hemisphere series
     density = report["density"]

@@ -35,7 +35,7 @@ from fbmcf.scenario import (
     load_scenario,
     validate_scenario,
 )
-from fbmcf.support import SupportPatch
+from fbmcf.support import FlatProfile, SupportPatch
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -199,11 +199,16 @@ def test_scenario_keys_pass_through_to_constructors():
     assert _SECTIONS["patch"] <= params
 
 
-def test_scenario_yaml_error_location(tmp_path):
+def test_scenario_yaml_error_location(tmp_path, capsys):
     path = write_scenario(tmp_path, "grid:\n  h: [unclosed\n")
     with pytest.raises(ScenarioError) as exc:
         load_scenario(path)
-    assert exc.value.line is not None
+    assert (exc.value.line, exc.value.column) == (3, 1)
+    # exit 2, and the place is named once: PyYAML's own text of it is left out
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: scenario parse error: ") and "Traceback" not in err
+    assert err.count("line") == 1 and err.rstrip().endswith("(line 3, column 1)")
 
 
 # the fields README lists for each query type
@@ -464,10 +469,19 @@ def flat_trajectory():
                FlowConfig.for_sphere(1.0, 0.002, snapshot_stride=2))
 
 
+def sphere_cap_trajectory():
+    """A run over a profile that reads y3, whose chart is never memoised."""
+    patch = SupportPatch.sphere_cap(2.0)
+    return run(GraphSurface.from_height(lambda a, b: 0.1 * a, patch, 1 / 32, 0.5),
+               FlowConfig(t_end=2e-3, snapshot_stride=1))
+
+
 def hand_built_trajectory(monkeypatch):
     """Five flat snapshots whose positions() hand out set vertex arrays: X0 flips
     between 0.0 and -0.0 at a few nodes, X1 moves by one ulp at one node, X2 never
-    changes."""
+    changes.  These contradict the flat chart, so the profile declares no
+    height-free columns and every column is written from each snapshot."""
+    monkeypatch.setattr(FlatProfile, "height_free", ())
     snaps, Xs = [], {}
     for k in range(5):
         s = GraphSurface.zero(SupportPatch.flat(), 0.125, 0.5)
@@ -480,8 +494,9 @@ def hand_built_trajectory(monkeypatch):
     return Trajectory(snaps, {c: np.zeros(5) for c in MONITOR_COLUMNS})
 
 
-@pytest.mark.parametrize("make", [trough_trajectory, flat_trajectory, hand_built_trajectory],
-                         ids=["trough", "flat", "hand-built"])
+@pytest.mark.parametrize("make", [trough_trajectory, flat_trajectory, sphere_cap_trajectory,
+                                  hand_built_trajectory],
+                         ids=["trough", "flat", "sphere-cap", "hand-built"])
 def test_saved_obj_bytes_match_per_node_writer(tmp_path, monkeypatch, make):
     if make is hand_built_trajectory:
         traj = make(monkeypatch)
@@ -502,8 +517,17 @@ def test_saved_obj_bytes_match_per_node_writer(tmp_path, monkeypatch, make):
         assert (outdir / f"snap_{k:05d}.obj").read_bytes() == per_node_obj(X).encode(), k
 
 
-def test_save_trajectory_formats_kept_columns_once(tmp_path, monkeypatch):
-    traj = trough_trajectory()
+def one_patch_each_trajectory():
+    """Seven shrinking-sphere snapshots over the flat support, each built with a patch of
+    its own, as the store-query benchmark builds them."""
+    return Trajectory([GraphSurface.sphere_cap(1.0, 1 / 32, 0.25, t=0.01 * k) for k in range(7)],
+                      {c: np.zeros(7) for c in MONITOR_COLUMNS})
+
+
+@pytest.mark.parametrize("make", [trough_trajectory, one_patch_each_trajectory],
+                         ids=["trough", "one-patch-each"])
+def test_save_trajectory_formats_kept_columns_once(tmp_path, monkeypatch, make):
+    traj = make()
     Xs = [s.geometry().X for s in traj.snapshots]
     assert len(Xs) == 7
     n = Xs[0][..., 0].size
@@ -527,6 +551,16 @@ def test_save_trajectory_formats_kept_columns_once(tmp_path, monkeypatch):
                for c, X in zip(opened, Xs))
 
 
+def test_save_trajectory_makes_each_vertex_array_once(tmp_path, monkeypatch):
+    # the sphere cap's chart is evaluated afresh for each positions() call
+    traj = sphere_cap_trajectory()
+    real, calls = GraphSurface.positions, []
+    monkeypatch.setattr(GraphSurface, "positions", lambda self: calls.append(self) or real(self))
+    save_trajectory(str(tmp_path / "run"), traj)
+    assert len(traj.snapshots) > 2
+    assert [id(s) for s in calls] == [id(s) for s in traj.snapshots]
+
+
 def test_save_trajectory_memory_does_not_grow_with_snapshots(tmp_path):
     # stride 1 over the trough at h = 1/32; the vertex arrays are made one
     # snapshot at a time, so 80 snapshots peak about where 10 do
@@ -544,13 +578,6 @@ def test_save_trajectory_memory_does_not_grow_with_snapshots(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[80] <= 1.5 * peaks[10], peaks
-
-
-def sphere_cap_trajectory():
-    """A run over a profile that reads y3, whose chart is never memoised."""
-    patch = SupportPatch.sphere_cap(2.0)
-    return run(GraphSurface.from_height(lambda a, b: 0.1 * a, patch, 1 / 32, 0.5),
-               FlowConfig(t_end=2e-3, snapshot_stride=1))
 
 
 @pytest.mark.parametrize("make", [trough_trajectory, flat_trajectory, sphere_cap_trajectory],
@@ -874,6 +901,7 @@ def test_cli_monitor_malformed_query_yaml_is_validation_error(trough_run, tmp_pa
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("validation error: ") and "Traceback" not in err
     assert err.rstrip().endswith(where) if where else "list of queries" in err
+    assert err.count("line") == (1 if where else 0)   # the place is named once
     assert not [f for f in os.listdir(trough_run) if f.endswith(".csv") and f != "monitors.csv"]
 
 

@@ -53,6 +53,21 @@ def test_flat_chart_refuses_a_point_at_its_radius(flat, fn):
         fn(flat, np.array([[1.0, 0.5, 0.0], [6.0, 8.0, 0.0]]))   # |X| = 10
 
 
+@pytest.mark.parametrize("spec, free", [("flat", (0, 1)), ("paraboloid:0.5", (0, 1)),
+                                        ("sphere_cap:2", (0,))])
+def test_height_free_components_do_not_read_y3(spec, free):
+    # two height fields over one (y1, y2) grid: the components the profile
+    # declares height-free are bit-equal, the others are not
+    patch = SupportPatch.from_spec(spec)
+    assert patch.profile.height_free == free
+    y1, y2 = np.linspace(-0.4, 0.4, 9)[:, None], np.linspace(0.0, 0.3, 4)[None, :]
+    X, Z = (chart_frames(patch, y1, y2, np.full((9, 4), y3), order=1)["X"]
+            for y3 in (0.1, -0.25))
+    for j in range(3):
+        same = np.array_equal(X[..., j].view(np.int64), Z[..., j].view(np.int64))
+        assert same == (j in free), j
+
+
 def test_tubular_map_paraboloid_vertex(parab):
     # phi = y1^2/2 lifts (1, 0, 0) onto the surface point (1, 0.5, 0)
     X = tubular_map(parab, [1.0 - 1e-9, 0.0, 0.0])
