@@ -524,10 +524,7 @@ def one_patch_each_trajectory():
                       {c: np.zeros(7) for c in MONITOR_COLUMNS})
 
 
-@pytest.mark.parametrize("make", [trough_trajectory, one_patch_each_trajectory],
-                         ids=["trough", "one-patch-each"])
-def test_save_trajectory_formats_kept_columns_once(tmp_path, monkeypatch, make):
-    traj = make()
+def check_kept_columns_formatted_once(tmp_path, monkeypatch, traj):
     Xs = [s.geometry().X for s in traj.snapshots]
     assert len(Xs) == 7
     n = Xs[0][..., 0].size
@@ -549,6 +546,14 @@ def test_save_trajectory_formats_kept_columns_once(tmp_path, monkeypatch, make):
     assert len(opened) == 7
     assert all(np.array_equal(c, np.ravel(X[..., 2]).view(np.int64))
                for c, X in zip(opened, Xs))
+
+
+def test_save_trajectory_formats_kept_columns_once(tmp_path, monkeypatch):
+    check_kept_columns_formatted_once(tmp_path, monkeypatch, trough_trajectory())
+
+
+def test_save_trajectory_formats_kept_columns_once_with_one_patch_each(tmp_path, monkeypatch):
+    check_kept_columns_formatted_once(tmp_path, monkeypatch, one_patch_each_trajectory())
 
 
 def test_save_trajectory_makes_each_vertex_array_once(tmp_path, monkeypatch):
